@@ -5,9 +5,10 @@
     dnc check-density FILE [--cutoff W] [--margin M] [--json]
     dnc gf SPEC [--json]
 
-Exit codes: 0 success; 1 unreadable or invalid spec; 2 solver failure or an
-unsupported channel/method combination; 3 verification mismatch; 4 density
-check flagged exponential weight growth.
+Exit codes: 0 success; 1 unreadable or invalid spec; 2 solver failure, an
+unsupported channel/method combination, or a missing or out-of-range
+option; 3 verification mismatch; 4 density check flagged exponential weight
+growth.
 
 Text output rounds to five significant digits; --json emits the full
 precision payload with sorted keys, so identical inputs give byte-identical
@@ -24,7 +25,7 @@ import sys
 
 from .chanspec import ChannelSpec, ForbiddenPatterns, load_spec, parse_spec
 from .errors import DncError, SpecError
-from .genpoly import CoefficientSeries, GeneralizedPolynomial, expand_series
+from .genpoly import CoefficientSeries, GeneralizedPolynomial, RationalGF, expand_series
 from .gf_builder import build_gf
 from .oracle import enumerate_by_weight, enumerate_channel, estimate_capacity
 from .solver import (
@@ -42,15 +43,38 @@ def _fmt(x: float) -> str:
     return f"{x:.5g}"
 
 
-def _auto_method(spec: ChannelSpec) -> str:
-    if isinstance(spec.constraint, ForbiddenPatterns):
-        return "pole"
-    gf = build_gf(spec)
-    return "characteristic" if characteristic_part(gf.denominator) is not None else "pole"
+def _number(allow_zero: bool):
+    """argparse type: a finite float, >= 0 or > 0."""
+    bound = "nonnegative" if allow_zero else "positive"
+
+    def parse(text: str) -> float:
+        try:
+            x = float(text)
+        except ValueError:
+            x = math.nan
+        if not math.isfinite(x) or x < 0 or (x == 0 and not allow_zero):
+            raise argparse.ArgumentTypeError(
+                f"expected a finite {bound} number, got {text!r}"
+            )
+        return x
+
+    return parse
 
 
-def _analytic_report(spec: ChannelSpec, method: str, tol: float) -> CapacityReport:
-    gf = build_gf(spec)
+_nonnegative = _number(allow_zero=True)
+_positive = _number(allow_zero=False)
+
+
+def _analytic_report(
+    spec: ChannelSpec, gf: RationalGF, method: str | None, tol: float
+) -> CapacityReport:
+    """Solve by the named method; without one, the characteristic root
+    when the denominator has star form and the pole scan otherwise."""
+    if method is None:
+        star = not isinstance(spec.constraint, ForbiddenPatterns) and (
+            characteristic_part(gf.denominator) is not None
+        )
+        method = "characteristic" if star else "pole"
     if method == "characteristic":
         return capacity_from_characteristic(gf, tol=tol)
     return smallest_positive_pole(gf, tol=tol)
@@ -114,14 +138,14 @@ def _warn(message: str) -> None:
 
 def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
-    method = args.method or _auto_method(spec)
-    if method == "oracle":
+    oracle = args.method == "oracle"
+    if oracle:
         if args.cutoff is None:
             raise DncError("--method oracle requires --cutoff")
-        enum = enumerate_channel(spec, args.cutoff)
-        report = estimate_capacity(enum)
+        report = estimate_capacity(enumerate_channel(spec, args.cutoff))
     else:
-        report = _analytic_report(spec, method, args.tol)
+        gf = build_gf(spec)
+        report = _analytic_report(spec, gf, args.method, args.tol)
     payload = {"command": "capacity", **report.to_dict()}
     lines = [
         f"method: {report.method}",
@@ -136,14 +160,13 @@ def cmd_capacity(args) -> int:
     if args.verify:
         if args.cutoff is None:
             raise DncError("--verify requires --cutoff")
-        gf = build_gf(spec)
-        series = expand_series(gf, args.cutoff)
+        series = expand_series(build_gf(spec) if oracle else gf, args.cutoff)
         enum = enumerate_channel(spec, args.cutoff)
         estimate = estimate_capacity(enum)
         mismatch = _first_mismatch(series, enum.series)
         slack = report.error_bound if math.isfinite(report.error_bound) else math.inf
         estimate_ok = (
-            method == "oracle"
+            oracle
             or estimate.capacity_nats <= report.capacity_nats + slack + 1e-9
         )
         verification = {
@@ -299,20 +322,20 @@ def _build_parser() -> argparse.ArgumentParser:
         help="characteristic root, pole scan, or enumeration lower bound "
         "(default: picked from the constraint kind)",
     )
-    cap.add_argument("--cutoff", type=float, help="weight cutoff for enumeration")
+    cap.add_argument("--cutoff", type=_nonnegative, help="weight cutoff for enumeration")
     cap.add_argument(
         "--verify",
         action="store_true",
         help="cross-check coefficients and the capacity against enumeration "
         "(requires --cutoff); mismatches exit 3",
     )
-    cap.add_argument("--tol", type=float, default=1e-12, help="bracket width tolerance")
+    cap.add_argument("--tol", type=_positive, default=1e-12, help="bracket width tolerance")
     cap.add_argument("--json", action="store_true", help="machine readable output")
     cap.set_defaults(func=cmd_capacity)
 
     coef = sub.add_parser("coefficients", help="exact string counts by weight")
     coef.add_argument("spec", help="channel spec file (JSON)")
-    coef.add_argument("--cutoff", type=float, required=True, help="weight cutoff")
+    coef.add_argument("--cutoff", type=_nonnegative, required=True, help="weight cutoff")
     coef.add_argument(
         "--oracle",
         action="store_true",
@@ -330,13 +353,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     dens.add_argument(
         "--cutoff",
-        type=float,
+        type=_nonnegative,
         help="weight cutoff (required for channel specs; defaults to the "
         "largest weight for raw weight lists)",
     )
     dens.add_argument(
         "--margin",
-        type=float,
+        type=_nonnegative,
         default=1.0,
         help="flag when the exponential fit residual is below margin times "
         "the polynomial one",
@@ -362,7 +385,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         sys.stderr.write(f"error: cannot read spec: {exc}\n")
         return 1
-    except DncError as exc:
+    except (DncError, ValueError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -14,14 +14,21 @@ value of a weight is computed only for ordering, evaluation, and display.
 
 Concatenating strings adds their weights, so a product of terms adds weight
 vectors component-wise. `expand_series` turns a RationalGF into the exact
-counting series of the language it enumerates, up to a weight cutoff.
+counting series of the language it enumerates, up to a weight cutoff, in a
+single pass in weight order: with denominator d0 - sum_j e_j * y**u_j, the
+count at weight w is (num[w] + sum_j e_j * c[w - u_j]) / d0, so each weight
+class costs one heap operation and one product per denominator term. The
+pass keys classes by raw multiplicity tuples and builds a WeightVector only
+for the entries it returns.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Iterator, Mapping, Union
 
 from .errors import (
@@ -343,14 +350,21 @@ def expand_series(
 ) -> CoefficientSeries:
     """Exact coefficient extraction from a quotient, up to a weight cutoff.
 
-    Write the denominator as d0*(1 - E) with every E-term of strictly
-    positive weight; then the series is (num/d0) * sum over n of E**n.
-    Intermediate products are truncated at the cutoff, which is sound
-    because weights only accumulate. All arithmetic is exact: plain
-    integers when d0 = +-1, Fractions otherwise with a final integrality
-    check. Counts that come out negative or non-integral mean the quotient
-    does not enumerate a language (e.g. an ambiguous construction) and
-    raise ExpansionError.
+    Write the denominator as d0 - sum_j e_j * y**u_j, every u_j of strictly
+    positive weight. Then the counts obey one recurrence in weight order:
+
+        d0 * c[w] = num[w] + sum_j e_j * c[w - u_j]
+
+    A min-heap pops weight classes in (numeric value, exponent vector)
+    order, and `pending` holds the partial sum of each queued class. Every
+    contribution to a class comes from a strictly lighter one, so a popped
+    class is final: it is divided by d0 and checked there, then passes
+    e_j * c[w] on to each w + u_j within the cutoff. The cost is one heap
+    push and pop per weight class plus one exact integer product per
+    class and denominator term. A count that comes out non-integral or
+    negative means the quotient does not enumerate a language (e.g. an
+    ambiguous construction) and raises ExpansionError. `term_limit` caps
+    the number of weight classes generated.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):
@@ -358,66 +372,52 @@ def expand_series(
     if term_limit < 1:
         raise ValueError("term limit must be positive")
     basis = gf.basis
+    values = basis.values()
     d0 = gf.denominator.constant_coefficient
-    if d0 == 0:
-        raise ExpansionError(
-            "not a valid counting quotient: denominator constant term is zero"
-        )
-
-    value_cache: dict[WeightVector, float] = {}
-
-    def val(wv: WeightVector) -> float:
-        v = value_cache.get(wv)
-        if v is None:
-            v = wv.value(basis)
-            value_cache[wv] = v
-        return v
-
-    exact = abs(d0) == 1
-
-    def scale(c: int):
-        return c // d0 if exact else Fraction(c, d0)
-
-    geom = {
-        wv: scale(-c)
+    growth = [
+        (wv.mults, -c)
         for wv, c in gf.denominator.terms()
-        if not wv.is_zero() and val(wv) <= cutoff
-    }
-    current = {wv: scale(c) for wv, c in gf.numerator.terms() if val(wv) <= cutoff}
-    acc = dict(current)
-    while current:
-        nxt: dict[WeightVector, object] = {}
-        for wv1, c1 in current.items():
-            for wv2, c2 in geom.items():
-                wv = wv1 + wv2
-                if val(wv) > cutoff:
-                    continue
-                nxt[wv] = nxt.get(wv, 0) + c1 * c2
-        current = {wv: c for wv, c in nxt.items() if c}
-        for wv, c in current.items():
-            acc[wv] = acc.get(wv, 0) + c
-        if len(acc) > term_limit or len(current) > term_limit:
+        if not wv.is_zero() and wv.value(basis) <= cutoff
+    ]
+    pending: dict[tuple[int, ...], int] = {}
+    heap: list[tuple[float, tuple[int, ...]]] = []
+    for wv, c in gf.numerator.terms():
+        value = wv.value(basis)
+        if value <= cutoff:
+            pending[wv.mults] = c
+            heap.append((value, wv.mults))
+    heapq.heapify(heap)
+    generated = len(heap)
+    entries: list[tuple[WeightVector, int]] = []
+    while heap:
+        if generated > term_limit:
             raise ResourceLimitError(
                 f"series expansion exceeded the term limit of {term_limit}"
             )
-
-    key = weight_sort_key(basis)
-    entries: list[tuple[WeightVector, int]] = []
-    for wv in sorted((wv for wv, c in acc.items() if c), key=key):
-        c = acc[wv]
-        if not exact:
-            frac = Fraction(c)
-            if frac.denominator != 1:
-                raise ExpansionError(
-                    f"non-integral count {frac} at weight {val(wv):.6g}: "
-                    "the quotient does not enumerate a language"
-                )
-            c = frac.numerator
-        c = int(c)
-        if c < 0:
+        value, mults = heapq.heappop(heap)
+        total = pending.pop(mults)
+        count, rest = divmod(total, d0)
+        if rest:
             raise ExpansionError(
-                f"negative count {c} at weight {val(wv):.6g}: "
+                f"non-integral count {Fraction(total, d0)} at weight {value:.6g}: "
                 "the quotient does not enumerate a language"
             )
-        entries.append((wv, c))
+        if count < 0:
+            raise ExpansionError(
+                f"negative count {count} at weight {value:.6g}: "
+                "the quotient does not enumerate a language"
+            )
+        if not count:
+            continue
+        entries.append((WeightVector(mults), count))
+        for step, e in growth:
+            nmults = tuple(map(add, mults, step))
+            if nmults in pending:
+                pending[nmults] += e * count
+                continue
+            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
+            if nvalue <= cutoff:
+                pending[nmults] = e * count
+                heapq.heappush(heap, (nvalue, nmults))
+                generated += 1
     return CoefficientSeries(basis, tuple(entries), cutoff)

@@ -27,6 +27,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from operator import add
 from typing import Mapping
 
 from . import automaton as automaton_mod
@@ -37,7 +38,7 @@ from .genpoly import CoefficientSeries, WeightVector, weight_sort_key
 from .solver import CapacityReport
 
 DEFAULT_MAX_CONFIGS = 1_000_000
-DEFAULT_STATE_CAP = 64
+STATE_CAP = 64
 
 
 @dataclass(frozen=True)
@@ -62,54 +63,49 @@ def _count_paths(
 ) -> dict[WeightVector, int]:
     """Counts of automaton paths start -> targets grouped by weight vector.
 
-    Pops configurations in (numeric weight, exact vector) order; all
-    contributions to a configuration come from strictly lighter ones, so
-    its count is final when popped. `budget` is a single-element mutable
-    pop counter shared across calls.
+    A min-heap pops (multiplicities, state) configurations in (numeric
+    weight, multiplicities, state) order, and `pending` holds the path
+    count reaching each queued one. All contributions to a configuration
+    come from strictly lighter ones, so its count is final when popped.
+    The numeric weight is computed once, when a configuration first
+    appears; each popped configuration then costs one dict update per
+    arc. Keys are raw int tuples, turned into WeightVectors only in the
+    returned dict and in a budget error's partial counts. `budget` is a
+    single-element mutable pop counter shared across calls.
     """
-    basis = spec.basis
-    arcs = [
-        (sym.name, sym.weight, sym.weight.value(basis)) for sym in spec.symbols
-    ]
-    zero = WeightVector.zero(basis)
-    pending: dict[tuple[WeightVector, int], int] = {(zero, start): 1}
-    heap = [(0.0, zero.mults, start)]
-    queued = {(zero, start)}
-    out: dict[WeightVector, int] = {}
-    value_cache: dict[WeightVector, float] = {zero: 0.0}
+    values = spec.basis.values()
+    arcs = [(sym.name, sym.weight.mults) for sym in spec.symbols]
+    zero = (0,) * len(values)
+    pending: dict[tuple[tuple[int, ...], int], int] = {(zero, start): 1}
+    heap = [(0.0, zero, start)]
+    out: dict[tuple[int, ...], int] = {}
     while heap:
         value, mults, state = heapq.heappop(heap)
-        wv = WeightVector(mults)
-        key = (wv, state)
-        queued.discard(key)
-        count = pending.pop(key)
+        count = pending.pop((mults, state))
         budget[0] += 1
         if budget[0] > max_configs:
             raise ResourceLimitError(
                 f"enumeration exceeded {max_configs} configurations "
                 f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
-                partial=out,
+                partial={WeightVector(m): c for m, c in out.items()},
             )
         if state in targets:
-            out[wv] = out.get(wv, 0) + count
+            out[mults] = out.get(mults, 0) + count
         row = machine.transitions[state]
-        for name, sym_wv, _ in arcs:
+        for name, step in arcs:
             nxt = row.get(name)
             if nxt is None:
                 continue
-            nwv = wv + sym_wv
-            nvalue = value_cache.get(nwv)
-            if nvalue is None:
-                nvalue = nwv.value(basis)
-                value_cache[nwv] = nvalue
-            if nvalue > cutoff:
+            nmults = tuple(map(add, mults, step))
+            nkey = (nmults, nxt)
+            if nkey in pending:
+                pending[nkey] += count
                 continue
-            nkey = (nwv, nxt)
-            pending[nkey] = pending.get(nkey, 0) + count
-            if nkey not in queued:
-                queued.add(nkey)
-                heapq.heappush(heap, (nvalue, nwv.mults, nxt))
-    return out
+            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
+            if nvalue <= cutoff:
+                pending[nkey] = count
+                heapq.heappush(heap, (nvalue, nmults, nxt))
+    return {WeightVector(m): c for m, c in out.items()}
 
 
 def enumerate_channel(
@@ -118,13 +114,12 @@ def enumerate_channel(
     *,
     with_loops: bool = True,
     max_configs: int = DEFAULT_MAX_CONFIGS,
-    state_cap: int = DEFAULT_STATE_CAP,
 ) -> EnumerationResult:
     """Enumerate all channel strings of weight <= cutoff, grouped by weight.
 
-    With `with_loops` the walk is repeated from each automaton state
-    (capped at `state_cap` states) to collect the return counts the
-    capacity estimator needs. The configuration budget is shared across
+    With `with_loops` the walk is repeated from each of the first
+    STATE_CAP automaton states to collect the return counts the capacity
+    estimator needs. The configuration budget is shared across
     all walks.
     """
     cutoff = float(cutoff)
@@ -143,7 +138,7 @@ def enumerate_channel(
     loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
     analyzed = 0
     if with_loops:
-        for state in range(min(machine.n_states, state_cap)):
+        for state in range(min(machine.n_states, STATE_CAP)):
             returns = _count_paths(
                 spec, machine, state, {state}, cutoff, max_configs, budget
             )

@@ -9,7 +9,7 @@ Two analytic routes, both with certified enclosures:
                         radius of convergence. Bracketed by doubling, then
                         bisection.
   smallest-pole         sign-change scan of the denominator on a grid over
-                        (0, y_max], bisection on each bracket, skipping
+                        (0, Y_MAX], bisection on each bracket, skipping
                         candidates where the numerator also vanishes
                         (removable singularities). The first surviving root
                         is the smallest positive pole.
@@ -26,14 +26,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .errors import EvalOverflowError, InsufficientDataError, SolverError
 from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
 
+if TYPE_CHECKING:
+    import numpy as np
+
 DEFAULT_TOL = 1e-12
-DEFAULT_GRID_STEP = 1e-3
+# The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
+Y_MAX = 1.0
+GRID_STEP = 1e-3
+MAX_DOUBLINGS = 200
 REMOVABLE_RTOL = 1e-9
 
 
@@ -103,7 +108,6 @@ def smallest_positive_root(
     target: float = 1.0,
     *,
     tol: float = DEFAULT_TOL,
-    max_doublings: int = 200,
 ) -> RootResult:
     """Unique y > 0 with p(y) = target, for p with nonnegative coefficients.
 
@@ -128,7 +132,7 @@ def smallest_positive_root(
     while _evaluate_or_inf(p, hi) < target:
         lo, hi = hi, hi * 2.0
         iterations += 1
-        if iterations > max_doublings:
+        if iterations > MAX_DOUBLINGS:
             raise SolverError(f"no root found below {hi:.3g}")
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
@@ -202,33 +206,25 @@ def capacity_from_characteristic(
     )
 
 
-def _is_removable(gf: RationalGF, y0: float, *, rtol: float = REMOVABLE_RTOL) -> bool:
+def _is_removable(gf: RationalGF, y0: float) -> bool:
     """Does the numerator vanish at y0, relative to its term magnitudes?"""
     num = gf.numerator
     scale = sum(abs(c) * y0 ** wv.value(num.basis) for wv, c in num.terms())
-    return abs(num.evaluate(y0)) <= rtol * scale
+    return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
 
 
 def bracket_denominator_roots(
-    gf: RationalGF,
-    *,
-    y_max: float = 1.0,
-    grid_step: float = DEFAULT_GRID_STEP,
-    tol: float = DEFAULT_TOL,
+    gf: RationalGF, *, tol: float = DEFAULT_TOL
 ) -> tuple[list[RootResult], int]:
-    """All denominator roots in (0, y_max] visible at the grid resolution.
+    """All denominator roots in (0, Y_MAX] visible at the grid resolution.
 
     Returns (roots in increasing order, number of evaluations). Each result
     is a certified enclosure: the denominator takes opposite signs (or an
     exact zero) at its endpoints. Roots closer together than the grid step
     may be missed; that is the documented resolution limit.
     """
-    if not 0 < grid_step <= y_max:
-        raise ValueError("need 0 < grid_step <= y_max")
     den = gf.denominator
-    n_grid = int(math.ceil(y_max / grid_step))
-    if n_grid > 10_000_000:
-        raise ValueError("grid too fine; raise grid_step or lower y_max")
+    n_grid = int(math.ceil(Y_MAX / GRID_STEP))
     evaluations = 0
 
     def f(y: float) -> float:
@@ -240,12 +236,12 @@ def bracket_denominator_roots(
     prev_y, prev_v = 0.0, f(0.0)
     # Denominator normalization makes the value at 0 positive.
     for j in range(1, n_grid + 1):
-        y = min(j * grid_step, y_max)
+        y = min(j * GRID_STEP, Y_MAX)
         v = f(y)
         if v == 0.0:
             found.append(RootResult(y, y, y, 0))
-            probe = y + 0.5 * grid_step
-            if probe >= y_max:
+            probe = y + 0.5 * GRID_STEP
+            if probe >= Y_MAX:
                 prev_v = None
                 continue
             prev_y, prev_v = probe, f(probe)
@@ -272,13 +268,7 @@ def bracket_denominator_roots(
     return found, evaluations
 
 
-def smallest_positive_pole(
-    gf: RationalGF,
-    *,
-    y_max: float = 1.0,
-    grid_step: float = DEFAULT_GRID_STEP,
-    tol: float = DEFAULT_TOL,
-) -> CapacityReport:
+def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> CapacityReport:
     """Capacity from the smallest positive pole of the quotient.
 
     Scans the denominator for sign changes, refines each by bisection, and
@@ -287,9 +277,7 @@ def smallest_positive_pole(
     real axis carries a singularity of minimal modulus, so the first
     surviving root is the radius of convergence.
     """
-    candidates, evaluations = bracket_denominator_roots(
-        gf, y_max=y_max, grid_step=grid_step, tol=tol
-    )
+    candidates, evaluations = bracket_denominator_roots(gf, tol=tol)
     skipped = 0
     for cand in candidates:
         if _is_removable(gf, cand.root):
@@ -308,16 +296,16 @@ def smallest_positive_pole(
             iterations=evaluations + cand.iterations,
             note=note,
         )
-    bound = max(0.0, -math.log(y_max))
+    bound = max(0.0, -math.log(Y_MAX))
     detail = f"skipped {skipped} removable candidate(s); " if skipped else ""
     return CapacityReport(
         method="smallest-pole",
-        radius_or_pole=y_max,
+        radius_or_pole=Y_MAX,
         capacity_nats=bound,
         error_bound=0.0,
         iterations=evaluations,
         note=(
-            f"{detail}no pole in (0, {y_max:g}]; capacity is at most "
+            f"{detail}no pole in (0, {Y_MAX:g}]; capacity is at most "
             f"{bound:.6g} and is reported as that bound"
         ),
     )
@@ -325,6 +313,8 @@ def smallest_positive_pole(
 
 def complex_roots_integer_exponents(p: GeneralizedPolynomial) -> np.ndarray:
     """All complex roots of p when every exponent is a (near-)integer."""
+    import numpy as np
+
     coeffs: dict[int, int] = {}
     for wv, c in p.terms():
         v = wv.value(p.basis)
@@ -357,6 +347,8 @@ def check_density(
     model fits better by the margin factor, capacity is not well defined
     for the weight set and the report flags it.
     """
+    import numpy as np
+
     distinct = sorted(set(float(w) for w in weights))
     if cutoff is None:
         if not distinct:

@@ -5,12 +5,17 @@ automaton and generating function machinery, so cross-checks against them
 are independent: membership is substring search for forbidden patterns and
 a memoized recursive matcher for regex syntax trees, and enumeration is
 exhaustive generation of every alphabet string under the weight cutoff.
+`reference_expand_series` is the former series expansion, one power of the
+denominator's growth part at a time, kept as an independent reference for
+the weight-ordered recurrence in `expand_series`.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import random
+from fractions import Fraction
 from pathlib import Path
 
 from dnccap import ChannelSpec, load_spec
@@ -24,6 +29,13 @@ from dnccap.chanspec import (
     Star,
     Symbol,
     Union,
+)
+from dnccap.errors import ExpansionError
+from dnccap.genpoly import (
+    CoefficientSeries,
+    RationalGF,
+    WeightVector,
+    weight_sort_key,
 )
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -180,3 +192,49 @@ def naive_enumerate(spec: ChannelSpec, cutoff: float) -> dict[tuple, int]:
             if value(nmults) <= cutoff:
                 stack.append((seq + (name,), nmults))
     return counts
+
+
+# --- reference series expansion -------------------------------------------------
+
+
+def reference_expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
+    """Exact counts of num / (d0 * (1 - E)) as (num / d0) * sum over n of E**n.
+
+    Multiplies out one power of E at a time, truncating at the cutoff, then
+    sorts and validates every class. Costs levels x classes x |den|.
+    """
+    cutoff = float(cutoff)
+    if not cutoff >= 0 or math.isinf(cutoff):
+        raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
+    basis = gf.basis
+    d0 = gf.denominator.constant_coefficient
+
+    def val(wv: WeightVector) -> float:
+        return wv.value(basis)
+
+    geom = {
+        wv: Fraction(-c, d0)
+        for wv, c in gf.denominator.terms()
+        if not wv.is_zero() and val(wv) <= cutoff
+    }
+    current = {wv: Fraction(c, d0) for wv, c in gf.numerator.terms() if val(wv) <= cutoff}
+    acc = dict(current)
+    while current:
+        nxt: dict[WeightVector, Fraction] = {}
+        for wv1, c1 in current.items():
+            for wv2, c2 in geom.items():
+                wv = wv1 + wv2
+                if val(wv) <= cutoff:
+                    nxt[wv] = nxt.get(wv, 0) + c1 * c2
+        current = {wv: c for wv, c in nxt.items() if c}
+        for wv, c in current.items():
+            acc[wv] = acc.get(wv, 0) + c
+    entries = []
+    for wv in sorted((wv for wv, c in acc.items() if c), key=weight_sort_key(basis)):
+        c = acc[wv]
+        if c.denominator != 1:
+            raise ExpansionError(f"non-integral count {c} at weight {val(wv):.6g}")
+        if c < 0:
+            raise ExpansionError(f"negative count {c} at weight {val(wv):.6g}")
+        entries.append((wv, int(c)))
+    return CoefficientSeries(basis, tuple(entries), cutoff)

@@ -3,6 +3,10 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -264,6 +268,64 @@ class TestErrors:
         code, _, err = run(capsys, "capacity", str(path))
         assert code == 1
         assert "unit" in err
+
+
+class TestArgumentValidation:
+    """Non-finite or out-of-range numbers are usage errors (exit 2 with a
+    message), never a traceback or a plausible wrong answer."""
+
+    def rejected(self, capsys, *argv):
+        with pytest.raises(SystemExit) as info:
+            main(list(argv))
+        err = capsys.readouterr().err
+        assert info.value.code == 2
+        assert "expected a finite" in err
+        assert "Traceback" not in err
+        return err
+
+    @pytest.mark.parametrize("cutoff", ["nan", "-1"])
+    def test_verify_cutoff(self, capsys, cutoff):
+        err = self.rejected(
+            capsys, "capacity", channel("ex3.json"), "--verify", "--cutoff", cutoff
+        )
+        assert "--cutoff" in err
+
+    @pytest.mark.parametrize("cutoff", ["nan", "-1"])
+    def test_coefficients_cutoff(self, capsys, cutoff):
+        err = self.rejected(capsys, "coefficients", channel("ex3.json"), "--cutoff", cutoff)
+        assert "--cutoff" in err
+
+    def test_nan_tolerance(self, capsys):
+        err = self.rejected(capsys, "capacity", channel("ex2.json"), "--tol", "nan")
+        assert "--tol" in err
+
+    def test_nan_margin(self, capsys):
+        err = self.rejected(
+            capsys, "check-density", channel("dense-weights.json"), "--margin", "nan"
+        )
+        assert "--margin" in err
+
+    def test_library_value_error_is_an_error_exit(self, capsys, monkeypatch):
+        def bad_cutoff(*args, **kwargs):
+            raise ValueError("cutoff must be finite and nonnegative")
+
+        monkeypatch.setattr("dnccap.cli.expand_series", bad_cutoff)
+        code, _, err = run(capsys, "coefficients", channel("ex3.json"), "--cutoff", "5")
+        assert code == 2
+        assert err == "error: cutoff must be finite and nonnegative\n"
+
+
+def test_cli_import_does_not_load_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = "import sys, dnccap.cli; print('numpy' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.strip() == "False"
 
 
 class TestDeterminism:

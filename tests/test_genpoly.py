@@ -225,6 +225,18 @@ class TestExpandSeries:
         series = expand_series(gf, 10.0)
         assert [(wv.mults, c) for wv, c in series.entries] == [((0,), 1), ((2,), 3)]
 
+    def test_cancelled_classes_are_dropped(self):
+        # (1 - y) / (1 - y - y^2): the count at weight 1 cancels to zero
+        # and is left out, while weight 2 onward follows Fibonacci.
+        gf = RationalGF(
+            poly(UNIT, {(0,): 1, (1,): -1}),
+            poly(UNIT, {(0,): 1, (1,): -1, (2,): -1}),
+        )
+        series = expand_series(gf, 5.0)
+        assert [(wv.mults, c) for wv, c in series.entries] == [
+            ((0,), 1), ((2,), 1), ((3,), 1), ((4,), 2), ((5,), 3)
+        ]
+
 
 class TestCoefficientSeries:
     def test_requires_sorted_entries(self):

@@ -10,6 +10,7 @@ import pytest
 from dnccap import (
     InsufficientDataError,
     ResourceLimitError,
+    WeightVector,
     build_gf,
     enumerate_by_weight,
     enumerate_channel,
@@ -68,6 +69,7 @@ class TestEnumeration:
             enumerate_by_weight(load_channel("binary.json"), 20.0, max_configs=5)
         assert info.value.partial is not None
         assert len(info.value.partial) >= 1
+        assert all(isinstance(wv, WeightVector) for wv in info.value.partial)
 
     def test_cutoff_must_be_finite(self):
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from dnccap import (
     ChannelSpec,
     Concat,
+    DncError,
     Epsilon,
     ForbiddenPatterns,
     Free,
@@ -29,6 +30,8 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
+
+from corpus import reference_expand_series
 
 
 BASIS = WeightBasis.from_mapping({"unit": 1.0, "half": 0.5})
@@ -242,3 +245,52 @@ class TestSeriesMonotonicity:
         assert a <= b + 1e-12
         if gf.denominator.evaluate(y) > 0:
             assert b <= gf.evaluate(y) + 1e-9
+
+
+def light_growth_polynomials():
+    # Light positive weights (at most 3) so that cutoffs up to 8 reach
+    # many levels; mostly positive coefficients, with -1 mixed in.
+    light_vectors = st.tuples(
+        st.integers(min_value=0, max_value=2),
+        st.integers(min_value=0, max_value=2),
+    ).filter(any).map(WeightVector)
+    return st.dictionaries(
+        light_vectors,
+        st.integers(min_value=-1, max_value=3),
+        min_size=1,
+        max_size=4,
+    ).map(lambda terms: GeneralizedPolynomial(BASIS, terms))
+
+
+def _outcome(expand, gf, cutoff):
+    try:
+        return expand(gf, cutoff).entries
+    except DncError as exc:
+        return type(exc)
+
+
+class TestSeriesRecurrence:
+    @given(
+        polynomials(),
+        st.integers(min_value=1, max_value=5),
+        light_growth_polynomials(),
+        st.integers(min_value=1, max_value=4),
+        st.booleans(),
+        st.integers(min_value=0, max_value=80).map(lambda tenths: tenths / 10),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_per_power_reference(self, num, n0, growth, d0, scaled, cutoff):
+        # The numerator has mixed signs around a positive constant term.
+        # Scaling it and the growth terms by d0 keeps counts integral, so
+        # valid series and rejected quotients (negative or non-integral
+        # counts) both occur. BASIS ties unit=1 with half=2, so distinct
+        # classes share a numeric weight, and half-step cutoffs land on
+        # class weights exactly.
+        k = d0 if scaled else 1
+        gf = RationalGF(
+            k * (num + GeneralizedPolynomial.constant(BASIS, n0)),
+            GeneralizedPolynomial.constant(BASIS, d0) - k * growth,
+        )
+        assert _outcome(expand_series, gf, cutoff) == _outcome(
+            reference_expand_series, gf, cutoff
+        )
