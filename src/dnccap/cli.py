@@ -139,10 +139,12 @@ def _warn(message: str) -> None:
 def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
     oracle = args.method == "oracle"
+    enum = None
     if oracle:
         if args.cutoff is None:
             raise DncError("--method oracle requires --cutoff")
-        report = estimate_capacity(enumerate_channel(spec, args.cutoff))
+        enum = enumerate_channel(spec, args.cutoff)
+        report = estimate_capacity(enum)
     else:
         gf = build_gf(spec)
         report = _analytic_report(spec, gf, args.method, args.tol)
@@ -161,8 +163,11 @@ def cmd_capacity(args) -> int:
         if args.cutoff is None:
             raise DncError("--verify requires --cutoff")
         series = expand_series(build_gf(spec) if oracle else gf, args.cutoff)
-        enum = enumerate_channel(spec, args.cutoff)
-        estimate = estimate_capacity(enum)
+        if oracle:
+            estimate = report
+        else:
+            enum = enumerate_channel(spec, args.cutoff)
+            estimate = estimate_capacity(enum)
         mismatch = _first_mismatch(series, enum.series)
         slack = report.error_bound if math.isfinite(report.error_bound) else math.inf
         estimate_ok = (

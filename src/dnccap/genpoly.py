@@ -20,6 +20,13 @@ count at weight w is (num[w] + sum_j e_j * c[w - u_j]) / d0, so each weight
 class costs one heap operation and one product per denominator term. The
 pass keys classes by raw multiplicity tuples and builds a WeightVector only
 for the entries it returns.
+
+Float evaluation, the hot loop of the capacity solvers, reads
+`GeneralizedPolynomial.float_terms()`: a tuple of (float exponent,
+coefficient) pairs in term order, built on first use from
+`WeightVector.value` and cached on the (immutable) polynomial. A pole scan
+of a thousand grid points then computes each weight's value once, not once
+per point, and every caller sees the very same floats.
 """
 
 from __future__ import annotations
@@ -157,7 +164,7 @@ TermsLike = Union[Mapping[WeightVector, int], Iterable[tuple[WeightVector, int]]
 class GeneralizedPolynomial:
     """Finite integer-coefficient sum of y**(weight value) terms. Immutable."""
 
-    __slots__ = ("basis", "_terms")
+    __slots__ = ("basis", "_terms", "_float_terms")
 
     def __init__(self, basis: WeightBasis, terms: TermsLike = ()):
         items = terms.items() if isinstance(terms, Mapping) else terms
@@ -170,6 +177,7 @@ class GeneralizedPolynomial:
             clean[wv] = clean.get(wv, 0) + c
         self.basis = basis
         self._terms = {wv: c for wv, c in clean.items() if c}
+        self._float_terms: tuple[tuple[float, int], ...] | None = None
 
     @classmethod
     def zero(cls, basis: WeightBasis) -> "GeneralizedPolynomial":
@@ -198,6 +206,14 @@ class GeneralizedPolynomial:
 
     def terms(self) -> Iterator[tuple[WeightVector, int]]:
         return iter(self._terms.items())
+
+    def float_terms(self) -> tuple[tuple[float, int], ...]:
+        """(float exponent, coefficient) per term, in term order; cached."""
+        if self._float_terms is None:
+            self._float_terms = tuple(
+                (wv.value(self.basis), c) for wv, c in self._terms.items()
+            )
+        return self._float_terms
 
     def sorted_terms(self) -> list[tuple[WeightVector, int]]:
         key = weight_sort_key(self.basis)
@@ -252,9 +268,9 @@ class GeneralizedPolynomial:
         if y < 0:
             raise ValueError("evaluation point must be nonnegative")
         total = 0.0
-        for wv, c in self._terms.items():
+        for e, c in self.float_terms():
             try:
-                total += c * (y ** wv.value(self.basis))
+                total += c * (y ** e)
             except OverflowError as exc:
                 raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
         if math.isinf(total) or math.isnan(total):

@@ -96,6 +96,11 @@ class DensityReport:
         }
 
 
+def _check_tol(tol: float) -> None:
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
+
+
 def _evaluate_or_inf(p: GeneralizedPolynomial, y: float) -> float:
     try:
         return p.evaluate(y)
@@ -116,6 +121,7 @@ def smallest_positive_root(
     The returned enclosure satisfies p(low) <= target <= p(high) with
     high - low <= tol.
     """
+    _check_tol(tol)
     for wv, c in p.terms():
         if c < 0:
             raise SolverError("polynomial has a negative coefficient; not monotone")
@@ -174,6 +180,7 @@ def capacity_from_characteristic(
     multiples of y**w with w > 0, strictly increasing, and the unique
     solution of E(y) = d0 is the radius.
     """
+    _check_tol(tol)
     den = gf.denominator
     growth = characteristic_part(den)
     if growth is None:
@@ -209,7 +216,7 @@ def capacity_from_characteristic(
 def _is_removable(gf: RationalGF, y0: float) -> bool:
     """Does the numerator vanish at y0, relative to its term magnitudes?"""
     num = gf.numerator
-    scale = sum(abs(c) * y0 ** wv.value(num.basis) for wv, c in num.terms())
+    scale = sum(abs(c) * y0 ** e for e, c in num.float_terms())
     return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
 
 
@@ -221,30 +228,28 @@ def bracket_denominator_roots(
     Returns (roots in increasing order, number of evaluations). Each result
     is a certified enclosure: the denominator takes opposite signs (or an
     exact zero) at its endpoints. Roots closer together than the grid step
-    may be missed; that is the documented resolution limit.
+    may be missed; that is the documented resolution limit. The whole
+    grid, y = 0 included, is evaluated on every scan.
     """
-    den = gf.denominator
+    _check_tol(tol)
+    evaluate = gf.denominator.evaluate
     n_grid = int(math.ceil(Y_MAX / GRID_STEP))
-    evaluations = 0
-
-    def f(y: float) -> float:
-        nonlocal evaluations
-        evaluations += 1
-        return den.evaluate(y)
+    evaluations = n_grid + 1
 
     found: list[RootResult] = []
-    prev_y, prev_v = 0.0, f(0.0)
+    prev_y, prev_v = 0.0, evaluate(0.0)
     # Denominator normalization makes the value at 0 positive.
     for j in range(1, n_grid + 1):
         y = min(j * GRID_STEP, Y_MAX)
-        v = f(y)
+        v = evaluate(y)
         if v == 0.0:
             found.append(RootResult(y, y, y, 0))
             probe = y + 0.5 * GRID_STEP
             if probe >= Y_MAX:
                 prev_v = None
                 continue
-            prev_y, prev_v = probe, f(probe)
+            prev_y, prev_v = probe, evaluate(probe)
+            evaluations += 1
             continue
         if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
             lo, hi = prev_y, y
@@ -255,7 +260,7 @@ def bracket_denominator_roots(
                 if mid == lo or mid == hi:
                     break
                 iterations += 1
-                fmid = f(mid)
+                fmid = evaluate(mid)
                 if fmid == 0.0:
                     lo = hi = mid
                     break
@@ -263,6 +268,7 @@ def bracket_denominator_roots(
                     lo, flo = mid, fmid
                 else:
                     hi = mid
+            evaluations += iterations
             found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
         prev_y, prev_v = y, v
     return found, evaluations
@@ -316,8 +322,7 @@ def complex_roots_integer_exponents(p: GeneralizedPolynomial) -> np.ndarray:
     import numpy as np
 
     coeffs: dict[int, int] = {}
-    for wv, c in p.terms():
-        v = wv.value(p.basis)
+    for v, c in p.float_terms():
         k = round(v)
         if abs(v - k) > 1e-9:
             raise SolverError(
@@ -347,6 +352,8 @@ def check_density(
     model fits better by the margin factor, capacity is not well defined
     for the weight set and the report flags it.
     """
+    if not (math.isfinite(margin) and margin >= 0):
+        raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
     import numpy as np
 
     distinct = sorted(set(float(w) for w in weights))

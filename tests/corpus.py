@@ -7,13 +7,16 @@ a memoized recursive matcher for regex syntax trees, and enumeration is
 exhaustive generation of every alphabet string under the weight cutoff.
 `reference_expand_series` is the former series expansion, one power of the
 denominator's growth part at a time, kept as an independent reference for
-the weight-ordered recurrence in `expand_series`.
+the weight-ordered recurrence in `expand_series`, and `reference_evaluate`
+is the former float evaluation, which recomputed every weight's value on
+each call, kept as the reference for the cached exponents.
 """
 
 from __future__ import annotations
 
 import json
 import math
+import os
 import random
 from fractions import Fraction
 from pathlib import Path
@@ -30,15 +33,24 @@ from dnccap.chanspec import (
     Symbol,
     Union,
 )
-from dnccap.errors import ExpansionError
+from dnccap.errors import EvalOverflowError, ExpansionError
 from dnccap.genpoly import (
     CoefficientSeries,
+    GeneralizedPolynomial,
     RationalGF,
     WeightVector,
     weight_sort_key,
 )
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
+SRC_DIR = Path(__file__).resolve().parent.parent / "src"
+GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "capacity"
+
+
+def cli_env() -> dict[str, str]:
+    """Environment for a child `python -m dnccap` that imports this checkout."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC_DIR), path]))}
 
 # Shipped channels with enumeration cutoffs that yield at least 200 strings.
 SHIPPED_CUTOFFS = {
@@ -238,3 +250,22 @@ def reference_expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             raise ExpansionError(f"negative count {c} at weight {val(wv):.6g}")
         entries.append((wv, int(c)))
     return CoefficientSeries(basis, tuple(entries), cutoff)
+
+
+# --- reference float evaluation -------------------------------------------------
+
+
+def reference_evaluate(p: GeneralizedPolynomial, y: float) -> float:
+    """p(y) with each term's weight recomputed by WeightVector.value,
+    summed left to right in term order (0**0 = 1)."""
+    if y < 0:
+        raise ValueError("evaluation point must be nonnegative")
+    total = 0.0
+    for wv, c in p.terms():
+        try:
+            total += c * (y ** wv.value(p.basis))
+        except OverflowError as exc:
+            raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
+    if math.isinf(total) or math.isnan(total):
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
+    return total

@@ -43,6 +43,7 @@ from corpus import (
     RANDOM_CODE_CUTOFFS,
     RANDOM_SEEDS,
     SHIPPED_CUTOFFS,
+    cli_env,
     load_channel,
     random_code_channel,
 )
@@ -60,6 +61,7 @@ def _cli_json(name: str) -> tuple[dict, float]:
         capture_output=True,
         text=True,
         timeout=10,
+        env=cli_env(),
     )
     elapsed = time.perf_counter() - start
     assert proc.returncode == 0, proc.stderr
@@ -206,6 +208,7 @@ def test_density_flag_separates_dense_from_sparse():
         capture_output=True,
         text=True,
         timeout=10,
+        env=cli_env(),
     )
 
     sparse_flags = {}

@@ -3,16 +3,15 @@
 from __future__ import annotations
 
 import json
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
 from dnccap.cli import main
+from dnccap.oracle import enumerate_channel
 
-from corpus import CHANNELS_DIR
+from corpus import CHANNELS_DIR, GOLDEN_DIR, cli_env
 
 
 def channel(name: str) -> str:
@@ -85,6 +84,29 @@ class TestCapacity:
         payload = json.loads(out)
         assert payload["method"] == "oracle-estimate"
         assert abs(payload["capacity_nats"] - 0.470428) <= 1e-6
+
+    def test_oracle_verify_enumerates_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return enumerate_channel(*args, **kwargs)
+
+        monkeypatch.setattr("dnccap.cli.enumerate_channel", counting)
+        code, out, _ = run(
+            capsys,
+            "capacity",
+            channel("ex3.json"),
+            "--method",
+            "oracle",
+            "--cutoff",
+            "12",
+            "--verify",
+            "--json",
+        )
+        assert code == 0
+        assert len(calls) == 1
+        assert out == (GOLDEN_DIR / "ex3.oracle-verify.json").read_text()
 
     def test_oracle_method_requires_cutoff(self, capsys):
         code, _, err = run(
@@ -316,11 +338,10 @@ class TestArgumentValidation:
 
 
 def test_cli_import_does_not_load_numpy():
-    src = Path(__file__).resolve().parent.parent / "src"
     code = "import sys, dnccap.cli; print('numpy' in sys.modules)"
     proc = subprocess.run(
         [sys.executable, "-c", code],
-        env={**os.environ, "PYTHONPATH": str(src)},
+        env=cli_env(),
         capture_output=True,
         text=True,
         check=True,

@@ -122,6 +122,14 @@ class TestEvaluate:
         with pytest.raises(EvalOverflowError):
             p.evaluate(1e200)
 
+    def test_float_terms_are_cached_in_term_order(self):
+        p = poly(MIXED, {(0, 0): 1, (1, 0): -1, (1, 1): -2})
+        pairs = p.float_terms()
+        assert pairs == tuple((wv.value(MIXED), c) for wv, c in p.terms())
+        assert p.float_terms() is pairs
+        p.evaluate(0.5)
+        assert p.float_terms() is pairs
+
 
 def brute_force_avoid_11(max_len: int) -> list[int]:
     """Counts by length of binary strings without '11', by direct search."""

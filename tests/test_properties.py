@@ -5,13 +5,14 @@ from __future__ import annotations
 import json
 import math
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from dnccap import (
     ChannelSpec,
     Concat,
     DncError,
     Epsilon,
+    EvalOverflowError,
     ForbiddenPatterns,
     Free,
     GeneralizedPolynomial,
@@ -31,7 +32,7 @@ from dnccap import (
     smallest_positive_root,
 )
 
-from corpus import reference_expand_series
+from corpus import reference_evaluate, reference_expand_series
 
 
 BASIS = WeightBasis.from_mapping({"unit": 1.0, "half": 0.5})
@@ -294,3 +295,59 @@ class TestSeriesRecurrence:
         assert _outcome(expand_series, gf, cutoff) == _outcome(
             reference_expand_series, gf, cutoff
         )
+
+
+@st.composite
+def points_and_polynomials(draw):
+    """y in [0, 2] and a polynomial over a random basis of 1-3 atoms. Atom
+    values up to 1000 with multiplicities up to 4 make y**w overflow for
+    some y above 1.2, and the zero vector gives a constant term. The point
+    is drawn first so that simple polynomials do not pin it to 0."""
+    y = draw(st.floats(min_value=0.0, max_value=2.0))
+    size = draw(st.integers(min_value=1, max_value=3))
+    values = draw(
+        st.lists(
+            st.floats(min_value=0.01, max_value=1000.0),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=4)] * size).map(WeightVector),
+            st.integers(min_value=-9, max_value=9).filter(bool),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    return y, GeneralizedPolynomial(basis, terms)
+
+
+def _evaluation(evaluate, p, y):
+    try:
+        return evaluate(p, y)
+    except EvalOverflowError:
+        return EvalOverflowError
+
+
+class TestCachedExponents:
+    @given(points_and_polynomials())
+    @example(
+        (
+            0.0,
+            GeneralizedPolynomial(
+                WeightBasis.from_mapping({"unit": 1.0}),
+                {WeightVector((0,)): 3, WeightVector((2,)): -1},
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_evaluation_is_bitwise_the_per_term_reference(self, case):
+        # Exact equality, not approximate: the cached exponents are the
+        # same floats, added in the same order. The first call builds the
+        # cache and the second reads it.
+        y, p = case
+        expected = _evaluation(reference_evaluate, p, y)
+        for _ in range(2):
+            assert _evaluation(GeneralizedPolynomial.evaluate, p, y) == expected

@@ -219,6 +219,22 @@ class TestBracketing:
         outside = 1.05 * radius
         assert far.evaluate(outside) >= 2.0 * near.evaluate(outside)
 
+    def test_every_evaluation_goes_through_evaluate(self, monkeypatch):
+        # The full 1001-point grid plus each bisection step, all counted
+        # and all made through GeneralizedPolynomial.evaluate.
+        calls = []
+        original = GeneralizedPolynomial.evaluate
+
+        def counting(self, y):
+            calls.append(y)
+            return original(self, y)
+
+        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+        candidates, evaluations = bracket_denominator_roots(
+            build_gf(load_channel("ex3.json"))
+        )
+        assert evaluations == len(calls) == 1001 + sum(c.iterations for c in candidates)
+
 
 class TestComplexRoots:
     def test_positive_real_root_has_minimal_modulus(self):
@@ -264,3 +280,40 @@ class TestCheckDensity:
         assert report.cutoff == 10.0
         assert len(report.counts_below_n) == 10
         assert report.counts_below_n[-1] == (10, 9)
+
+
+class TestToleranceValidation:
+    """Library callers get a ValueError for a tolerance or margin that
+    would stop a bisection at once or never flag, not a wrong answer."""
+
+    BAD_TOLERANCES = [math.nan, math.inf, 0.0, -1.0]
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_smallest_positive_root(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            smallest_positive_root(unit_poly((1, 1)), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_bracket_denominator_roots(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            bracket_denominator_roots(build_gf(load_channel("ex3.json")), tol=tol)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_capacity_from_characteristic(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            capacity_from_characteristic(build_gf(load_channel("ex2.json")), tol=tol)
+
+    def test_finite_language_still_checks_tolerance(self):
+        gf = RationalGF(unit_poly((0, 1), (1, 1)), unit_poly((0, 1)))
+        with pytest.raises(ValueError, match="tolerance"):
+            capacity_from_characteristic(gf, tol=math.nan)
+
+    @pytest.mark.parametrize("tol", BAD_TOLERANCES)
+    def test_smallest_positive_pole(self, tol):
+        with pytest.raises(ValueError, match="tolerance"):
+            smallest_positive_pole(build_gf(load_channel("ex3.json")), tol=tol)
+
+    @pytest.mark.parametrize("margin", [math.nan, math.inf, -1.0])
+    def test_check_density_margin(self, margin):
+        with pytest.raises(ValueError, match="margin"):
+            check_density([0.5 * k for k in range(1, 41)], margin=margin)
