@@ -6,9 +6,9 @@
     dnc gf SPEC [--json]
 
 Exit codes: 0 success; 1 unreadable or invalid spec; 2 solver failure, an
-unsupported channel/method combination, or a missing or out-of-range
-option; 3 verification mismatch; 4 density check flagged exponential weight
-growth.
+exceeded work budget, an unsupported channel/method combination, or a
+missing or out-of-range option; 3 verification mismatch; 4 density check
+flagged exponential weight growth.
 
 Text output rounds to five significant digits; --json emits the full
 precision payload with sorted keys, so identical inputs give byte-identical
@@ -33,6 +33,7 @@ from .solver import (
     capacity_from_characteristic,
     characteristic_part,
     check_density,
+    density_thresholds,
     smallest_positive_pole,
 )
 
@@ -288,10 +289,22 @@ def _density_inputs(raw: bytes, cutoff):
             isinstance(w, (int, float)) and not isinstance(w, bool) for w in weights
         ):
             raise SpecError("weights: expected an array of numbers")
-        return [float(w) for w in weights], cutoff
+        values = []
+        for i, w in enumerate(weights):
+            try:
+                x = float(w)
+            except OverflowError:
+                x = math.inf
+            if not (math.isfinite(x) and x >= 0):
+                raise SpecError(
+                    f"weights[{i}]: expected a finite nonnegative number, got {x!r}"
+                )
+            values.append(x)
+        return values, cutoff
     spec = parse_spec(raw)
     if cutoff is None:
         raise DncError("--cutoff is required to enumerate a channel's weights")
+    density_thresholds(float(cutoff))
     series = enumerate_by_weight(spec, cutoff)
     return series.values(), float(cutoff)
 

@@ -34,7 +34,7 @@ from . import automaton as automaton_mod
 from .automaton import ConstraintAutomaton
 from .chanspec import ChannelSpec
 from .errors import InsufficientDataError, ResourceLimitError
-from .genpoly import CoefficientSeries, WeightVector, weight_sort_key
+from .genpoly import CoefficientSeries, WeightVector
 from .solver import CapacityReport
 
 DEFAULT_MAX_CONFIGS = 1_000_000
@@ -60,18 +60,22 @@ def _count_paths(
     cutoff: float,
     max_configs: int,
     budget: list,
-) -> dict[WeightVector, int]:
-    """Counts of automaton paths start -> targets grouped by weight vector.
+) -> tuple[tuple[WeightVector, int], ...]:
+    """(weight vector, count) of automaton paths start -> targets, in
+    series order.
 
     A min-heap pops (multiplicities, state) configurations in (numeric
     weight, multiplicities, state) order, and `pending` holds the path
     count reaching each queued one. All contributions to a configuration
     come from strictly lighter ones, so its count is final when popped.
     The numeric weight is computed once, when a configuration first
-    appears; each popped configuration then costs one dict update per
-    arc. Keys are raw int tuples, turned into WeightVectors only in the
-    returned dict and in a budget error's partial counts. `budget` is a
-    single-element mutable pop counter shared across calls.
+    appears, exactly as WeightVector.value computes it; the pop order is
+    therefore the order of weight_sort_key, and each weight vector enters
+    the output the first time the walk meets it, already in place. Every
+    recorded count is at least 1. Each popped configuration costs one dict
+    update per arc. Keys are raw int tuples, turned into WeightVectors
+    only in the result and in a budget error's partial counts. `budget`
+    is a single-element mutable pop counter shared across calls.
     """
     values = spec.basis.values()
     arcs = [(sym.name, sym.weight.mults) for sym in spec.symbols]
@@ -105,7 +109,7 @@ def _count_paths(
             if nvalue <= cutoff:
                 pending[nkey] = count
                 heapq.heappush(heap, (nvalue, nmults, nxt))
-    return {WeightVector(m): c for m, c in out.items()}
+    return tuple((WeightVector(m), c) for m, c in out.items())
 
 
 def enumerate_channel(
@@ -127,12 +131,8 @@ def enumerate_channel(
         raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
     machine = automaton_mod.for_spec(spec)
     budget = [0]
-    counts = _count_paths(
+    entries = _count_paths(
         spec, machine, machine.initial, machine.accepting, cutoff, max_configs, budget
-    )
-    key = weight_sort_key(spec.basis)
-    entries = tuple(
-        (wv, counts[wv]) for wv in sorted(counts, key=key) if counts[wv]
     )
     series = CoefficientSeries(spec.basis, entries, cutoff)
     loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
@@ -143,11 +143,7 @@ def enumerate_channel(
                 spec, machine, state, {state}, cutoff, max_configs, budget
             )
             analyzed += 1
-            pairs = tuple(
-                (wv, returns[wv])
-                for wv in sorted(returns, key=key)
-                if returns[wv] and not wv.is_zero()
-            )
+            pairs = tuple((wv, c) for wv, c in returns if not wv.is_zero())
             if pairs:
                 loop_counts[state] = pairs
     return EnumerationResult(

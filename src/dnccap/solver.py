@@ -19,16 +19,23 @@ reported error bound is the log-width of the final bracket.
 
 `check_density` is the guard for channels whose weights are so dense that
 capacity is not well defined: it compares polynomial against exponential
-fits of the count of distinct weights below n.
+fits of the count of distinct weights below n. Both fits are ordinary
+least-squares lines, computed in closed form from centred sums.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .errors import EvalOverflowError, InsufficientDataError, SolverError
+from .errors import (
+    EvalOverflowError,
+    InsufficientDataError,
+    ResourceLimitError,
+    SolverError,
+)
 from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
 
 if TYPE_CHECKING:
@@ -40,6 +47,8 @@ Y_MAX = 1.0
 GRID_STEP = 1e-3
 MAX_DOUBLINGS = 200
 REMOVABLE_RTOL = 1e-9
+# check_density counts the weights below each integer n up to the cutoff.
+MAX_DENSITY_THRESHOLDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -299,7 +308,7 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
             error_bound=_log_enclosure_width(cand.low, cand.high)
             if cand.low < cand.high
             else 0.0,
-            iterations=evaluations + cand.iterations,
+            iterations=evaluations,
             note=note,
         )
     bound = max(0.0, -math.log(Y_MAX))
@@ -318,7 +327,11 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
 
 
 def complex_roots_integer_exponents(p: GeneralizedPolynomial) -> np.ndarray:
-    """All complex roots of p when every exponent is a (near-)integer."""
+    """All complex roots of p when every exponent is a (near-)integer.
+
+    Calls numpy.roots; numpy is not a dependency of the package, so this
+    helper needs it installed separately.
+    """
     import numpy as np
 
     coeffs: dict[int, int] = {}
@@ -335,6 +348,24 @@ def complex_roots_integer_exponents(p: GeneralizedPolynomial) -> np.ndarray:
     degree = max(coeffs)
     highest_first = [coeffs.get(k, 0) for k in range(degree, -1, -1)]
     return np.roots(highest_first)
+
+
+def density_thresholds(cutoff: float) -> int:
+    """The number of integer thresholds check_density counts up to cutoff.
+
+    Raises ValueError for a non-finite cutoff and ResourceLimitError when
+    the count exceeds MAX_DENSITY_THRESHOLDS, so a caller can refuse a
+    cutoff before enumerating weights up to it.
+    """
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
+    top = int(math.floor(cutoff))
+    if top > MAX_DENSITY_THRESHOLDS:
+        raise ResourceLimitError(
+            f"cutoff {cutoff:.6g} needs {top} integer thresholds; "
+            f"the limit is {MAX_DENSITY_THRESHOLDS}"
+        )
+    return top
 
 
 def check_density(
@@ -354,20 +385,22 @@ def check_density(
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
-    import numpy as np
-
-    distinct = sorted(set(float(w) for w in weights))
+    try:
+        distinct = sorted(set(float(w) for w in weights))
+    except OverflowError as exc:
+        raise ValueError(f"weights must be finite and nonnegative: {exc}") from exc
+    for w in distinct:
+        if not (math.isfinite(w) and w >= 0):
+            raise ValueError(f"weights must be finite and nonnegative, got {w!r}")
     if cutoff is None:
         if not distinct:
             raise InsufficientDataError("no weights to analyze")
         cutoff = distinct[-1]
     cutoff = float(cutoff)
-    top = int(math.floor(cutoff))
+    top = density_thresholds(cutoff)
     if top < 1:
         raise InsufficientDataError("cutoff below 1; no integer thresholds to count")
-    counts = []
-    for n in range(1, top + 1):
-        counts.append((n, sum(1 for w in distinct if w < n)))
+    counts = [(n, bisect_left(distinct, n)) for n in range(1, top + 1)]
     usable = [(n, c) for n, c in counts if c >= 1]
     if len(usable) < 4:
         raise InsufficientDataError(
@@ -375,23 +408,25 @@ def check_density(
             "need at least 4 for a meaningful fit (raise the cutoff)"
         )
     upper = usable[len(usable) // 2 :]
-    ns = np.array([n for n, _ in upper], dtype=float)
-    cs = np.array([c for _, c in upper], dtype=float)
-    log_c = np.log(cs)
+    # Shifting by the first value before averaging centres a flat tail to exact zeros.
+    log_c = [math.log(c) for _, c in upper]
+    shift = sum(y - log_c[0] for y in log_c) / len(log_c)
+    cy = [y - log_c[0] - shift for y in log_c]
 
-    def fit(xs: np.ndarray) -> tuple[float, float]:
-        design = np.column_stack([np.ones_like(xs), xs])
-        coef, *_ = np.linalg.lstsq(design, log_c, rcond=None)
-        resid = log_c - design @ coef
-        return float(coef[1]), float(resid @ resid)
+    def fit(xs: list[float]) -> tuple[float, float]:
+        """Least-squares slope of log_c on xs and its residual sum of squares."""
+        mean_x = sum(xs) / len(xs)
+        cx = [x - mean_x for x in xs]
+        slope = sum(a * b for a, b in zip(cx, cy)) / sum(a * a for a in cx)
+        return slope, sum((b - slope * a) ** 2 for a, b in zip(cx, cy))
 
-    slope_poly, sse_poly = fit(np.log(ns))
-    _, sse_exp = fit(ns)
+    slope_poly, sse_poly = fit([math.log(n) for n, _ in upper])
+    _, sse_exp = fit([float(n) for n, _ in upper])
     return DensityReport(
         cutoff=cutoff,
         counts_below_n=tuple(counts),
         fitted_exponent=slope_poly,
-        exponential_flag=bool(sse_exp < margin * sse_poly),
+        exponential_flag=sse_exp < margin * sse_poly,
         poly_residual=sse_poly,
         exp_residual=sse_exp,
     )

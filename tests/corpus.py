@@ -10,6 +10,9 @@ denominator's growth part at a time, kept as an independent reference for
 the weight-ordered recurrence in `expand_series`, and `reference_evaluate`
 is the former float evaluation, which recomputed every weight's value on
 each call, kept as the reference for the cached exponents.
+`reference_check_density` is the former density check, a numpy
+least-squares fit over counts taken by a scan of every weight, kept as the
+reference for the closed-form fit in `check_density`.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from dnccap.chanspec import (
     Symbol,
     Union,
 )
-from dnccap.errors import EvalOverflowError, ExpansionError
+from dnccap.errors import EvalOverflowError, ExpansionError, InsufficientDataError
 from dnccap.genpoly import (
     CoefficientSeries,
     GeneralizedPolynomial,
@@ -41,6 +44,7 @@ from dnccap.genpoly import (
     WeightVector,
     weight_sort_key,
 )
+from dnccap.solver import DensityReport
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -269,3 +273,49 @@ def reference_evaluate(p: GeneralizedPolynomial, y: float) -> float:
     if math.isinf(total) or math.isnan(total):
         raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
     return total
+
+
+# --- reference density fit ------------------------------------------------------
+
+
+def reference_check_density(weights, *, cutoff=None, margin: float = 1.0) -> DensityReport:
+    """Counts of distinct weights below each integer n by a full scan, and
+    both growth fits by numpy.linalg.lstsq on a [1, x] design matrix."""
+    import numpy as np
+
+    distinct = sorted(set(float(w) for w in weights))
+    if cutoff is None:
+        if not distinct:
+            raise InsufficientDataError("no weights to analyze")
+        cutoff = distinct[-1]
+    cutoff = float(cutoff)
+    top = int(math.floor(cutoff))
+    if top < 1:
+        raise InsufficientDataError("cutoff below 1; no integer thresholds to count")
+    counts = []
+    for n in range(1, top + 1):
+        counts.append((n, sum(1 for w in distinct if w < n)))
+    usable = [(n, c) for n, c in counts if c >= 1]
+    if len(usable) < 4:
+        raise InsufficientDataError(f"only {len(usable)} thresholds have a nonzero weight count")
+    upper = usable[len(usable) // 2 :]
+    ns = np.array([n for n, _ in upper], dtype=float)
+    cs = np.array([c for _, c in upper], dtype=float)
+    log_c = np.log(cs)
+
+    def fit(xs):
+        design = np.column_stack([np.ones_like(xs), xs])
+        coef, *_ = np.linalg.lstsq(design, log_c, rcond=None)
+        resid = log_c - design @ coef
+        return float(coef[1]), float(resid @ resid)
+
+    slope_poly, sse_poly = fit(np.log(ns))
+    _, sse_exp = fit(ns)
+    return DensityReport(
+        cutoff=cutoff,
+        counts_below_n=tuple(counts),
+        fitted_exponent=slope_poly,
+        exponential_flag=bool(sse_exp < margin * sse_poly),
+        poly_residual=sse_poly,
+        exp_residual=sse_exp,
+    )

@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import time
 
 import pytest
+from hypothesis import event, given, settings, strategies as st
 
 from dnccap.cli import main
 from dnccap.oracle import enumerate_channel
@@ -251,6 +255,52 @@ class TestCheckDensity:
         )
         assert code == 0
 
+    @pytest.mark.parametrize(
+        "weights, index",
+        [
+            ("[1, 2, 3, 4, 5, Infinity]", 5),
+            ("[1, 2, NaN, 4, 5]", 2),
+            ("[-3, -2, 1, 2, 3, 4, 5]", 0),
+            ("[1, 2, 3, 4, 1" + "0" * 400 + "]", 4),
+        ],
+        ids=["infinity", "nan", "negative", "overflowing-integer"],
+    )
+    def test_bad_weight_is_a_spec_error(self, capsys, tmp_path, weights, index):
+        path = tmp_path / "weights.json"
+        path.write_text('{"weights": ' + weights + "}")
+        code, out, err = run(capsys, "check-density", str(path))
+        assert code == 1
+        assert out == ""
+        assert f"weights[{index}]" in err
+
+    def test_zero_weight_allowed(self, capsys, tmp_path):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps({"weights": [0, 1, 2, 3, 4, 5, 6, 7, 8]}))
+        code, _, _ = run(capsys, "check-density", str(path))
+        assert code == 0
+
+    @pytest.mark.parametrize(
+        "source, argv",
+        [
+            ("dense-weights.json", ["--cutoff", "1e9"]),
+            ([1.0, 2.0, 3.0, 4.0, 1e12], []),
+            # A spec is refused before its weights are enumerated.
+            ("ex3.json", ["--cutoff", "2e6"]),
+        ],
+        ids=["cutoff", "largest-weight", "spec-cutoff"],
+    )
+    def test_threshold_budget_fails_at_once(self, capsys, tmp_path, source, argv):
+        if isinstance(source, str):
+            path = channel(source)
+        else:
+            path = tmp_path / "weights.json"
+            path.write_text(json.dumps({"weights": source}))
+        start = time.perf_counter()
+        code, _, err = run(capsys, "check-density", str(path), *argv)
+        assert time.perf_counter() - start < 0.5
+        assert code == 2
+        assert "thresholds" in err
+
 
 class TestGf:
     def test_json_terms(self, capsys):
@@ -349,6 +399,41 @@ def test_cli_import_does_not_load_numpy():
     assert proc.stdout.strip() == "False"
 
 
+# argv, and the exit code the command gives with or without numpy.
+WITHOUT_NUMPY = {
+    "capacity": (["capacity", "ex3.json", "--json"], 0),
+    "coefficients": (["coefficients", "ex2.json", "--cutoff", "10"], 0),
+    "gf": (["gf", "avoid101.json"], 0),
+    "check-density-weights": (["check-density", "dense-weights.json", "--json"], 4),
+    "check-density-spec": (["check-density", "ex3.json", "--cutoff", "20"], 0),
+}
+
+
+@pytest.mark.parametrize("argv, expected", WITHOUT_NUMPY.values(), ids=WITHOUT_NUMPY)
+def test_subcommand_runs_without_numpy(argv, expected):
+    # numpy is not a runtime dependency: with numpy installed no subcommand
+    # loads it, and with its import blocked every subcommand gives the
+    # same exit code and output.
+    cmd = [argv[0], channel(argv[1]), *argv[2:]]
+    run_main = (
+        "from dnccap.cli import main; code = main(sys.argv[1:]); "
+        "print('numpy' in sys.modules, file=sys.stderr); sys.exit(code)"
+    )
+    with_numpy, without_numpy = [
+        subprocess.run(
+            [sys.executable, "-c", prefix + run_main, *cmd],
+            env=cli_env(),
+            capture_output=True,
+            text=True,
+        )
+        for prefix in ("import sys; ", "import sys; sys.modules['numpy'] = None; ")
+    ]
+    assert with_numpy.returncode == without_numpy.returncode == expected
+    assert with_numpy.stderr.endswith("False\n")
+    assert without_numpy.stdout == with_numpy.stdout
+    assert "Traceback" not in without_numpy.stderr
+
+
 class TestDeterminism:
     @pytest.mark.parametrize(
         "argv",
@@ -364,3 +449,80 @@ class TestDeterminism:
         first = run(capsys, *cmd)
         second = run(capsys, *cmd)
         assert first == second
+
+
+# Numeric option values, drawn half from each list; cutoffs stay small
+# enough that every drawn command finishes in milliseconds.
+PLAIN_NUMBERS = ["0", "-0", "0.5", "3", "8", "1e-300"]
+HOSTILE_NUMBERS = ["-1", "nan", "inf", "-inf", "1e400", "abc", ""]
+
+MALFORMED_INPUTS = {
+    "broken.json": b'{"atoms": ',
+    "empty.json": b"",
+    "not-utf8.json": b"\xff\xfe\x00",
+    "array.json": b"[1, 2, 3]",
+    "bad-atom.json": b'{"atoms": {"unit": -1.0}, "symbols": [], "constraint": {"type": "free"}}',
+    "ambiguous.json": json.dumps(AMBIGUOUS_DOC).encode(),
+    "inf-weight.json": b'{"weights": [1, 2, 3, 4, 5, Infinity]}',
+    "nan-weight.json": b'{"weights": [1, NaN, 3]}',
+    "negative-weight.json": b'{"weights": [-3, -2, 1, 2, 3, 4, 5]}',
+    "huge-weight.json": b'{"weights": [1, 2, 3, 4, 1e12]}',
+    "huge-integer.json": b'{"weights": [1, 2, 1' + b"0" * 400 + b"]}",
+    "string-weight.json": b'{"weights": ["1"]}',
+    "no-weights.json": b'{"weights": []}',
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    for name, body in MALFORMED_INPUTS.items():
+        (root / name).write_bytes(body)
+    shipped = sorted(str(path) for path in CHANNELS_DIR.glob("*.json"))
+    malformed = [str(root / name) for name in sorted(MALFORMED_INPUTS)]
+    return shipped, malformed + [str(root / "missing.json"), str(root)]
+
+
+@st.composite
+def argvs(draw, files):
+    number = st.sampled_from(PLAIN_NUMBERS) | st.sampled_from(HOSTILE_NUMBERS)
+    sub = draw(st.sampled_from(["capacity", "coefficients", "check-density", "gf"]))
+    shipped, malformed = files
+    argv = [sub, draw(st.sampled_from(shipped) | st.sampled_from(malformed))]
+    if sub == "capacity":
+        if draw(st.booleans()):
+            argv += ["--method", draw(st.sampled_from(["characteristic", "pole", "oracle", "x"]))]
+        if draw(st.booleans()):
+            argv.append("--verify")
+        if draw(st.booleans()):
+            argv += ["--tol", draw(number)]
+    if sub == "coefficients" and draw(st.booleans()):
+        argv.append("--oracle")
+    if sub == "check-density" and draw(st.booleans()):
+        argv += ["--margin", draw(number)]
+    if sub != "gf" and draw(st.booleans()):
+        argv += ["--cutoff", draw(number)]
+    if draw(st.booleans()):
+        argv.append("--json")
+    return argv
+
+
+@given(data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
+    # Usage errors leave through argparse's SystemExit(2); anything else
+    # must come back from main as an exit code, an error with a message on
+    # stderr and any other outcome with a report on stdout.
+    argv = data.draw(argvs(fuzz_files))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"exit {code}")
+    assert code in {0, 1, 2, 3, 4}
+    if code in (1, 2):
+        assert stderr.getvalue().startswith(("error: ", "usage: "))
+    else:
+        assert stdout.getvalue()

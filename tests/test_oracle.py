@@ -18,9 +18,11 @@ from dnccap import (
     expand_series,
     parse_spec,
 )
+from dnccap.genpoly import weight_sort_key
 
 from corpus import (
     NAIVE_CUTOFFS,
+    SHIPPED_CUTOFFS,
     load_channel,
     naive_enumerate,
 )
@@ -63,6 +65,21 @@ class TestEnumeration:
         expanded = expand_series(build_gf(spec), cutoff)
         enumerated = enumerate_by_weight(spec, cutoff)
         assert expanded.pairs() == enumerated.pairs()
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CUTOFFS))
+    def test_walk_records_weights_in_series_order(self, name):
+        # No sort after the walk: the heap pops configurations in the
+        # order of weight_sort_key, and the return counts of every state
+        # come out strictly increasing in it, with no zero weight and no
+        # zero count.
+        spec = load_channel(name)
+        enum = enumerate_channel(spec, SHIPPED_CUTOFFS[name])
+        key = weight_sort_key(spec.basis)
+        assert enum.loop_counts
+        for pairs in enum.loop_counts.values():
+            keys = [key(wv) for wv, _ in pairs]
+            assert keys == sorted(set(keys))
+            assert all(c >= 1 and not wv.is_zero() for wv, c in pairs)
 
     def test_budget_exhaustion_keeps_partial_counts(self):
         with pytest.raises(ResourceLimitError) as info:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 import math
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from dnccap import (
     ChannelSpec,
@@ -23,8 +23,10 @@ from dnccap import (
     Symbol,
     SymbolDef,
     Union,
+    InsufficientDataError,
     WeightBasis,
     WeightVector,
+    check_density,
     expand_series,
     parse_regex,
     parse_spec,
@@ -32,7 +34,7 @@ from dnccap import (
     smallest_positive_root,
 )
 
-from corpus import reference_evaluate, reference_expand_series
+from corpus import reference_check_density, reference_evaluate, reference_expand_series
 
 
 BASIS = WeightBasis.from_mapping({"unit": 1.0, "half": 0.5})
@@ -351,3 +353,78 @@ class TestCachedExponents:
         expected = _evaluation(reference_evaluate, p, y)
         for _ in range(2):
             assert _evaluation(GeneralizedPolynomial.evaluate, p, y) == expected
+
+
+@st.composite
+def lattice_weights(draw):
+    """a*alpha + b*beta up to a top weight: counts below n grow like n**2."""
+    alpha = draw(st.floats(min_value=0.5, max_value=2.0))
+    beta = draw(st.floats(min_value=0.5, max_value=2.0))
+    top = draw(st.floats(min_value=4.0, max_value=32.0))
+    return sorted(
+        a * alpha + b * beta
+        for a in range(int(top / alpha) + 1)
+        for b in range(int(top / beta) + 1)
+        if 0 < a * alpha + b * beta <= top
+    )
+
+
+@st.composite
+def dense_weights(draw):
+    """About base**n weights spread over [n - 1, n) for n = 1..levels: counts
+    below n grow exponentially, as in the benchmark's dense density lists."""
+    base = draw(st.floats(min_value=1.2, max_value=1.8))
+    levels = draw(st.integers(min_value=4, max_value=12))
+    jitter = draw(st.floats(min_value=0.0, max_value=1.0, exclude_max=True))
+    out = []
+    for n in range(1, levels + 1):
+        m = int(base**n)
+        out.extend(n - 1 + (j + jitter) / (m + 1) for j in range(m))
+    return [w for w in out if w > 0]
+
+
+plain_weights = st.lists(st.floats(min_value=0.0, max_value=40.0), max_size=60)
+
+
+def _density(check, weights, cutoff, margin):
+    try:
+        return check(weights, cutoff=cutoff, margin=margin)
+    except InsufficientDataError:
+        return InsufficientDataError
+
+
+def _close(got: float, expected: float) -> bool:
+    return math.isclose(got, expected, rel_tol=1e-9, abs_tol=1e-12)
+
+
+class TestDensityFit:
+    @given(
+        st.one_of(lattice_weights(), dense_weights(), plain_weights),
+        st.one_of(st.none(), st.floats(min_value=0.0, max_value=45.0)),
+        st.floats(min_value=0.0, max_value=3.0),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_closed_form_fit_matches_numpy_lstsq(self, weights, cutoff, margin):
+        # The closed form and LAPACK round differently, so the fit values
+        # agree to a relative 1e-9 rather than bit for bit; the counts are
+        # exact either way. A flag decided by a near tie between the two
+        # residuals could go either way, so such draws are skipped.
+        got = _density(check_density, weights, cutoff, margin)
+        expected = _density(reference_check_density, weights, cutoff, margin)
+        if expected is InsufficientDataError:
+            assert got is InsufficientDataError
+            return
+        assert got.counts_below_n == expected.counts_below_n
+        assert got.cutoff == expected.cutoff
+        assert _close(got.fitted_exponent, expected.fitted_exponent)
+        assert _close(got.poly_residual, expected.poly_residual)
+        assert _close(got.exp_residual, expected.exp_residual)
+        assume(
+            not math.isclose(
+                expected.exp_residual,
+                margin * expected.poly_residual,
+                rel_tol=1e-9,
+                abs_tol=1e-9,
+            )
+        )
+        assert got.exponential_flag == expected.exponential_flag

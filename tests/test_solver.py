@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -12,13 +13,16 @@ from dnccap import (
     GeneralizedPolynomial,
     InsufficientDataError,
     RationalGF,
+    ResourceLimitError,
     SolverError,
     WeightBasis,
     WeightVector,
     build_gf,
     expand_series,
 )
+from dnccap.oracle import enumerate_by_weight
 from dnccap.solver import (
+    MAX_DENSITY_THRESHOLDS,
     bracket_denominator_roots,
     capacity_from_characteristic,
     characteristic_part,
@@ -235,6 +239,28 @@ class TestBracketing:
         )
         assert evaluations == len(calls) == 1001 + sum(c.iterations for c in candidates)
 
+    @pytest.mark.parametrize(
+        "name, expected",
+        [("ex3.json", 1031), ("avoid101.json", 1031), ("binary.json", 1002)],
+    )
+    def test_pole_iterations_are_denominator_evaluations(self, monkeypatch, name, expected):
+        # The scan's count already includes every bisection step, so the
+        # report must not add the winning bracket's steps a second time.
+        # binary.json hits its pole on a grid point: no bisection, one
+        # probe half a step past it.
+        gf = build_gf(load_channel(name))
+        calls = []
+        original = GeneralizedPolynomial.evaluate
+
+        def counting(self, y):
+            if self is gf.denominator:
+                calls.append(y)
+            return original(self, y)
+
+        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+        report = smallest_positive_pole(gf)
+        assert report.iterations == len(calls) == expected
+
 
 class TestComplexRoots:
     def test_positive_real_root_has_minimal_modulus(self):
@@ -280,6 +306,59 @@ class TestCheckDensity:
         assert report.cutoff == 10.0
         assert len(report.counts_below_n) == 10
         assert report.counts_below_n[-1] == (10, 9)
+
+    def test_counts_exclude_weights_equal_to_the_threshold(self):
+        report = check_density([1.0, 1.0, 1.5, 2.0, 2.5, 3.0, 4.5], cutoff=5.0)
+        assert report.counts_below_n == ((1, 0), (2, 2), (3, 4), (4, 5), (5, 6))
+
+    def test_flat_tail_fits_exactly(self):
+        # Past the largest weight the counts stop growing, and with a
+        # cutoff far beyond it the upper half of the thresholds is flat:
+        # both fits are then exact, and an exact tie does not flag.
+        doc = json.loads((CHANNELS_DIR / "dense-weights.json").read_text())
+        report = check_density(doc["weights"], cutoff=30.0)
+        assert report.poly_residual == report.exp_residual == 0.0
+        assert report.fitted_exponent == 0.0
+        assert not report.exponential_flag
+
+    @pytest.mark.parametrize(
+        "bad",
+        [math.inf, -math.inf, math.nan, -3.0, 10**400],
+        ids=["inf", "-inf", "nan", "negative", "overflowing-integer"],
+    )
+    def test_non_finite_or_negative_weight_rejected(self, bad):
+        with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
+            check_density([1.0, 2.0, 3.0, 4.0, 5.0, bad])
+
+    def test_zero_weight_allowed(self):
+        # A channel's series starts with the empty string at weight 0.
+        weights = enumerate_by_weight(load_channel("ex3.json"), 12.0).values()
+        assert weights[0] == 0.0
+        report = check_density(weights, cutoff=12.0)
+        assert report.counts_below_n[0] == (1, 1)
+
+    @pytest.mark.parametrize("cutoff", [math.inf, math.nan])
+    def test_non_finite_cutoff_rejected(self, cutoff):
+        with pytest.raises(ValueError, match="cutoff must be finite"):
+            check_density([1.0, 2.0, 3.0, 4.0, 5.0], cutoff=cutoff)
+
+    @pytest.mark.parametrize(
+        "weights, cutoff",
+        [([1.0, 2.0, 3.0, 4.0, 5.0], 1e9), ([1.0, 2.0, 3.0, 4.0, 1e12], None)],
+        ids=["cutoff", "largest-weight"],
+    )
+    def test_threshold_budget_fails_at_once(self, weights, cutoff):
+        start = time.perf_counter()
+        with pytest.raises(ResourceLimitError, match=str(MAX_DENSITY_THRESHOLDS)):
+            check_density(weights, cutoff=cutoff)
+        assert time.perf_counter() - start < 0.5
+
+    def test_threshold_budget_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr("dnccap.solver.MAX_DENSITY_THRESHOLDS", 10)
+        weights = [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert len(check_density(weights, cutoff=10.9).counts_below_n) == 10
+        with pytest.raises(ResourceLimitError):
+            check_density(weights, cutoff=11.0)
 
 
 class TestToleranceValidation:
