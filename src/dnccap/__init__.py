@@ -64,7 +64,6 @@ from .solver import (
     RootResult,
     capacity_from_characteristic,
     check_density,
-    complex_roots_integer_exponents,
     smallest_positive_pole,
     smallest_positive_root,
 )
@@ -105,7 +104,6 @@ __all__ = [
     "build_gf",
     "capacity_from_characteristic",
     "check_density",
-    "complex_roots_integer_exponents",
     "enumerate_by_weight",
     "enumerate_channel",
     "estimate_capacity",

@@ -8,8 +8,9 @@ the estimator's soundness depends on trimness.
 
 Construction routes:
   free        one state, loops on every symbol
-  forbidden   Aho-Corasick trie with failure links; states that have read a
-              forbidden pattern are removed, everything remaining accepts
+  forbidden   one state per proper prefix of the patterns; a move goes to the
+              longest suffix that is still such a prefix, and a move that
+              completes a pattern is cut; every state accepts
   regex       Glushkov position automaton, subset construction (state count
               capped), trimming, then Moore minimization
 """
@@ -46,9 +47,6 @@ class ConstraintAutomaton:
     def n_states(self) -> int:
         return len(self.transitions)
 
-    def step(self, state: int, symbol: str):
-        return self.transitions[state].get(symbol)
-
     def run(self, symbols) -> int | None:
         state = self.initial
         for sym in symbols:
@@ -62,10 +60,11 @@ class ConstraintAutomaton:
         return state is not None and state in self.accepting
 
 
-DEFAULT_STATE_LIMIT = 10_000
+# The regex route refuses a subset construction with more states than this.
+STATE_LIMIT = 10_000
 
 
-def for_spec(spec: ChannelSpec, *, state_limit: int = DEFAULT_STATE_LIMIT) -> ConstraintAutomaton:
+def for_spec(spec: ChannelSpec) -> ConstraintAutomaton:
     """Compile the spec's constraint into a trim deterministic automaton."""
     names = spec.symbol_names()
     constraint = spec.constraint
@@ -74,92 +73,53 @@ def for_spec(spec: ChannelSpec, *, state_limit: int = DEFAULT_STATE_LIMIT) -> Co
     if isinstance(constraint, ForbiddenPatterns):
         return _pattern_automaton(names, constraint.patterns)
     if isinstance(constraint, Regex):
-        return _regex_automaton(constraint.expr, names, state_limit)
+        return _regex_automaton(constraint.expr, names)
     raise TypeError(f"not a constraint: {constraint!r}")
 
 
 def _pattern_automaton(names, patterns) -> ConstraintAutomaton:
-    """Aho-Corasick matcher with the match states cut away.
+    """Pattern-avoiding DFA whose states are the proper prefixes of the
+    patterns, the empty prefix first.
 
-    Surviving states are the pattern-free prefix classes, all accepting
-    because the language is prefix-closed.
+    Reading a symbol moves to the longest suffix of the new string that is
+    still a proper prefix. A move whose new string ends in a whole pattern
+    is cut. Every state accepts, because the language is prefix-closed;
+    prefixes that themselves end in a pattern are never entered and are
+    trimmed away.
     """
-    children: list[dict] = [{}]
-    terminal = [False]
-    for pattern in patterns:
-        node = 0
-        for sym in pattern:
-            nxt = children[node].get(sym)
-            if nxt is None:
-                children.append({})
-                terminal.append(False)
-                nxt = len(children) - 1
-                children[node][sym] = nxt
-            node = nxt
-        terminal[node] = True
-
-    # Failure links by breadth-first search; a node is terminal if any
-    # suffix of its prefix is a full pattern.
-    fail = [0] * len(children)
-    full = [dict() for _ in children]
-    full[0] = dict(children[0])
-    queue = deque()
-    for child in children[0].values():
-        fail[child] = 0
-        queue.append(child)
-    while queue:
-        node = queue.popleft()
-        terminal[node] = terminal[node] or terminal[fail[node]]
-        goto = dict(full[fail[node]])
-        goto.update(children[node])
-        full[node] = goto
-        for sym, child in children[node].items():
-            fail[child] = full[fail[node]].get(sym, 0)
-            queue.append(child)
-    for state in range(len(children)):
-        for name in names:
-            full[state].setdefault(name, 0)
-
-    transitions = []
-    for state in range(len(children)):
+    forbidden = set(patterns)
+    prefixes = sorted({p[:k] for p in patterns for k in range(len(p))})
+    ids = {prefix: i for i, prefix in enumerate(prefixes)}
+    rows = []
+    for prefix in prefixes:
         row = {}
-        if not terminal[state]:
-            for name in names:
-                target = full[state][name]
-                if not terminal[target]:
-                    row[name] = target
-        transitions.append(row)
-    accepting = frozenset(s for s in range(len(children)) if not terminal[s])
-    return _tidy(transitions, 0, accepting, names)
+        for name in names:
+            string = prefix + (name,)
+            suffixes = [string[k:] for k in range(len(string) + 1)]
+            if forbidden.isdisjoint(suffixes):
+                row[name] = next(ids[u] for u in suffixes if u in ids)
+        rows.append(row)
+    return _tidy(rows, 0, set(range(len(rows))), names)
 
 
 # --- Glushkov position construction for regexes -------------------------------
 
 
-def _position_symbols(node: RegexNode, acc: list) -> None:
-    if isinstance(node, Symbol):
-        acc.append(node.name)
-    elif isinstance(node, (Union, Concat)):
-        for part in node.parts:
-            _position_symbols(part, acc)
-    elif isinstance(node, Star):
-        _position_symbols(node.child, acc)
-
-
-def _glushkov(node: RegexNode, counter: list):
-    """Return (nullable, first, last, follow), numbering symbol positions in
-    traversal order; follow maps a position to the positions that may come
-    directly after it."""
+def _glushkov(node: RegexNode, symbols: list):
+    """Return (nullable, first, last, follow). Symbol positions are numbered
+    in traversal order: each one appends its symbol to `symbols`, so
+    position p reads symbols[p]. follow maps a position to the positions
+    that may come directly after it."""
     if isinstance(node, Epsilon):
         return True, set(), set(), {}
     if isinstance(node, Symbol):
-        p = counter[0]
-        counter[0] += 1
+        p = len(symbols)
+        symbols.append(node.name)
         return False, {p}, {p}, {}
     if isinstance(node, Union):
         nullable, first, last, follow = False, set(), set(), {}
         for part in node.parts:
-            n, f, l, fo = _glushkov(part, counter)
+            n, f, l, fo = _glushkov(part, symbols)
             nullable = nullable or n
             first |= f
             last |= l
@@ -168,7 +128,7 @@ def _glushkov(node: RegexNode, counter: list):
     if isinstance(node, Concat):
         nullable, first, last, follow = True, set(), set(), {}
         for part in node.parts:
-            n, f, l, fo = _glushkov(part, counter)
+            n, f, l, fo = _glushkov(part, symbols)
             _merge_follow(follow, fo)
             for p in last:
                 follow.setdefault(p, set()).update(f)
@@ -178,7 +138,7 @@ def _glushkov(node: RegexNode, counter: list):
             nullable = nullable and n
         return nullable, first, last, follow
     if isinstance(node, Star):
-        _, first, last, follow = _glushkov(node.child, counter)
+        _, first, last, follow = _glushkov(node.child, symbols)
         for p in last:
             follow.setdefault(p, set()).update(first)
         return True, first, last, follow
@@ -190,10 +150,9 @@ def _merge_follow(into: dict, other: dict) -> None:
         into.setdefault(p, set()).update(s)
 
 
-def _regex_automaton(expr: RegexNode, names, state_limit: int) -> ConstraintAutomaton:
+def _regex_automaton(expr: RegexNode, names) -> ConstraintAutomaton:
     symbols_at: list = []
-    _position_symbols(expr, symbols_at)
-    nullable, first, last, follow = _glushkov(expr, [0])
+    nullable, first, last, follow = _glushkov(expr, symbols_at)
 
     # NFA states: -1 is the start, others are symbol positions; position q is
     # entered by reading its own symbol. Subset construction keys moves on
@@ -224,9 +183,9 @@ def _regex_automaton(expr: RegexNode, names, state_limit: int) -> ConstraintAuto
             target = frozenset(moves[sym])
             tid = subset_ids.get(target)
             if tid is None:
-                if len(rows) >= state_limit:
+                if len(rows) >= STATE_LIMIT:
                     raise ResourceLimitError(
-                        f"regex automaton exceeded the state limit of {state_limit}"
+                        f"regex automaton exceeded the state limit of {STATE_LIMIT}"
                     )
                 tid = len(rows)
                 subset_ids[target] = tid

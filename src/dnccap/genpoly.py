@@ -45,6 +45,9 @@ from .errors import (
     ResourceLimitError,
 )
 
+# expand_series generates at most this many weight classes.
+TERM_LIMIT = 1_000_000
+
 
 @dataclass(frozen=True)
 class WeightAtom:
@@ -361,9 +364,7 @@ class CoefficientSeries:
         return total
 
 
-def expand_series(
-    gf: RationalGF, cutoff: float, *, term_limit: int = 1_000_000
-) -> CoefficientSeries:
+def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     """Exact coefficient extraction from a quotient, up to a weight cutoff.
 
     Write the denominator as d0 - sum_j e_j * y**u_j, every u_j of strictly
@@ -379,14 +380,13 @@ def expand_series(
     push and pop per weight class plus one exact integer product per
     class and denominator term. A count that comes out non-integral or
     negative means the quotient does not enumerate a language (e.g. an
-    ambiguous construction) and raises ExpansionError. `term_limit` caps
+    ambiguous construction) and raises ExpansionError. TERM_LIMIT caps
     the number of weight classes generated.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):
         raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
-    if term_limit < 1:
-        raise ValueError("term limit must be positive")
+    term_limit = TERM_LIMIT
     basis = gf.basis
     values = basis.values()
     d0 = gf.denominator.constant_coefficient

@@ -37,7 +37,9 @@ from .errors import InsufficientDataError, ResourceLimitError
 from .genpoly import CoefficientSeries, WeightVector
 from .solver import CapacityReport
 
-DEFAULT_MAX_CONFIGS = 1_000_000
+# One enumeration, loop walks included, pops at most this many
+# configurations.
+MAX_CONFIGS = 1_000_000
 STATE_CAP = 64
 
 
@@ -45,7 +47,6 @@ STATE_CAP = 64
 class EnumerationResult:
     """Exact counts by weight, plus per-state return counts for estimation."""
 
-    spec: ChannelSpec
     series: CoefficientSeries
     loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]]
     n_states: int
@@ -58,7 +59,6 @@ def _count_paths(
     start: int,
     targets,
     cutoff: float,
-    max_configs: int,
     budget: list,
 ) -> tuple[tuple[WeightVector, int], ...]:
     """(weight vector, count) of automaton paths start -> targets, in
@@ -75,8 +75,10 @@ def _count_paths(
     recorded count is at least 1. Each popped configuration costs one dict
     update per arc. Keys are raw int tuples, turned into WeightVectors
     only in the result and in a budget error's partial counts. `budget`
-    is a single-element mutable pop counter shared across calls.
+    is a single-element mutable pop counter shared across calls, which
+    may reach MAX_CONFIGS.
     """
+    max_configs = MAX_CONFIGS
     values = spec.basis.values()
     arcs = [(sym.name, sym.weight.mults) for sym in spec.symbols]
     zero = (0,) * len(values)
@@ -117,37 +119,31 @@ def enumerate_channel(
     cutoff: float,
     *,
     with_loops: bool = True,
-    max_configs: int = DEFAULT_MAX_CONFIGS,
 ) -> EnumerationResult:
     """Enumerate all channel strings of weight <= cutoff, grouped by weight.
 
     With `with_loops` the walk is repeated from each of the first
     STATE_CAP automaton states to collect the return counts the capacity
-    estimator needs. The configuration budget is shared across
-    all walks.
+    estimator needs. The walks share one budget of MAX_CONFIGS popped
+    configurations.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):
         raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
     machine = automaton_mod.for_spec(spec)
     budget = [0]
-    entries = _count_paths(
-        spec, machine, machine.initial, machine.accepting, cutoff, max_configs, budget
-    )
+    entries = _count_paths(spec, machine, machine.initial, machine.accepting, cutoff, budget)
     series = CoefficientSeries(spec.basis, entries, cutoff)
     loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
     analyzed = 0
     if with_loops:
         for state in range(min(machine.n_states, STATE_CAP)):
-            returns = _count_paths(
-                spec, machine, state, {state}, cutoff, max_configs, budget
-            )
+            returns = _count_paths(spec, machine, state, {state}, cutoff, budget)
             analyzed += 1
             pairs = tuple((wv, c) for wv, c in returns if not wv.is_zero())
             if pairs:
                 loop_counts[state] = pairs
     return EnumerationResult(
-        spec=spec,
         series=series,
         loop_counts=loop_counts,
         n_states=machine.n_states,
@@ -155,13 +151,9 @@ def enumerate_channel(
     )
 
 
-def enumerate_by_weight(
-    spec: ChannelSpec, cutoff: float, *, max_configs: int = DEFAULT_MAX_CONFIGS
-) -> CoefficientSeries:
+def enumerate_by_weight(spec: ChannelSpec, cutoff: float) -> CoefficientSeries:
     """Exact (weight, count) series of the channel up to the cutoff."""
-    return enumerate_channel(
-        spec, cutoff, with_loops=False, max_configs=max_configs
-    ).series
+    return enumerate_channel(spec, cutoff, with_loops=False).series
 
 
 def estimate_capacity(enum: EnumerationResult) -> CapacityReport:

@@ -12,7 +12,9 @@ Two analytic routes, both with certified enclosures:
                         (0, Y_MAX], bisection on each bracket, skipping
                         candidates where the numerator also vanishes
                         (removable singularities). The first surviving root
-                        is the smallest positive pole.
+                        is the smallest positive pole. A scan that finds
+                        none fails: a root of even multiplicity does not
+                        change sign, so no sign change proves no pole.
 
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
@@ -28,7 +30,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .errors import (
     EvalOverflowError,
@@ -37,9 +38,6 @@ from .errors import (
     SolverError,
 )
 from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
-
-if TYPE_CHECKING:
-    import numpy as np
 
 DEFAULT_TOL = 1e-12
 # The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
@@ -290,7 +288,10 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     discards candidates where the numerator vanishes too (removable
     singularities of the quotient). For counting quotients the positive
     real axis carries a singularity of minimal modulus, so the first
-    surviving root is the radius of convergence.
+    surviving root is the radius of convergence. Raises SolverError when
+    no surviving root is bracketed, a constant denominator included: a
+    root of even multiplicity touches zero without changing sign, so an
+    empty scan bounds nothing.
     """
     candidates, evaluations = bracket_denominator_roots(gf, tol=tol)
     skipped = 0
@@ -305,49 +306,16 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
             method="smallest-pole",
             radius_or_pole=cand.root,
             capacity_nats=-math.log(cand.root),
-            error_bound=_log_enclosure_width(cand.low, cand.high)
-            if cand.low < cand.high
-            else 0.0,
+            error_bound=_log_enclosure_width(cand.low, cand.high),
             iterations=evaluations,
             note=note,
         )
-    bound = max(0.0, -math.log(Y_MAX))
-    detail = f"skipped {skipped} removable candidate(s); " if skipped else ""
-    return CapacityReport(
-        method="smallest-pole",
-        radius_or_pole=Y_MAX,
-        capacity_nats=bound,
-        error_bound=0.0,
-        iterations=evaluations,
-        note=(
-            f"{detail}no pole in (0, {Y_MAX:g}]; capacity is at most "
-            f"{bound:.6g} and is reported as that bound"
-        ),
+    detail = f" apart from {skipped} removable root(s)" if skipped else ""
+    raise SolverError(
+        f"no sign change of the denominator in (0, {Y_MAX:g}]{detail}; "
+        "a root of even multiplicity would not show, so the pole scan "
+        "gives no answer"
     )
-
-
-def complex_roots_integer_exponents(p: GeneralizedPolynomial) -> np.ndarray:
-    """All complex roots of p when every exponent is a (near-)integer.
-
-    Calls numpy.roots; numpy is not a dependency of the package, so this
-    helper needs it installed separately.
-    """
-    import numpy as np
-
-    coeffs: dict[int, int] = {}
-    for v, c in p.float_terms():
-        k = round(v)
-        if abs(v - k) > 1e-9:
-            raise SolverError(
-                f"exponent {v!r} is not an integer; complex root finding "
-                "applies to integer-exponent denominators only"
-            )
-        coeffs[k] = coeffs.get(k, 0) + c
-    if not coeffs:
-        raise SolverError("zero polynomial has no meaningful roots")
-    degree = max(coeffs)
-    highest_first = [coeffs.get(k, 0) for k in range(degree, -1, -1)]
-    return np.roots(highest_first)
 
 
 def density_thresholds(cutoff: float) -> int:

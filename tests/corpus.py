@@ -13,6 +13,9 @@ each call, kept as the reference for the cached exponents.
 `reference_check_density` is the former density check, a numpy
 least-squares fit over counts taken by a scan of every weight, kept as the
 reference for the closed-form fit in `check_density`.
+`reference_pattern_automaton` is the former forbidden-pattern automaton,
+an Aho-Corasick trie with failure links, kept as the reference for the
+construction on pattern prefixes.
 """
 
 from __future__ import annotations
@@ -21,10 +24,12 @@ import json
 import math
 import os
 import random
+from collections import deque
 from fractions import Fraction
 from pathlib import Path
 
 from dnccap import ChannelSpec, load_spec
+from dnccap.automaton import ConstraintAutomaton, _tidy
 from dnccap.chanspec import (
     Concat,
     Epsilon,
@@ -319,3 +324,61 @@ def reference_check_density(weights, *, cutoff=None, margin: float = 1.0) -> Den
         poly_residual=sse_poly,
         exp_residual=sse_exp,
     )
+
+
+# --- reference pattern automaton ------------------------------------------------
+
+
+def reference_pattern_automaton(names, patterns) -> ConstraintAutomaton:
+    """Aho-Corasick matcher with the match states cut away.
+
+    Surviving states are the pattern-free prefix classes, all accepting
+    because the language is prefix-closed.
+    """
+    children: list[dict] = [{}]
+    terminal = [False]
+    for pattern in patterns:
+        node = 0
+        for sym in pattern:
+            nxt = children[node].get(sym)
+            if nxt is None:
+                children.append({})
+                terminal.append(False)
+                nxt = len(children) - 1
+                children[node][sym] = nxt
+            node = nxt
+        terminal[node] = True
+
+    # Failure links by breadth-first search; a node is terminal if any
+    # suffix of its prefix is a full pattern.
+    fail = [0] * len(children)
+    full = [dict() for _ in children]
+    full[0] = dict(children[0])
+    queue = deque()
+    for child in children[0].values():
+        fail[child] = 0
+        queue.append(child)
+    while queue:
+        node = queue.popleft()
+        terminal[node] = terminal[node] or terminal[fail[node]]
+        goto = dict(full[fail[node]])
+        goto.update(children[node])
+        full[node] = goto
+        for sym, child in children[node].items():
+            fail[child] = full[fail[node]].get(sym, 0)
+            queue.append(child)
+    for state in range(len(children)):
+        for name in names:
+            full[state].setdefault(name, 0)
+
+    transitions = []
+    for state in range(len(children)):
+        row = {}
+        if not terminal[state]:
+            for name in names:
+                target = full[state][name]
+                if not terminal[target]:
+                    row[name] = target
+        transitions.append(row)
+    accepting = frozenset(s for s in range(len(children)) if not terminal[s])
+    return _tidy(transitions, 0, accepting, names)

@@ -6,11 +6,17 @@ import itertools
 import json
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dnccap import ResourceLimitError, parse_regex, parse_spec
 from dnccap import automaton as am
 
-from corpus import NAIVE_CUTOFFS, load_channel, naive_accepts
+from corpus import (
+    NAIVE_CUTOFFS,
+    load_channel,
+    naive_accepts,
+    reference_pattern_automaton,
+)
 
 
 def spec_with(constraint: dict, names=("0", "1")):
@@ -82,6 +88,36 @@ class TestPatterns:
         assert not machine.accepts(("0", "1"))
 
 
+@st.composite
+def pattern_sets(draw):
+    """1-4 symbol names and 1-5 patterns over them of length 1-6."""
+    names = tuple(str(i) for i in range(draw(st.integers(1, 4))))
+    pattern = st.lists(st.sampled_from(names), min_size=1, max_size=6).map(tuple)
+    return names, tuple(draw(st.lists(pattern, min_size=1, max_size=5)))
+
+
+def construction(build, names, patterns):
+    try:
+        machine = build(names, patterns)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return machine.transitions, machine.initial, machine.accepting
+
+
+class TestPrefixConstruction:
+    @settings(max_examples=500, deadline=None)
+    @given(pattern_sets())
+    # "01" is a proper prefix of "011" that ends in the pattern "1": the
+    # move from "0" on "1" must be cut although "01" is no pattern.
+    @example((("0", "1"), (("1",), ("0", "1", "1"))))
+    @example((("0", "1"), (("0", "0"), ("0", "0", "1", "0"))))
+    def test_equals_aho_corasick(self, case):
+        names, patterns = case
+        assert construction(am._pattern_automaton, names, patterns) == construction(
+            reference_pattern_automaton, names, patterns
+        )
+
+
 REGEXES = [
     "(ε|1)(0|01)*",
     "(0|01|011)*",
@@ -112,12 +148,13 @@ class TestRegex:
         for seq in all_strings(("0", "1"), 8):
             assert regex.accepts(seq) == pattern.accepts(seq)
 
-    def test_state_limit(self):
+    def test_state_limit(self, monkeypatch):
+        monkeypatch.setattr(am, "STATE_LIMIT", 2)
         spec = spec_with(
             {"type": "regex", "expr": "(ε|1)(0|01)*", "unambiguous": True}
         )
         with pytest.raises(ResourceLimitError):
-            am.for_spec(spec, state_limit=2)
+            am.for_spec(spec)
 
     def test_three_symbol_alphabet(self):
         spec = parse_spec(

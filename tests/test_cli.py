@@ -34,6 +34,19 @@ AMBIGUOUS_DOC = {
     "constraint": {"type": "regex", "expr": "(0|00)*", "unambiguous": True},
 }
 
+# Exactly one 2 among 0s and 1s: capacity 0.5801882727, that of (0|1)* with
+# weights 1 and sqrt 2. The quotient's denominator (1 - y - y**sqrt2)**2
+# touches zero at the radius without changing sign.
+DOUBLE_POLE_DOC = {
+    "atoms": {"unit": 1.0, "r2": 2.0**0.5},
+    "symbols": [
+        {"name": "0", "weight": {"unit": 1}},
+        {"name": "1", "weight": {"r2": 1}},
+        {"name": "2", "weight": {"unit": 1}},
+    ],
+    "constraint": {"type": "regex", "expr": "(0|1)*2(0|1)*", "unambiguous": True},
+}
+
 
 class TestCapacity:
     def test_mixed_weight_channel_text(self, capsys):
@@ -144,6 +157,18 @@ class TestCapacity:
         code, _, err = run(capsys, "capacity", str(path))
         assert code == 2
         assert "regex" in err
+
+    @pytest.mark.parametrize("extra", [[], ["--verify", "--cutoff", "12"]])
+    def test_double_pole_is_an_error_not_a_bound(self, capsys, tmp_path, extra):
+        # The pole scan sees no sign change, which proves nothing about a
+        # root of even multiplicity, so it must not answer.
+        path = tmp_path / "double-pole.json"
+        path.write_text(json.dumps(DOUBLE_POLE_DOC))
+        code, out, err = run(capsys, "capacity", str(path), *extra)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: no sign change")
+        assert "at most" not in out + err
 
     def test_verify_agreement(self, capsys):
         code, out, _ = run(

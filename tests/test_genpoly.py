@@ -19,6 +19,7 @@ from dnccap import (
     WeightVector,
     expand_series,
 )
+from dnccap import genpoly
 
 UNIT = WeightBasis.from_mapping({"unit": 1.0})
 MIXED = WeightBasis.from_mapping({"unit": 1.0, "pi": math.pi})
@@ -216,10 +217,11 @@ class TestExpandSeries:
         assert gf.denominator.constant_coefficient == 1
         assert expand_series(gf, 3.0).counts() == [1, 1, 1, 1]
 
-    def test_term_limit(self):
+    def test_term_limit(self, monkeypatch):
+        monkeypatch.setattr(genpoly, "TERM_LIMIT", 10)
         gf = RationalGF(poly(UNIT, {(0,): 1}), poly(UNIT, {(0,): 1, (1,): -1}))
         with pytest.raises(ResourceLimitError):
-            expand_series(gf, 100.0, term_limit=10)
+            expand_series(gf, 100.0)
 
     def test_cutoff_validation(self):
         gf = RationalGF(poly(UNIT, {(0,): 1}), poly(UNIT, {(0,): 1, (1,): -1}))

@@ -18,6 +18,7 @@ from dnccap import (
     expand_series,
     parse_spec,
 )
+from dnccap import oracle
 from dnccap.genpoly import weight_sort_key
 
 from corpus import (
@@ -81,9 +82,10 @@ class TestEnumeration:
             assert keys == sorted(set(keys))
             assert all(c >= 1 and not wv.is_zero() for wv, c in pairs)
 
-    def test_budget_exhaustion_keeps_partial_counts(self):
+    def test_budget_exhaustion_keeps_partial_counts(self, monkeypatch):
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 5)
         with pytest.raises(ResourceLimitError) as info:
-            enumerate_by_weight(load_channel("binary.json"), 20.0, max_configs=5)
+            enumerate_by_weight(load_channel("binary.json"), 20.0)
         assert info.value.partial is not None
         assert len(info.value.partial) >= 1
         assert all(isinstance(wv, WeightVector) for wv in info.value.partial)

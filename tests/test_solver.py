@@ -6,7 +6,6 @@ import json
 import math
 import time
 
-import numpy as np
 import pytest
 
 from dnccap import (
@@ -27,7 +26,6 @@ from dnccap.solver import (
     capacity_from_characteristic,
     characteristic_part,
     check_density,
-    complex_roots_integer_exponents,
     smallest_positive_pole,
     smallest_positive_root,
 )
@@ -176,12 +174,31 @@ class TestSmallestPositivePole:
         assert report.radius_or_pole == 0.5
         assert report.error_bound == 0.0
 
-    def test_no_pole_below_bound(self):
+    def test_no_sign_change_is_an_error(self):
+        # den = 2 - y has its only root at 2; a scan of (0, 1] that sees no
+        # sign change proves no bound, since an even root would not show.
         gf = RationalGF(unit_poly((0, 2)), unit_poly((0, 2), (1, -1)))
-        report = smallest_positive_pole(gf)
-        assert report.radius_or_pole == 1.0
-        assert report.capacity_nats == 0.0
-        assert "no pole" in report.note
+        with pytest.raises(SolverError, match="no sign change.*even multiplicity"):
+            smallest_positive_pole(gf)
+
+    def test_double_root_is_not_reported_as_a_bound(self):
+        # den = (1 - 3y)**2 touches zero at 1/3, between grid points,
+        # without changing sign.
+        gf = RationalGF(unit_poly((0, 1)), unit_poly((0, 1), (1, -6), (2, 9)))
+        with pytest.raises(SolverError, match="no sign change"):
+            smallest_positive_pole(gf)
+
+    def test_only_removable_roots_is_an_error(self):
+        # den = 1 - 2y is cancelled by the numerator at its only root.
+        gf = RationalGF(unit_poly((0, 1), (1, -2)), unit_poly((0, 1), (1, -2)))
+        with pytest.raises(SolverError, match="apart from 1 removable"):
+            smallest_positive_pole(gf)
+
+    def test_constant_denominator_is_an_error(self):
+        # A finite language; the characteristic route answers capacity 0.
+        gf = RationalGF(unit_poly((0, 1), (1, 1)), unit_poly((0, 1)))
+        with pytest.raises(SolverError, match="no sign change"):
+            smallest_positive_pole(gf)
 
     def test_removable_root_skipped(self):
         # den = 4 - 13y + 10y**2 vanishes at 0.5 and 0.8; the numerator
@@ -260,24 +277,6 @@ class TestBracketing:
         monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
         report = smallest_positive_pole(gf)
         assert report.iterations == len(calls) == expected
-
-
-class TestComplexRoots:
-    def test_positive_real_root_has_minimal_modulus(self):
-        den = unit_poly((0, 1), (1, -1), (2, -1), (3, -1))
-        roots = complex_roots_integer_exponents(den)
-        assert len(roots) == 3
-        moduli = np.abs(roots)
-        closest = roots[int(np.argmin(moduli))]
-        assert abs(closest.imag) <= 1e-8
-        assert closest.real > 0
-        assert abs(moduli.min() - CUBIC_RADIUS) <= 1e-8
-        assert all(m >= moduli.min() - 1e-12 for m in moduli)
-
-    def test_non_integer_exponent_rejected(self):
-        gf = build_gf(load_channel("ex2.json"))
-        with pytest.raises(SolverError, match="integer"):
-            complex_roots_integer_exponents(gf.denominator)
 
 
 class TestCheckDensity:
