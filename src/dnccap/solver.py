@@ -8,13 +8,18 @@ Two analytic routes, both with certified enclosures:
                         equation E(y) = d0 has one positive root: the
                         radius of convergence. Bracketed by doubling, then
                         bisection.
-  smallest-pole         sign-change scan of the denominator on a grid over
+  smallest-pole         sign-change scan of the denominator D on a grid over
                         (0, Y_MAX], bisection on each bracket, skipping
                         candidates where the numerator also vanishes
                         (removable singularities). The first surviving root
-                        is the smallest positive pole. A scan that finds
-                        none fails: a root of even multiplicity does not
-                        change sign, so no sign change proves no pole.
+                        is the smallest positive pole, and the scan stops
+                        there. A scan that finds none fails: a root of even
+                        multiplicity does not change sign, so no sign change
+                        proves no pole. The scan skips runs of grid points
+                        whose sign a bound proves: with D = P - N split into
+                        its positive and negated negative terms, both
+                        nondecreasing on y >= 0, every y in [a, b] has
+                        P(a) - N(b) <= D(y) <= P(b) - N(a).
 
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
@@ -29,6 +34,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .errors import (
@@ -43,6 +49,18 @@ DEFAULT_TOL = 1e-12
 # The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
 Y_MAX = 1.0
 GRID_STEP = 1e-3
+# The pole scan skips a grid run [a, b] only when its bound clears zero by
+# SKIP_MARGIN * (len(D) + 4) times P(b) + N(b). This assumes the C library's
+# pow is within 1 ulp. With u = 2**-53, each term c * y**e of `evaluate` is
+# then within 4u of exact (pow, converting c to float, the product), and
+# summing n = len(D) terms adds (n - 1)u, so evaluating D, P or N at y is off
+# by at most (n + 3)u (P(y) + N(y)). In the lower bound P(a) and N(b) are
+# together off by at most (n + 3)u (P(b) + N(b)), D at a grid point of the
+# run by as much again, and the subtraction and the product round once
+# each: under 2 (n + 4)u (P(b) + N(b)) in all, an eighth of the margin, and
+# likewise for the upper bound. So each skipped grid point would have
+# evaluated to a nonzero float of the run's sign.
+SKIP_MARGIN = 8 * 2.0**-52
 MAX_DOUBLINGS = 200
 REMOVABLE_RTOL = 1e-9
 # check_density counts the weights below each integer n up to the cutoff.
@@ -227,58 +245,104 @@ def _is_removable(gf: RationalGF, y0: float) -> bool:
     return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
 
 
+class _PoleScan:
+    """The pole scan of a denominator: iterating yields its roots in (0, Y_MAX].
+
+    Roots come in increasing order, each a certified enclosure: the
+    denominator takes opposite signs (or an exact zero) at its endpoints.
+    `evaluations` counts the `evaluate` calls made so far on D, P and N.
+    """
+
+    def __init__(self, den: GeneralizedPolynomial, tol: float):
+        _check_tol(tol)
+        self.den = den
+        self.tol = tol
+        self.evaluations = 0
+
+    def _evaluate(self, p: GeneralizedPolynomial, y: float) -> float:
+        self.evaluations += 1
+        return p.evaluate(y)
+
+    def _bound(self, p: GeneralizedPolynomial, y: float) -> float:
+        # An overflowing P or N makes the skip test fail, not the scan.
+        self.evaluations += 1
+        return _evaluate_or_inf(p, y)
+
+    def __iter__(self) -> Iterator[RootResult]:
+        den = self.den
+        pos = GeneralizedPolynomial(den.basis, [(wv, c) for wv, c in den.terms() if c > 0])
+        neg = GeneralizedPolynomial(den.basis, [(wv, -c) for wv, c in den.terms() if c < 0])
+        margin = SKIP_MARGIN * (len(den) + 4)
+        n_grid = int(math.ceil(Y_MAX / GRID_STEP))
+
+        # The walk stands at prev_y, the last point whose float sign is
+        # known; p_prev and n_prev are P and N there. It tries to skip the
+        # next k grid points, doubling k on success and halving it on
+        # failure, and evaluates D at the next grid point once k = 1 fails.
+        # Denominator normalization makes the value at 0 positive.
+        prev_y, prev_v = 0.0, self._evaluate(den, 0.0)
+        p_prev, n_prev = self._bound(pos, 0.0), self._bound(neg, 0.0)
+        j, k = 0, 1
+        while j < n_grid:
+            k = min(k, n_grid - j)
+            y = min((j + k) * GRID_STEP, Y_MAX)
+            p_y, n_y = self._bound(pos, y), self._bound(neg, y)
+            slack = margin * (p_y + n_y)
+            if (p_y - n_prev < -slack) if prev_v < 0.0 else (p_prev - n_y > slack):
+                j += k
+                prev_y, p_prev, n_prev = y, p_y, n_y
+                k *= 2
+                continue
+            if k > 1:
+                k //= 2
+                continue
+            j += 1
+            v = self._evaluate(den, y)
+            if v == 0.0:
+                yield RootResult(y, y, y, 0)
+                probe = y + 0.5 * GRID_STEP
+                # Y_MAX is a whole number of grid steps, so only the last
+                # grid point's probe reaches it.
+                if probe >= Y_MAX:
+                    return
+                prev_y, prev_v = probe, self._evaluate(den, probe)
+                p_prev, n_prev = self._bound(pos, probe), self._bound(neg, probe)
+                continue
+            if (v < 0.0) != (prev_v < 0.0):
+                yield self._bisect(prev_y, y, prev_v)
+            prev_y, prev_v, p_prev, n_prev = y, v, p_y, n_y
+
+    def _bisect(self, lo: float, hi: float, flo: float) -> RootResult:
+        iterations = 0
+        while hi - lo > self.tol:
+            mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break
+            iterations += 1
+            fmid = self._evaluate(self.den, mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
 def bracket_denominator_roots(
     gf: RationalGF, *, tol: float = DEFAULT_TOL
 ) -> tuple[list[RootResult], int]:
     """All denominator roots in (0, Y_MAX] visible at the grid resolution.
 
-    Returns (roots in increasing order, number of evaluations). Each result
-    is a certified enclosure: the denominator takes opposite signs (or an
-    exact zero) at its endpoints. Roots closer together than the grid step
-    may be missed; that is the documented resolution limit. The whole
-    grid, y = 0 included, is evaluated on every scan.
+    Returns (roots in increasing order, number of evaluations), draining
+    the pole scan. Roots closer together than the grid step may be missed;
+    that is the documented resolution limit, and skipping grid runs whose
+    sign is proved does not change it.
     """
-    _check_tol(tol)
-    evaluate = gf.denominator.evaluate
-    n_grid = int(math.ceil(Y_MAX / GRID_STEP))
-    evaluations = n_grid + 1
-
-    found: list[RootResult] = []
-    prev_y, prev_v = 0.0, evaluate(0.0)
-    # Denominator normalization makes the value at 0 positive.
-    for j in range(1, n_grid + 1):
-        y = min(j * GRID_STEP, Y_MAX)
-        v = evaluate(y)
-        if v == 0.0:
-            found.append(RootResult(y, y, y, 0))
-            probe = y + 0.5 * GRID_STEP
-            if probe >= Y_MAX:
-                prev_v = None
-                continue
-            prev_y, prev_v = probe, evaluate(probe)
-            evaluations += 1
-            continue
-        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-            lo, hi = prev_y, y
-            flo = prev_v
-            iterations = 0
-            while hi - lo > tol:
-                mid = (lo + hi) / 2.0
-                if mid == lo or mid == hi:
-                    break
-                iterations += 1
-                fmid = evaluate(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if (fmid < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            evaluations += iterations
-            found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
-        prev_y, prev_v = y, v
-    return found, evaluations
+    scan = _PoleScan(gf.denominator, tol)
+    found = list(scan)
+    return found, scan.evaluations
 
 
 def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> CapacityReport:
@@ -288,14 +352,18 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     discards candidates where the numerator vanishes too (removable
     singularities of the quotient). For counting quotients the positive
     real axis carries a singularity of minimal modulus, so the first
-    surviving root is the radius of convergence. Raises SolverError when
+    surviving root is the radius of convergence, and the scan stops there.
+    The grid runs it skips are those whose sign the monotone bound on
+    D = P - N proves (see SKIP_MARGIN), so it brackets exactly the roots a
+    scan evaluating every grid point would. `iterations` is the number of
+    `evaluate` calls the scan made on D, P and N. Raises SolverError when
     no surviving root is bracketed, a constant denominator included: a
     root of even multiplicity touches zero without changing sign, so an
     empty scan bounds nothing.
     """
-    candidates, evaluations = bracket_denominator_roots(gf, tol=tol)
+    scan = _PoleScan(gf.denominator, tol)
     skipped = 0
-    for cand in candidates:
+    for cand in scan:
         if _is_removable(gf, cand.root):
             skipped += 1
             continue
@@ -307,7 +375,7 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
             radius_or_pole=cand.root,
             capacity_nats=-math.log(cand.root),
             error_bound=_log_enclosure_width(cand.low, cand.high),
-            iterations=evaluations,
+            iterations=scan.evaluations,
             note=note,
         )
     detail = f" apart from {skipped} removable root(s)" if skipped else ""
@@ -349,7 +417,9 @@ def check_density(
     (polynomial growth) is compared with a fit against n (exponential
     growth) over the upper half of the usable range; if the exponential
     model fits better by the margin factor, capacity is not well defined
-    for the weight set and the report flags it.
+    for the weight set and the report flags it. The usable range ends at
+    the first threshold that counts every weight, floor(max weight) + 1,
+    so a cutoff past it lists more thresholds but gives the same verdict.
     """
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
@@ -369,11 +439,19 @@ def check_density(
     if top < 1:
         raise InsufficientDataError("cutoff below 1; no integer thresholds to count")
     counts = [(n, bisect_left(distinct, n)) for n in range(1, top + 1)]
-    usable = [(n, c) for n, c in counts if c >= 1]
+    # Past the first threshold that counts every weight the counts are
+    # flat, so a cutoff beyond it must not move the fit.
+    fit_top = min(top, math.floor(distinct[-1]) + 1) if distinct else top
+    usable = [(n, c) for n, c in counts[:fit_top] if c >= 1]
     if len(usable) < 4:
+        hint = (
+            "raise the cutoff"
+            if fit_top == top
+            else f"every weight lies below {fit_top}, so a larger cutoff adds nothing"
+        )
         raise InsufficientDataError(
             f"only {len(usable)} thresholds have a nonzero weight count; "
-            "need at least 4 for a meaningful fit (raise the cutoff)"
+            f"need at least 4 for a meaningful fit ({hint})"
         )
     upper = usable[len(usable) // 2 :]
     # Shifting by the first value before averaging centres a flat tail to exact zeros.

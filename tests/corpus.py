@@ -16,6 +16,9 @@ reference for the closed-form fit in `check_density`.
 `reference_pattern_automaton` is the former forbidden-pattern automaton,
 an Aho-Corasick trie with failure links, kept as the reference for the
 construction on pattern prefixes.
+`reference_bracket_denominator_roots` is the former pole scan, which
+evaluated the denominator at every grid point, kept as the reference for
+the scan that skips the grid runs whose sign a bound proves.
 """
 
 from __future__ import annotations
@@ -49,7 +52,7 @@ from dnccap.genpoly import (
     WeightVector,
     weight_sort_key,
 )
-from dnccap.solver import DensityReport
+from dnccap.solver import DEFAULT_TOL, GRID_STEP, Y_MAX, DensityReport, RootResult
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -300,7 +303,9 @@ def reference_check_density(weights, *, cutoff=None, margin: float = 1.0) -> Den
     counts = []
     for n in range(1, top + 1):
         counts.append((n, sum(1 for w in distinct if w < n)))
-    usable = [(n, c) for n, c in counts if c >= 1]
+    # Past the first threshold that counts every weight the counts are flat.
+    fit_top = min(top, math.floor(distinct[-1]) + 1) if distinct else top
+    usable = [(n, c) for n, c in counts[:fit_top] if c >= 1]
     if len(usable) < 4:
         raise InsufficientDataError(f"only {len(usable)} thresholds have a nonzero weight count")
     upper = usable[len(usable) // 2 :]
@@ -382,3 +387,53 @@ def reference_pattern_automaton(names, patterns) -> ConstraintAutomaton:
         transitions.append(row)
     accepting = frozenset(s for s in range(len(children)) if not terminal[s])
     return _tidy(transitions, 0, accepting, names)
+
+
+# --- reference pole scan --------------------------------------------------------
+
+
+def reference_bracket_denominator_roots(
+    gf: RationalGF, *, tol: float = DEFAULT_TOL
+) -> tuple[list[RootResult], int]:
+    """Every grid point of (0, Y_MAX] evaluated, y = 0 included, then each
+    sign change bisected; returns (roots in increasing order, evaluations)."""
+    evaluate = gf.denominator.evaluate
+    n_grid = int(math.ceil(Y_MAX / GRID_STEP))
+    evaluations = n_grid + 1
+
+    found: list[RootResult] = []
+    prev_y, prev_v = 0.0, evaluate(0.0)
+    # Denominator normalization makes the value at 0 positive.
+    for j in range(1, n_grid + 1):
+        y = min(j * GRID_STEP, Y_MAX)
+        v = evaluate(y)
+        if v == 0.0:
+            found.append(RootResult(y, y, y, 0))
+            probe = y + 0.5 * GRID_STEP
+            if probe >= Y_MAX:
+                prev_v = None
+                continue
+            prev_y, prev_v = probe, evaluate(probe)
+            evaluations += 1
+            continue
+        if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
+            lo, hi = prev_y, y
+            flo = prev_v
+            iterations = 0
+            while hi - lo > tol:
+                mid = (lo + hi) / 2.0
+                if mid == lo or mid == hi:
+                    break
+                iterations += 1
+                fmid = evaluate(mid)
+                if fmid == 0.0:
+                    lo = hi = mid
+                    break
+                if (fmid < 0.0) == (flo < 0.0):
+                    lo, flo = mid, fmid
+                else:
+                    hi = mid
+            evaluations += iterations
+            found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
+        prev_y, prev_v = y, v
+    return found, evaluations

@@ -253,8 +253,10 @@ class TestCoefficients:
 
 
 class TestCheckDensity:
-    def test_dense_weight_list_flags(self, capsys):
-        code, out, _ = run(capsys, "check-density", channel("dense-weights.json"))
+    @pytest.mark.parametrize("argv", [[], ["--cutoff", "20"], ["--cutoff", "30"]])
+    def test_dense_weight_list_flags(self, capsys, argv):
+        # A cutoff past the largest weight only adds flat thresholds.
+        code, out, _ = run(capsys, "check-density", channel("dense-weights.json"), *argv)
         assert code == 4
         assert "too dense" in out
 

@@ -33,8 +33,14 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
+from dnccap.solver import bracket_denominator_roots
 
-from corpus import reference_check_density, reference_evaluate, reference_expand_series
+from corpus import (
+    reference_bracket_denominator_roots,
+    reference_check_density,
+    reference_evaluate,
+    reference_expand_series,
+)
 
 
 BASIS = WeightBasis.from_mapping({"unit": 1.0, "half": 0.5})
@@ -428,3 +434,76 @@ class TestDensityFit:
             )
         )
         assert got.exponential_flag == expected.exponential_flag
+
+
+UNIT = WeightBasis.from_mapping({"unit": 1.0})
+_DOUBLE_POLE_FACTOR = GeneralizedPolynomial(
+    WeightBasis.from_mapping({"unit": 1.0, "r2": math.sqrt(2.0)}),
+    {WeightVector((0, 0)): 1, WeightVector((1, 0)): -1, WeightVector((0, 1)): -1},
+)
+
+
+def _unit_poly(*coeff_by_power):
+    return GeneralizedPolynomial(UNIT, {WeightVector((p,)): c for p, c in coeff_by_power})
+
+
+@st.composite
+def denominators(draw):
+    """A positive constant term and up to six terms of mixed sign over a
+    random basis of 1-3 atoms, sometimes squared to give roots of even
+    multiplicity. Atom values 1/2, 1 and 2 put some roots on grid points."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.05, max_value=4.0),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=4)] * size).map(WeightVector),
+            st.integers(min_value=-9, max_value=9),
+            max_size=6,
+        )
+    )
+    terms[WeightVector((0,) * size)] = draw(st.integers(min_value=1, max_value=9))
+    den = GeneralizedPolynomial(basis, terms)
+    return den * den if draw(st.booleans()) else den
+
+
+class TestPoleScan:
+    @given(denominators())
+    # A root on a grid point, and one at Y_MAX itself.
+    @example(_unit_poly((0, 1), (1, -2)))
+    @example(_unit_poly((0, 1), (1, -1)))
+    # Double roots on a grid point and between grid points.
+    @example(_unit_poly((0, 1), (1, -2)) * _unit_poly((0, 1), (1, -2)))
+    @example(_unit_poly((0, 1), (1, -3)) * _unit_poly((0, 1), (1, -3)))
+    # 1 - 4y + 4y**2 again, its -4y split over two weight vectors of value 1.
+    @example(
+        GeneralizedPolynomial(
+            BASIS,
+            {
+                WeightVector((0, 0)): 1,
+                WeightVector((1, 0)): -2,
+                WeightVector((0, 2)): -2,
+                WeightVector((2, 0)): 4,
+            },
+        )
+    )
+    # A constant denominator.
+    @example(_unit_poly((0, 3)))
+    # P = 1 + c y + c y**2 overflows near y = 1, where D itself does not.
+    @example(_unit_poly((0, 1), (1, 9 * 10**307), (3, -9 * 10**307), (2, 9 * 10**307)))
+    # The double-pole probe's denominator, (1 - y - y**sqrt(2))**2.
+    @example(_DOUBLE_POLE_FACTOR * _DOUBLE_POLE_FACTOR)
+    @settings(max_examples=300, deadline=None)
+    def test_drained_scan_equals_full_grid_reference(self, den):
+        # Exact equality of every candidate: root, bracket and bisection
+        # steps. A skipped grid run must hide no sign change and no zero.
+        gf = RationalGF(GeneralizedPolynomial.one(den.basis), den)
+        got, _ = bracket_denominator_roots(gf)
+        expected, _ = reference_bracket_denominator_roots(gf)
+        assert got == expected
