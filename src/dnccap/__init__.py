@@ -46,11 +46,10 @@ from .genpoly import (
     expand_series,
 )
 from .gf_builder import (
-    autocorrelation,
     build_gf,
+    gf_forbidden_patterns,
     gf_free_monoid,
     gf_from_regex,
-    gf_pattern_avoidance,
 )
 from .oracle import (
     EnumerationResult,
@@ -100,7 +99,6 @@ __all__ = [
     "WeightAtom",
     "WeightBasis",
     "WeightVector",
-    "autocorrelation",
     "build_gf",
     "capacity_from_characteristic",
     "check_density",
@@ -108,9 +106,9 @@ __all__ = [
     "enumerate_channel",
     "estimate_capacity",
     "expand_series",
+    "gf_forbidden_patterns",
     "gf_free_monoid",
     "gf_from_regex",
-    "gf_pattern_avoidance",
     "load_spec",
     "parse_regex",
     "parse_spec",

@@ -13,9 +13,9 @@ Document format (JSON, UTF-8):
 
 Atom names are identifiers; atom values are positive finite reals. Symbol
 weights are integer multiplicity maps over the atoms and must come out
-numerically positive. Regex constraints must declare "unambiguous": true;
-the declaration is the author's claim that the expression denotes each
-string exactly once, and downstream counting cross-checks it empirically.
+numerically positive. Regex constraints must declare "unambiguous": true,
+the author's claim that the expression denotes each string exactly once;
+it is trusted, and only `capacity --verify` checks it by enumeration.
 
 Regex grammar: union over '|', concatenation by juxtaposition (or spaces),
 postfix '*', parentheses, and 'ε' for the empty string. When every symbol

@@ -69,8 +69,8 @@ _positive = _number(allow_zero=False)
 def _analytic_report(
     spec: ChannelSpec, gf: RationalGF, method: str | None, tol: float
 ) -> CapacityReport:
-    """Solve by the named method; without one, the characteristic root
-    when the denominator has star form and the pole scan otherwise."""
+    """Solve by the named method. Without one: the pole scan for forbidden
+    patterns, else the characteristic root in star form, else the pole scan."""
     if method is None:
         star = not isinstance(spec.constraint, ForbiddenPatterns) and (
             characteristic_part(gf.denominator) is not None

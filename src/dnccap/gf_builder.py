@@ -3,22 +3,21 @@
 Each builder produces a RationalGF whose exact expansion counts the
 channel's strings by total weight:
 
-  gf_free_monoid         1 / (1 - sum of y**w(s)) for an unconstrained
-                         alphabet
-  gf_pattern_avoidance   the correlation-polynomial quotient
-                         c(x) / (x**k + (1 - 2x) c(x)) for binary
-                         equal-weight alphabets avoiding one pattern,
-                         with x = y**u for the common symbol weight u
+  gf_free_monoid         1 / (1 - f) for an unconstrained alphabet, f the
+                         sum of the symbol monomials y**w(s)
+  gf_forbidden_patterns  Goulden-Jackson cluster quotient for any forbidden
+                         set, alphabet and weights
   gf_from_regex          structural translation of an unambiguous regex:
                          union adds, concatenation multiplies, star of S
                          becomes den(S) / (den(S) - num(S))
 
-`build_gf` dispatches on the constraint kind. The regex route assumes the
-declared unambiguity; if the declaration is wrong the expansion produces
-counts exceeding the true ones, which downstream cross-checks catch.
+`build_gf` dispatches on the constraint kind. The regex route trusts the
+declared unambiguity; only `capacity --verify` checks it, by enumeration.
 """
 
 from __future__ import annotations
+
+import functools
 
 from .chanspec import (
     ChannelSpec,
@@ -32,69 +31,72 @@ from .chanspec import (
     Symbol,
     Union,
 )
-from .errors import UnsupportedChannelError
+from .errors import ResourceLimitError, UnsupportedChannelError
 from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
+
+# Most reduced forbidden patterns the cluster quotient's determinant takes.
+MAX_PATTERNS = 8
 
 
 def gf_free_monoid(spec: ChannelSpec) -> RationalGF:
     """1 / (1 - sum of symbol monomials): all strings over the alphabet."""
     basis = spec.basis
-    den = GeneralizedPolynomial.one(basis)
-    for sym in spec.symbols:
-        den = den - GeneralizedPolynomial.monomial(basis, sym.weight)
-    return RationalGF(GeneralizedPolynomial.one(basis), den)
+    den = [(WeightVector.zero(basis), 1)] + [(s.weight, -1) for s in spec.symbols]
+    return RationalGF(GeneralizedPolynomial.one(basis), GeneralizedPolynomial(basis, den))
 
 
-def autocorrelation(pattern: tuple[str, ...]) -> tuple[int, ...]:
-    """Correlation bits of a pattern with itself.
+def _contains(v: tuple[str, ...], u: tuple[str, ...]) -> bool:
+    return any(v[i : i + len(u)] == u for i in range(len(v) - len(u) + 1))
 
-    Bit i is 1 when the pattern shifted right by i agrees with itself on
-    the overlap, i.e. pattern[i:] == pattern[:k-i]. Bit 0 is always 1.
+
+def _minors(rows, basis):
+    """Memoised Laplace expansion: minor(cols) is det of the last len(cols) rows."""
+
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> GeneralizedPolynomial:
+        row = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        terms = []
+        for k, col in enumerate(cols):
+            if row[col]:
+                product = row[col] * minor(cols[:k] + cols[k + 1 :])
+                terms += [(wv, -c if k % 2 else c) for wv, c in product.terms()]
+        return GeneralizedPolynomial(basis, terms)
+
+    return minor
+
+
+def gf_forbidden_patterns(spec: ChannelSpec) -> RationalGF:
+    """det M / det B over the distinct patterns that contain no other.
+
+    M[v][u] is [v == u] plus y**w(v[t:]) for each t where u's last t
+    symbols equal v's first t; B is M with a top row (1 - f, 1, ...), f the
+    sum of symbol monomials, and a left column -y**w(v). det B = (1 - f) det
+    M + 1^T adj(M) y**w = det M (2 - f) - (det M less y**w(v) in each row v).
     """
-    k = len(pattern)
-    if k == 0:
-        raise ValueError("pattern must be nonempty")
-    return tuple(1 if pattern[i:] == pattern[: k - i] else 0 for i in range(k))
-
-
-def gf_pattern_avoidance(spec: ChannelSpec) -> RationalGF:
-    """Correlation-polynomial quotient for a single forbidden pattern.
-
-    Applies to a two-symbol alphabet whose symbols share one weight vector
-    u: counting by length x and substituting x = y**u. Anything wider
-    (several patterns, more symbols, unequal weights) should be written as
-    an unambiguous regex instead.
-    """
-    constraint = spec.constraint
-    if not isinstance(constraint, ForbiddenPatterns):
-        raise UnsupportedChannelError("the channel does not forbid patterns")
-    if len(constraint.patterns) != 1:
-        raise UnsupportedChannelError(
-            "the correlation-polynomial quotient handles exactly one forbidden "
-            "pattern; encode multiple patterns as an unambiguous regex"
-        )
-    if len(spec.symbols) != 2:
-        raise UnsupportedChannelError(
-            "the correlation-polynomial quotient needs a two-symbol alphabet; "
-            "encode other alphabets as an unambiguous regex"
-        )
-    u = spec.symbols[0].weight
-    if spec.symbols[1].weight != u:
-        raise UnsupportedChannelError(
-            "the correlation-polynomial quotient needs equal symbol weights; "
-            "encode unequal weights as an unambiguous regex"
-        )
-    pattern = constraint.patterns[0]
-    bits = autocorrelation(pattern)
-    k = len(pattern)
     basis = spec.basis
-    corr = GeneralizedPolynomial(
-        basis, {u.scaled(i): 1 for i, bit in enumerate(bits) if bit}
-    )
-    x = GeneralizedPolynomial.monomial(basis, u)
+    distinct = list(dict.fromkeys(spec.constraint.patterns))
+    patterns = [v for v in distinct if not any(u != v and _contains(v, u) for u in distinct)]
+    if len(patterns) > MAX_PATTERNS:
+        raise ResourceLimitError(
+            f"{len(patterns)} forbidden patterns exceed the limit of {MAX_PATTERNS}"
+        )
+
+    def term(word, coefficient: int = 1) -> tuple[WeightVector, int]:
+        columns = zip(*(spec.weight_of(name).mults for name in word))
+        return WeightVector(tuple(sum(column) for column in columns)), coefficient
+
+    def entry(v, u) -> GeneralizedPolynomial:
+        terms = [term(v[t:]) for t in range(1, min(len(u), len(v))) if u[-t:] == v[:t]]
+        return GeneralizedPolynomial(basis, terms + [(WeightVector.zero(basis), int(v == u))])
+
     one = GeneralizedPolynomial.one(basis)
-    den = GeneralizedPolynomial.monomial(basis, u.scaled(k)) + (one - 2 * x) * corr
-    return RationalGF(corr, den)
+    rows = [[gf_free_monoid(spec).denominator] + [one] * len(patterns)]
+    for v in patterns:
+        rows.append([GeneralizedPolynomial(basis, [term(v, -1)])] + [entry(v, u) for u in patterns])
+    minor = _minors(rows, basis)
+    return RationalGF(minor(tuple(range(1, len(rows)))), minor(tuple(range(len(rows)))))
 
 
 def gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
@@ -141,7 +143,7 @@ def build_gf(spec: ChannelSpec) -> RationalGF:
     if isinstance(constraint, Free):
         return gf_free_monoid(spec)
     if isinstance(constraint, ForbiddenPatterns):
-        return gf_pattern_avoidance(spec)
+        return gf_forbidden_patterns(spec)
     if isinstance(constraint, Regex):
         return gf_from_regex(constraint.expr, spec)
     raise TypeError(f"not a constraint: {constraint!r}")

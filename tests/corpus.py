@@ -19,6 +19,9 @@ construction on pattern prefixes.
 `reference_bracket_denominator_roots` is the former pole scan, which
 evaluated the denominator at every grid point, kept as the reference for
 the scan that skips the grid runs whose sign a bound proves.
+`reference_correlation_quotient` is the former single-pattern quotient
+from the pattern's autocorrelation (Guibas & Odlyzko), kept as the
+reference for the one-pattern case of the cluster quotient.
 """
 
 from __future__ import annotations
@@ -75,6 +78,7 @@ SHIPPED_CUTOFFS = {
     "avoid101.json": 11.0,
     "mixed-free.json": 14.0,
     "half-step.json": 8.0,
+    "two-patterns.json": 25.0,
 }
 
 # Cutoffs small enough for exhaustive naive enumeration.
@@ -88,6 +92,7 @@ NAIVE_CUTOFFS = {
     "avoid101.json": 7.0,
     "mixed-free.json": 8.0,
     "half-step.json": 5.0,
+    "two-patterns.json": 12.0,
 }
 
 
@@ -387,6 +392,28 @@ def reference_pattern_automaton(names, patterns) -> ConstraintAutomaton:
         transitions.append(row)
     accepting = frozenset(s for s in range(len(children)) if not terminal[s])
     return _tidy(transitions, 0, accepting, names)
+
+
+# --- reference correlation quotient ---------------------------------------------
+
+
+def reference_correlation_quotient(spec: ChannelSpec) -> RationalGF:
+    """c(x) / (x**k + (1 - 2x) c(x)) for one forbidden pattern of length k
+    over two symbols of one weight u, with x = y**u and c the pattern's
+    autocorrelation polynomial: bit i is set when the pattern shifted
+    right by i agrees with itself on the overlap."""
+    (pattern,) = spec.constraint.patterns
+    u = spec.symbols[0].weight
+    assert len(spec.symbols) == 2 and spec.symbols[1].weight == u
+    k = len(pattern)
+    basis = spec.basis
+    corr = GeneralizedPolynomial(
+        basis, {u.scaled(i): 1 for i in range(k) if pattern[i:] == pattern[: k - i]}
+    )
+    x = GeneralizedPolynomial.monomial(basis, u)
+    one = GeneralizedPolynomial.one(basis)
+    den = GeneralizedPolynomial.monomial(basis, u.scaled(k)) + (one - 2 * x) * corr
+    return RationalGF(corr, den)
 
 
 # --- reference pole scan --------------------------------------------------------

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
+import math
 import subprocess
 import sys
 import time
@@ -13,6 +15,7 @@ import pytest
 from hypothesis import event, given, settings, strategies as st
 
 from dnccap.cli import main
+from dnccap.gf_builder import MAX_PATTERNS
 from dnccap.oracle import enumerate_channel
 
 from corpus import CHANNELS_DIR, GOLDEN_DIR, cli_env
@@ -143,20 +146,44 @@ class TestCapacity:
         assert code == 2
         assert "star" in err
 
-    def test_multi_pattern_channel_not_supported(self, capsys, tmp_path):
+    def test_ternary_no_11_capacity(self, capsys, tmp_path):
+        # Strings over 0, 1, 2 without 11 grow like (1 + sqrt 3)**n.
         doc = {
             "atoms": {"unit": 1.0},
-            "symbols": [
-                {"name": "0", "weight": {"unit": 1}},
-                {"name": "1", "weight": {"unit": 1}},
-            ],
-            "constraint": {"type": "forbidden", "patterns": ["11", "00"]},
+            "symbols": [{"name": n, "weight": {"unit": 1}} for n in "012"],
+            "constraint": {"type": "forbidden", "patterns": ["11"]},
         }
-        path = tmp_path / "two-patterns.json"
+        path = tmp_path / "ternary-no-11.json"
         path.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "capacity", str(path))
-        assert code == 2
-        assert "regex" in err
+        code, out, _ = run(capsys, "capacity", str(path), "--json")
+        assert code == 0
+        report = json.loads(out)
+        assert abs(report["capacity_nats"] - math.log(1 + math.sqrt(3))) <= report["error_bound"]
+
+    def test_too_many_patterns_is_a_budget_error(self, tmp_path):
+        # MAX_PATTERNS + 1 distinct patterns of one length: none contains another.
+        patterns = ["".join(p) for p in itertools.product("01", repeat=4)]
+        doc = {
+            "atoms": {"unit": 1.0},
+            "symbols": [{"name": n, "weight": {"unit": 1}} for n in "01"],
+            "constraint": {"type": "forbidden", "patterns": patterns[: MAX_PATTERNS + 1]},
+        }
+        path = tmp_path / "many-patterns.json"
+        path.write_text(json.dumps(doc))
+
+        def dnc(*argv):
+            return subprocess.run(
+                [sys.executable, "-m", "dnccap", *argv, str(path)],
+                capture_output=True, text=True, env=cli_env(), timeout=60,
+            )
+
+        for argv in (["gf"], ["capacity"], ["coefficients", "--cutoff", "6"]):
+            proc = dnc(*argv)
+            assert proc.returncode == 2
+            assert proc.stderr.startswith("error:") and str(MAX_PATTERNS) in proc.stderr
+            assert "Traceback" not in proc.stderr
+        proc = dnc("coefficients", "--cutoff", "6", "--oracle")
+        assert proc.returncode == 0, proc.stderr
 
     @pytest.mark.parametrize("extra", [[], ["--verify", "--cutoff", "12"]])
     def test_double_pole_is_an_error_not_a_bound(self, capsys, tmp_path, extra):

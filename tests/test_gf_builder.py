@@ -3,24 +3,26 @@
 from __future__ import annotations
 
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dnccap import (
     GeneralizedPolynomial,
     UnsupportedChannelError,
     WeightBasis,
     WeightVector,
-    autocorrelation,
     build_gf,
+    enumerate_by_weight,
     expand_series,
+    gf_forbidden_patterns,
     gf_from_regex,
     gf_free_monoid,
-    gf_pattern_avoidance,
     parse_spec,
 )
 
-from corpus import load_channel
+from corpus import load_channel, reference_correlation_quotient
 
 
 UNIT = WeightBasis.from_mapping({"unit": 1.0})
@@ -32,25 +34,6 @@ def unit_poly(*coeff_by_power):
         WeightVector((power,)): coeff for power, coeff in coeff_by_power
     }
     return GeneralizedPolynomial(UNIT, terms)
-
-
-class TestAutocorrelation:
-    @pytest.mark.parametrize(
-        "pattern, bits",
-        [
-            (("1", "1", "1"), (1, 1, 1)),
-            (("1", "1"), (1, 1)),
-            (("1", "0", "1"), (1, 0, 1)),
-            (("0", "0", "1", "1"), (1, 0, 0, 0)),
-            (("0",), (1,)),
-            (("0", "1", "0", "0", "1", "0"), (1, 0, 0, 1, 0, 1)),
-        ],
-    )
-    def test_known_values(self, pattern, bits):
-        assert autocorrelation(pattern) == bits
-
-    def test_leading_bit_always_set(self):
-        assert autocorrelation(("0", "1"))[0] == 1
 
 
 class TestPatternAvoidance:
@@ -92,37 +75,66 @@ class TestPatternAvoidance:
         assert gf.numerator == unit_poly((0, 1), (2, 1))
         assert gf.denominator == unit_poly((0, 1), (2, -1), (4, -1))
 
-    @pytest.mark.parametrize(
-        "doc_patch",
-        [
-            {"constraint": {"type": "forbidden", "patterns": ["11", "00"]}},
+
+def forbidden_spec(weights, patterns):
+    """Symbols "0", "1", ... with the given {atom: multiplicity} weights."""
+    return parse_spec(
+        json.dumps(
             {
+                "atoms": {"unit": 1.0, "pi": math.pi, "r2": math.sqrt(2.0)},
                 "symbols": [
-                    {"name": n, "weight": {"unit": 1}} for n in ("0", "1", "2")
-                ]
-            },
-            {
-                "symbols": [
-                    {"name": "0", "weight": {"unit": 1}},
-                    {"name": "1", "weight": {"unit": 2}},
-                ]
-            },
-        ],
-        ids=["two patterns", "three symbols", "unequal weights"],
+                    {"name": str(i), "weight": w} for i, w in enumerate(weights)
+                ],
+                "constraint": {"type": "forbidden", "patterns": list(patterns)},
+            }
+        )
     )
-    def test_preconditions_point_to_regex_route(self, doc_patch):
-        doc = {
-            "atoms": {"unit": 1.0},
-            "symbols": [
-                {"name": "0", "weight": {"unit": 1}},
-                {"name": "1", "weight": {"unit": 1}},
-            ],
-            "constraint": {"type": "forbidden", "patterns": ["11"]},
-        }
-        doc.update(doc_patch)
-        spec = parse_spec(json.dumps(doc))
-        with pytest.raises(UnsupportedChannelError, match="regex"):
-            gf_pattern_avoidance(spec)
+
+
+WEIGHTS = st.dictionaries(
+    st.sampled_from(["unit", "pi", "r2"]), st.integers(1, 2), min_size=1, max_size=2
+)
+
+
+@st.composite
+def forbidden_sets(draw):
+    """2-3 symbols weighted by unit, pi and sqrt 2 at multiplicity 1-2, and
+    1-4 patterns of length 1-4 over them."""
+    weights = draw(st.lists(WEIGHTS, min_size=2, max_size=3))
+    pattern = st.text(alphabet="012"[: len(weights)], min_size=1, max_size=4)
+    return forbidden_spec(weights, draw(st.lists(pattern, min_size=1, max_size=4)))
+
+
+class TestClusterQuotient:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.text(alphabet="01", min_size=1, max_size=16),
+        st.sampled_from([{"unit": 1}, {"unit": 2}, {"pi": 1}]),
+    )
+    def test_one_pattern_equals_correlation_quotient(self, pattern, weight):
+        spec = forbidden_spec([weight, weight], [pattern])
+        expected = reference_correlation_quotient(spec)
+        gf = gf_forbidden_patterns(spec)
+        assert gf.numerator == expected.numerator
+        assert gf.denominator == expected.denominator
+
+    @settings(max_examples=200, deadline=None)
+    @given(forbidden_sets())
+    def test_series_equals_enumeration(self, spec):
+        cutoff = 9.0
+        series = expand_series(gf_forbidden_patterns(spec), cutoff)
+        assert series.entries == enumerate_by_weight(spec, cutoff).entries
+
+    def test_repeated_and_containing_patterns_are_dropped(self):
+        unit = {"unit": 1}
+        reduced = gf_forbidden_patterns(forbidden_spec([unit, unit], ["11"]))
+        gf = gf_forbidden_patterns(forbidden_spec([unit, unit], ["110", "11", "011", "11"]))
+        assert (gf.numerator, gf.denominator) == (reduced.numerator, reduced.denominator)
+
+    def test_single_symbol_patterns_remove_symbols(self):
+        # Forbidding "1" leaves the free monoid over "0" alone.
+        gf = gf_forbidden_patterns(forbidden_spec([{"unit": 1}, {"pi": 1}], ["1"]))
+        assert expand_series(gf, 6.0).counts() == [1] * 7
 
 
 class TestFreeMonoid:

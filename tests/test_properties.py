@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 
@@ -33,6 +34,7 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
+from dnccap.gf_builder import _minors
 from dnccap.solver import bracket_denominator_roots
 
 from corpus import (
@@ -97,6 +99,31 @@ class TestPolynomialAlgebra:
             rel_tol=1e-9,
             abs_tol=1e-9,
         )
+
+
+def leibniz_determinant(rows):
+    """Sum over all n! permutations, each signed by its inversion count."""
+    total = GeneralizedPolynomial.zero(BASIS)
+    for perm in itertools.permutations(range(len(rows))):
+        term = GeneralizedPolynomial.one(BASIS)
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        total = total + term if inversions % 2 == 0 else total - term
+    return total
+
+
+class TestDeterminant:
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.lists(polynomials(), min_size=n, max_size=n), min_size=n, max_size=n
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_memoised_laplace_equals_leibniz(self, rows):
+        assert _minors(rows, BASIS)(tuple(range(len(rows)))) == leibniz_determinant(rows)
 
 
 def regex_nodes():
