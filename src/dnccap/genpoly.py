@@ -33,10 +33,11 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
-from typing import Iterable, Iterator, Mapping, Union
+from operator import add, mul
+from typing import Iterable, Iterator, Union
 
 from .errors import (
     BasisMismatchError,
@@ -143,10 +144,15 @@ class WeightVector:
         return not any(self.mults)
 
     def value(self, basis: WeightBasis) -> float:
+        """Sum of multiplicity times atom value; the int 0 for the zero vector.
+
+        Summing every product, zeros included, gives the same float as
+        summing only the nonzero ones, because adding 0.0 is exact.
+        """
         values = basis.values()
         if len(values) != len(self.mults):
             raise BasisMismatchError("weight vector does not match basis size")
-        return sum(m * v for m, v in zip(self.mults, values) if m)
+        return sum(map(mul, self.mults, values)) or 0
 
     def as_mapping(self, basis: WeightBasis) -> dict[str, int]:
         return {a.name: m for a, m in zip(basis.atoms, self.mults) if m}
@@ -170,7 +176,10 @@ class GeneralizedPolynomial:
     __slots__ = ("basis", "_terms", "_float_terms")
 
     def __init__(self, basis: WeightBasis, terms: TermsLike = ()):
-        items = terms.items() if isinstance(terms, Mapping) else terms
+        if type(terms) is dict or isinstance(terms, Mapping):
+            items = terms.items()
+        else:
+            items = terms
         clean: dict[WeightVector, int] = {}
         for wv, c in items:
             if len(wv.mults) != basis.size:
@@ -431,7 +440,7 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             if nmults in pending:
                 pending[nmults] += e * count
                 continue
-            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
+            nvalue = sum(map(mul, nmults, values))
             if nvalue <= cutoff:
                 pending[nmults] = e * count
                 heapq.heappush(heap, (nvalue, nmults))

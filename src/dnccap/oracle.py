@@ -1,18 +1,20 @@
 """Brute-force ground truth: enumerate channel strings by exact weight.
 
-The enumeration is a best-first walk over (automaton state, exact weight
-vector) configurations. Weights are strictly positive, so every
-configuration popped at some weight received all of its contributions from
-strictly smaller weights; counts are therefore exact when popped. Strings
-in a deterministic automaton correspond one-to-one to automaton paths, so
-aggregating counts per configuration enumerates strings without storing
-them.
+The enumeration is one best-first walk over weight classes: a min-heap of
+exact weight vectors, each queued class carrying the path count of every
+(walk, automaton state) configuration that reaches it. Weights are
+strictly positive, so every class popped at some weight received all of
+its contributions from strictly smaller weights; counts are therefore
+exact when popped. Strings in a deterministic automaton correspond
+one-to-one to automaton paths, so aggregating counts per configuration
+enumerates strings without storing them.
 
 `estimate_capacity` turns the same walk into a certified lower bound on
-capacity. For each automaton state q it counts the strings whose run
-starts and ends at q (with q reachable and useful, which trim automata
-guarantee). Those string sets are closed under concatenation, so for any
-weight w with R_q[w] >= 1,
+capacity. Next to the series walk from the initial state, the walk runs
+one loop walk per automaton state q (up to STATE_CAP), all in the same
+heap, counting the strings whose run starts and ends at q (with q
+reachable and useful, which trim automata guarantee). Those string sets
+are closed under concatenation, so for any weight w with R_q[w] >= 1,
 
     capacity >= ln(R_q[w]) / w.
 
@@ -20,6 +22,11 @@ The estimate is the best such bound over all states and enumerated
 weights; it can only improve as the cutoff grows. The companion upper
 proxy min over large enumerated weights of ln(N[w]) / w gives the
 reported uncertainty.
+
+The work budget MAX_CONFIGS counts configurations, every walk's included,
+and is checked once per popped class. When it runs out, the
+ResourceLimitError's `partial` holds the series' completed weight
+classes, a prefix of the full series.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from operator import add
+from operator import add, mul
 from typing import Mapping
 
 from . import automaton as automaton_mod
@@ -37,81 +44,126 @@ from .errors import InsufficientDataError, ResourceLimitError
 from .genpoly import CoefficientSeries, WeightVector
 from .solver import CapacityReport
 
-# One enumeration, loop walks included, pops at most this many
-# configurations.
+# One enumeration, loop walks included, counts at most this many
+# (walk, state, weight) configurations.
 MAX_CONFIGS = 1_000_000
 STATE_CAP = 64
 
 
 @dataclass(frozen=True)
 class EnumerationResult:
-    """Exact counts by weight, plus per-state return counts for estimation."""
+    """Exact counts by weight, plus per-state return counts for estimation.
+
+    `configurations` is what the budget counted, the (walk, state) entries
+    of every popped weight class; `classes` is the number of heap pops.
+    """
 
     series: CoefficientSeries
     loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]]
     n_states: int
     states_analyzed: int
+    configurations: int
+    classes: int
 
 
-def _count_paths(
-    spec: ChannelSpec,
-    machine: ConstraintAutomaton,
-    start: int,
-    targets,
-    cutoff: float,
-    budget: list,
-) -> tuple[tuple[WeightVector, int], ...]:
-    """(weight vector, count) of automaton paths start -> targets, in
-    series order.
+def _walk(
+    spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
+) -> tuple[list, list, int, int]:
+    """Series and return counts of one best-first walk over weight classes.
 
-    A min-heap pops (multiplicities, state) configurations in (numeric
-    weight, multiplicities, state) order, and `pending` holds the path
-    count reaching each queued one. All contributions to a configuration
-    come from strictly lighter ones, so its count is final when popped.
-    The numeric weight is computed once, when a configuration first
-    appears, exactly as WeightVector.value computes it; the pop order is
-    therefore the order of weight_sort_key, and each weight vector enters
-    the output the first time the walk meets it, already in place. Every
-    recorded count is at least 1. Each popped configuration costs one dict
-    update per arc. Keys are raw int tuples, turned into WeightVectors
-    only in the result and in a budget error's partial counts. `budget`
-    is a single-element mutable pop counter shared across calls, which
-    may reach MAX_CONFIGS.
+    Walk w < n_loops counts the paths that start at state w and records
+    those ending back at w; walk n_loops counts the paths from the initial
+    state and records those ending in an accepting state. A min-heap pops
+    weight classes in (numeric weight, multiplicities) order, and
+    `pending` holds each queued class's path counts keyed by
+    walk * n_states + state. Every contribution to a class comes from a
+    strictly lighter one, so a popped class is final. Per popped class the
+    walk computes one successor class per distinct symbol weight, whose
+    numeric weight is computed once and queued only within the cutoff and
+    only if some arc reaches it, then makes one dict update per (walk,
+    state, arc). The pop order is the order of weight_sort_key, so each
+    walk's records come out in series order. Every recorded count is at
+    least 1. The budget counts the (walk, state) entries of each popped
+    class; past MAX_CONFIGS the ResourceLimitError's `partial` holds the
+    series' weight classes completed before that class.
+
+    Returns (series pairs, per-walk return pairs, configurations, classes),
+    the pairs as (WeightVector, count); the walks share one WeightVector
+    per recorded class.
     """
     max_configs = MAX_CONFIGS
+    heappop, heappush = heapq.heappop, heapq.heappush
+    n = machine.n_states
     values = spec.basis.values()
-    arcs = [(sym.name, sym.weight.mults) for sym in spec.symbols]
+    step_index: dict[tuple[int, ...], int] = {}
+    step_of = {
+        sym.name: step_index.setdefault(sym.weight.mults, len(step_index))
+        for sym in spec.symbols
+    }
+    steps = list(step_index)
+    # One arc list per key, shared by every walk: (step index, key offset).
+    arcs = [
+        tuple((step_of[name], nxt - state) for name, nxt in row.items())
+        for state, row in enumerate(machine.transitions)
+    ] * (n_loops + 1)
+    series_base = n_loops * n
+    record = {series_base + a: -1 for a in machine.accepting}
+    record.update((q * n + q, q) for q in range(n_loops))
     zero = (0,) * len(values)
-    pending: dict[tuple[tuple[int, ...], int], int] = {(zero, start): 1}
-    heap = [(0.0, zero, start)]
-    out: dict[tuple[int, ...], int] = {}
+    start = {q * n + q: 1 for q in range(n_loops)}
+    start[series_base + machine.initial] = 1
+    pending: dict[tuple[int, ...], dict[int, int]] = {zero: start}
+    heap = [(0.0, zero)]
+    series: list[tuple[WeightVector, int]] = []
+    loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
+    configurations = classes = 0
     while heap:
-        value, mults, state = heapq.heappop(heap)
-        count = pending.pop((mults, state))
-        budget[0] += 1
-        if budget[0] > max_configs:
+        value, mults = heappop(heap)
+        configs = pending.pop(mults)
+        classes += 1
+        configurations += len(configs)
+        if configurations > max_configs:
             raise ResourceLimitError(
                 f"enumeration exceeded {max_configs} configurations "
                 f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
-                partial={WeightVector(m): c for m, c in out.items()},
+                partial=dict(series),
             )
-        if state in targets:
-            out[mults] = out.get(mults, 0) + count
-        row = machine.transitions[state]
-        for name, step in arcs:
-            nxt = row.get(name)
-            if nxt is None:
-                continue
+        targets = []
+        fresh = []
+        for step in steps:
             nmults = tuple(map(add, mults, step))
-            nkey = (nmults, nxt)
-            if nkey in pending:
-                pending[nkey] += count
-                continue
-            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
-            if nvalue <= cutoff:
-                pending[nkey] = count
-                heapq.heappush(heap, (nvalue, nmults, nxt))
-    return tuple((WeightVector(m), c) for m, c in out.items())
+            target = pending.get(nmults)
+            if target is None:
+                nvalue = sum(map(mul, nmults, values))
+                if nvalue <= cutoff:
+                    target = {}
+                    fresh.append((nvalue, nmults, target))
+            targets.append(target)
+        accepted = 0
+        wv = None
+        for key, count in configs.items():
+            slot = record.get(key)
+            if slot is not None:
+                if slot < 0:
+                    accepted += count
+                else:
+                    if wv is None:
+                        wv = WeightVector(mults)
+                    loops[slot].append((wv, count))
+            for i, offset in arcs[key]:
+                target = targets[i]
+                if target is not None:
+                    nkey = key + offset
+                    target[nkey] = target.get(nkey, 0) + count
+        if accepted:
+            if wv is None:
+                wv = WeightVector(mults)
+            series.append((wv, accepted))
+        for nvalue, nmults, target in fresh:
+            if target:
+                pending[nmults] = target
+                heappush(heap, (nvalue, nmults))
+    return series, loops, configurations, classes
 
 
 def enumerate_channel(
@@ -122,32 +174,32 @@ def enumerate_channel(
 ) -> EnumerationResult:
     """Enumerate all channel strings of weight <= cutoff, grouped by weight.
 
-    With `with_loops` the walk is repeated from each of the first
-    STATE_CAP automaton states to collect the return counts the capacity
-    estimator needs. The walks share one budget of MAX_CONFIGS popped
-    configurations.
+    With `with_loops` the same walk also counts, for each of the first
+    STATE_CAP automaton states, the paths that return to it: the return
+    counts the capacity estimator needs. All walks share one heap of
+    weight classes and one budget of MAX_CONFIGS (walk, state, weight)
+    configurations, checked once per popped class. When the budget runs
+    out, the ResourceLimitError's `partial` holds the series' completed
+    weight classes, a prefix of the full series.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):
         raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
     machine = automaton_mod.for_spec(spec)
-    budget = [0]
-    entries = _count_paths(spec, machine, machine.initial, machine.accepting, cutoff, budget)
-    series = CoefficientSeries(spec.basis, entries, cutoff)
+    n_loops = min(machine.n_states, STATE_CAP) if with_loops else 0
+    series, loops, configurations, classes = _walk(spec, machine, cutoff, n_loops)
     loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
-    analyzed = 0
-    if with_loops:
-        for state in range(min(machine.n_states, STATE_CAP)):
-            returns = _count_paths(spec, machine, state, {state}, cutoff, budget)
-            analyzed += 1
-            pairs = tuple((wv, c) for wv, c in returns if not wv.is_zero())
-            if pairs:
-                loop_counts[state] = pairs
+    for state, returns in enumerate(loops):
+        # The first return of every loop walk is its own start, at weight 0.
+        if len(returns) > 1:
+            loop_counts[state] = tuple(returns[1:])
     return EnumerationResult(
-        series=series,
+        series=CoefficientSeries(spec.basis, tuple(series), cutoff),
         loop_counts=loop_counts,
         n_states=machine.n_states,
-        states_analyzed=analyzed,
+        states_analyzed=n_loops,
+        configurations=configurations,
+        classes=classes,
     )
 
 

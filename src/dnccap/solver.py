@@ -90,6 +90,11 @@ class CapacityReport:
     iterations: int
     note: str | None = None
 
+    def __post_init__(self) -> None:
+        # -log(1.0) is -0.0; adding 0.0 turns it into 0.0 and leaves every
+        # other float as it is, so a capacity of 0 never prints as -0.
+        object.__setattr__(self, "capacity_nats", self.capacity_nats + 0.0)
+
     def to_dict(self) -> dict:
         return {
             "method": self.method,

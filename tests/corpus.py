@@ -22,19 +22,30 @@ the scan that skips the grid runs whose sign a bound proves.
 `reference_correlation_quotient` is the former single-pattern quotient
 from the pattern's autocorrelation (Guibas & Odlyzko), kept as the
 reference for the one-pattern case of the cluster quotient.
+`reference_count_paths` is the former enumeration walk, one heap of
+(weight, state) configurations per start state, and
+`reference_enumerate_channel` its composition into the series walk and
+one loop walk per state; they are kept as the reference for the single
+walk over weight classes that `enumerate_channel` shares among them.
+`reference_weight_value` is the former `WeightVector.value`, a sum over
+the nonzero terms only, kept as the reference for the weight expression
+that sums every term.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 import os
 import random
 from collections import deque
 from fractions import Fraction
+from operator import add
 from pathlib import Path
 
-from dnccap import ChannelSpec, load_spec
+from dnccap import ChannelSpec, load_spec, oracle
+from dnccap import automaton as automaton_mod
 from dnccap.automaton import ConstraintAutomaton, _tidy
 from dnccap.chanspec import (
     Concat,
@@ -47,11 +58,17 @@ from dnccap.chanspec import (
     Symbol,
     Union,
 )
-from dnccap.errors import EvalOverflowError, ExpansionError, InsufficientDataError
+from dnccap.errors import (
+    EvalOverflowError,
+    ExpansionError,
+    InsufficientDataError,
+    ResourceLimitError,
+)
 from dnccap.genpoly import (
     CoefficientSeries,
     GeneralizedPolynomial,
     RationalGF,
+    WeightBasis,
     WeightVector,
     weight_sort_key,
 )
@@ -464,3 +481,105 @@ def reference_bracket_denominator_roots(
             found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
         prev_y, prev_v = y, v
     return found, evaluations
+
+
+# --- reference enumeration walk ---------------------------------------------------
+
+
+def reference_count_paths(
+    spec: ChannelSpec,
+    machine: ConstraintAutomaton,
+    start: int,
+    targets,
+    cutoff: float,
+    budget: list,
+) -> tuple[tuple[WeightVector, int], ...]:
+    """(weight vector, count) of automaton paths start -> targets, in
+    series order.
+
+    A min-heap pops (multiplicities, state) configurations in (numeric
+    weight, multiplicities, state) order, and `pending` holds the path
+    count reaching each queued one. All contributions to a configuration
+    come from strictly lighter ones, so its count is final when popped.
+    The numeric weight is computed once, when a configuration first
+    appears, exactly as WeightVector.value computes it; the pop order is
+    therefore the order of weight_sort_key, and each weight vector enters
+    the output the first time the walk meets it, already in place. Every
+    recorded count is at least 1. Each popped configuration costs one dict
+    update per arc. Keys are raw int tuples, turned into WeightVectors
+    only in the result and in a budget error's partial counts. `budget`
+    is a single-element mutable pop counter shared across calls, which
+    may reach MAX_CONFIGS.
+    """
+    max_configs = oracle.MAX_CONFIGS
+    values = spec.basis.values()
+    arcs = [(sym.name, sym.weight.mults) for sym in spec.symbols]
+    zero = (0,) * len(values)
+    pending: dict[tuple[tuple[int, ...], int], int] = {(zero, start): 1}
+    heap = [(0.0, zero, start)]
+    out: dict[tuple[int, ...], int] = {}
+    while heap:
+        value, mults, state = heapq.heappop(heap)
+        count = pending.pop((mults, state))
+        budget[0] += 1
+        if budget[0] > max_configs:
+            raise ResourceLimitError(
+                f"enumeration exceeded {max_configs} configurations "
+                f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
+                partial={WeightVector(m): c for m, c in out.items()},
+            )
+        if state in targets:
+            out[mults] = out.get(mults, 0) + count
+        row = machine.transitions[state]
+        for name, step in arcs:
+            nxt = row.get(name)
+            if nxt is None:
+                continue
+            nmults = tuple(map(add, mults, step))
+            nkey = (nmults, nxt)
+            if nkey in pending:
+                pending[nkey] += count
+                continue
+            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
+            if nvalue <= cutoff:
+                pending[nkey] = count
+                heapq.heappush(heap, (nvalue, nmults, nxt))
+    return tuple((WeightVector(m), c) for m, c in out.items())
+
+
+def reference_enumerate_channel(
+    spec: ChannelSpec, cutoff: float, *, with_loops: bool = True
+) -> oracle.EnumerationResult:
+    """The series walk, then one loop walk from each of the first
+    STATE_CAP states, sharing one MAX_CONFIGS pop budget. Every pop of
+    these walks is one configuration, so `configurations` and `classes`
+    both hold the total pops."""
+    cutoff = float(cutoff)
+    machine = automaton_mod.for_spec(spec)
+    budget = [0]
+    entries = reference_count_paths(
+        spec, machine, machine.initial, machine.accepting, cutoff, budget
+    )
+    series = CoefficientSeries(spec.basis, entries, cutoff)
+    loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
+    analyzed = 0
+    if with_loops:
+        for state in range(min(machine.n_states, oracle.STATE_CAP)):
+            returns = reference_count_paths(spec, machine, state, {state}, cutoff, budget)
+            analyzed += 1
+            pairs = tuple((wv, c) for wv, c in returns if not wv.is_zero())
+            if pairs:
+                loop_counts[state] = pairs
+    return oracle.EnumerationResult(
+        series=series,
+        loop_counts=loop_counts,
+        n_states=machine.n_states,
+        states_analyzed=analyzed,
+        configurations=budget[0],
+        classes=budget[0],
+    )
+
+
+def reference_weight_value(wv: WeightVector, basis: WeightBasis) -> float:
+    """The former WeightVector.value: a generator over the nonzero terms."""
+    return sum(m * v for m, v in zip(wv.mults, basis.values()) if m)

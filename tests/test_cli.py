@@ -160,6 +160,23 @@ class TestCapacity:
         report = json.loads(out)
         assert abs(report["capacity_nats"] - math.log(1 + math.sqrt(3))) <= report["error_bound"]
 
+    def test_zero_capacity_prints_without_a_sign(self, capsys, tmp_path):
+        # Forbidding "0" leaves one string per length: the pole is exactly
+        # 1, and -log(1.0) is -0.0.
+        doc = {
+            "atoms": {"unit": 1.0},
+            "symbols": [{"name": n, "weight": {"unit": 1}} for n in "01"],
+            "constraint": {"type": "forbidden", "patterns": ["0"]},
+        }
+        path = tmp_path / "no-0.json"
+        path.write_text(json.dumps(doc))
+        code, out, _ = run(capsys, "capacity", str(path))
+        assert code == 0
+        assert "capacity: 0 nats per unit weight" in out.splitlines()
+        code, out, _ = run(capsys, "capacity", str(path), "--json")
+        assert code == 0
+        assert '  "capacity_nats": 0.0,' in out.splitlines()
+
     def test_too_many_patterns_is_a_budget_error(self, tmp_path):
         # MAX_PATTERNS + 1 distinct patterns of one length: none contains another.
         patterns = ["".join(p) for p in itertools.product("01", repeat=4)]

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import math
+from collections import Counter
+from types import MappingProxyType
 
 import pytest
 
@@ -33,6 +35,10 @@ def poly(basis: WeightBasis, terms: dict[tuple, int]) -> GeneralizedPolynomial:
 class TestWeightVector:
     def test_value_is_dot_product(self):
         assert WeightVector((2, 1)).value(MIXED) == 2.0 + math.pi
+
+    def test_zero_vector_value_is_the_integer_zero(self):
+        value = WeightVector((0, 0)).value(MIXED)
+        assert value == 0 and type(value) is int
 
     def test_add_is_componentwise(self):
         assert WeightVector((1, 0)) + WeightVector((0, 2)) == WeightVector((1, 2))
@@ -99,6 +105,12 @@ class TestArithmetic:
     def test_rejects_non_integer_coefficients(self):
         with pytest.raises(ValueError):
             GeneralizedPolynomial(UNIT, {WeightVector((1,)): 1.5})
+
+    def test_any_mapping_or_pair_iterable_builds_the_same_polynomial(self):
+        terms = {WeightVector((0,)): 1, WeightVector((2,)): -3}
+        expected = GeneralizedPolynomial(UNIT, terms)
+        for given in (MappingProxyType(terms), Counter(terms), list(terms.items())):
+            assert GeneralizedPolynomial(UNIT, given) == expected
 
 
 class TestEvaluate:

@@ -6,10 +6,12 @@ import json
 import math
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dnccap import (
     InsufficientDataError,
     ResourceLimitError,
+    WeightBasis,
     WeightVector,
     build_gf,
     enumerate_by_weight,
@@ -26,6 +28,8 @@ from corpus import (
     SHIPPED_CUTOFFS,
     load_channel,
     naive_enumerate,
+    reference_enumerate_channel,
+    reference_weight_value,
 )
 
 
@@ -89,6 +93,27 @@ class TestEnumeration:
         assert info.value.partial is not None
         assert len(info.value.partial) >= 1
         assert all(isinstance(wv, WeightVector) for wv in info.value.partial)
+
+    @pytest.mark.parametrize("with_loops", [True, False])
+    @pytest.mark.parametrize("budget", [1, 5, 60])
+    def test_budget_partial_is_a_prefix_of_the_series(self, monkeypatch, with_loops, budget):
+        spec = load_channel("ex3.json")
+        full = enumerate_channel(spec, 30.0).series.entries
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", budget)
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_channel(spec, 30.0, with_loops=with_loops)
+        partial = tuple(info.value.partial.items())
+        assert partial == full[: len(partial)]
+
+    def test_budget_stopping_a_loop_walk_keeps_series_counts(self, monkeypatch):
+        # The series walk alone fits in 120 configurations; the loop walks
+        # exhaust the budget, and `partial` still holds series counts.
+        monkeypatch.setattr(oracle, "MAX_CONFIGS", 120)
+        with pytest.raises(ResourceLimitError) as info:
+            enumerate_channel(load_channel("ex3.json"), 30.0)
+        assert list(info.value.partial.values()) == [
+            1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504
+        ]
 
     def test_cutoff_must_be_finite(self):
         with pytest.raises(ValueError):
@@ -157,3 +182,103 @@ class TestEstimate:
     def test_tiny_cutoff_rejected(self):
         with pytest.raises(InsufficientDataError, match="cutoff"):
             estimate_capacity(enumerate_channel(load_channel("ex3.json"), 0.5))
+
+
+# --- the shared walk against the per-start reference walks ----------------------
+
+ATOMS = {"unit": 1.0, "half": 0.5, "pi": math.pi, "r2": math.sqrt(2.0)}
+
+
+@st.composite
+def channels(draw):
+    """Two or three symbols weighted over unit, half, pi and sqrt 2 (unit
+    and half are rationally dependent), under a forbidden set of 1-4
+    patterns of length 2-4, a random regex or no constraint."""
+    weight = st.dictionaries(
+        st.sampled_from(sorted(ATOMS)), st.integers(1, 2), min_size=1, max_size=2
+    )
+    weights = draw(st.lists(weight, min_size=2, max_size=3))
+    names = "012"[: len(weights)]
+    kind = draw(st.sampled_from(["forbidden", "regex", "free"]))
+    if kind == "forbidden":
+        pattern = st.text(alphabet=names, min_size=2, max_size=4)
+        patterns = draw(st.lists(pattern, min_size=1, max_size=4))
+        constraint = {"type": "forbidden", "patterns": patterns}
+    elif kind == "regex":
+        expr = st.recursive(
+            st.sampled_from(names),
+            lambda inner: st.one_of(
+                st.tuples(inner, inner).map(lambda ab: f"{ab[0]}{ab[1]}"),
+                st.tuples(inner, inner).map(lambda ab: f"({ab[0]}|{ab[1]})"),
+                inner.map(lambda a: f"({a})*"),
+            ),
+            max_leaves=6,
+        )
+        constraint = {"type": "regex", "expr": draw(expr), "unambiguous": True}
+    else:
+        constraint = {"type": "free"}
+    doc = {
+        "atoms": ATOMS,
+        "symbols": [{"name": n, "weight": w} for n, w in zip(names, weights)],
+        "constraint": constraint,
+    }
+    return parse_spec(json.dumps(doc))
+
+
+def _estimate(enum):
+    try:
+        return estimate_capacity(enum)
+    except InsufficientDataError as exc:
+        return str(exc)
+
+
+class TestSharedWalk:
+    @settings(max_examples=200, deadline=None)
+    @given(channels(), st.sampled_from([0.0, 2.5, 6.0, 9.0]), st.sampled_from([None, 1, 2]))
+    @example(load_channel("half-step.json"), 8.0, None)
+    @example(load_channel("avoid101.json"), 9.0, 1)  # 3 states, 1 loop walk
+    def test_equals_per_start_walks(self, spec, cutoff, state_cap):
+        with pytest.MonkeyPatch.context() as mp:
+            if state_cap is not None:
+                mp.setattr(oracle, "STATE_CAP", state_cap)
+            enum = enumerate_channel(spec, cutoff)
+            reference = reference_enumerate_channel(spec, cutoff)
+        assert enum.series == reference.series
+        assert enum.loop_counts == reference.loop_counts
+        assert enum.n_states == reference.n_states
+        assert enum.states_analyzed == reference.states_analyzed
+        assert enum.configurations == reference.configurations
+        assert _estimate(enum) == _estimate(reference)
+        alone = enumerate_channel(spec, cutoff, with_loops=False)
+        assert alone.series == reference.series
+        assert alone.configurations == reference_enumerate_channel(
+            spec, cutoff, with_loops=False
+        ).configurations
+
+    def test_work_counters(self):
+        # ex3 has three states and a class at every integer weight: 31
+        # heap pops carry all the configurations the four reference walks
+        # pop one at a time.
+        spec = load_channel("ex3.json")
+        enum = enumerate_channel(spec, 30.0)
+        assert enum.classes == 31
+        assert enum.configurations == reference_enumerate_channel(spec, 30.0).configurations
+
+
+ATOM_VALUES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)
+
+
+class TestWeightExpression:
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(ATOM_VALUES, min_size=1, max_size=16).flatmap(
+        lambda values: st.tuples(
+            st.just(values),
+            st.lists(st.integers(0, 10**6), min_size=len(values), max_size=len(values)),
+        )
+    ))
+    def test_value_is_bitwise_the_filtered_sum(self, case):
+        values, mults = case
+        basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+        wv = WeightVector(tuple(mults))
+        new, old = wv.value(basis), reference_weight_value(wv, basis)
+        assert (type(new), repr(new)) == (type(old), repr(old))
