@@ -12,8 +12,9 @@ flagged exponential weight growth.
 
 Text output rounds to five significant digits; --json emits the full
 precision payload with sorted keys, so identical inputs give byte-identical
-output. Warnings (for example, distinct exact weights merged in a printed
-row because their numeric values collide) go to stderr.
+output, and writes a non-finite number (such as the infinite radius of a
+finite language) as null. Warnings (for example, distinct exact weights
+merged in a printed row because their numeric values collide) go to stderr.
 """
 
 from __future__ import annotations
@@ -87,8 +88,7 @@ def _series_rows(series: CoefficientSeries) -> tuple[list[dict], int]:
     basis = series.basis
     rows: list[dict] = []
     merges = 0
-    for wv, count in series.entries:
-        value = wv.value(basis)
+    for value, (wv, count) in zip(series.values(), series.entries):
         term = {"exponents": wv.as_mapping(basis), "count": count}
         if rows and value - rows[-1]["weight"] <= TIE_EPSILON:
             rows[-1]["count"] += count
@@ -126,9 +126,24 @@ def _poly_text(p: GeneralizedPolynomial) -> str:
     return " ".join([head] + parts[1:])
 
 
+def _finite_or_null(value):
+    """The payload with every non-finite float replaced by None, which
+    JSON writes as null: JSON has no Infinity or NaN."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _finite_or_null(v) for k, v in value.items()}
+    if isinstance(value, list):
+        return [_finite_or_null(v) for v in value]
+    return value
+
+
 def _emit(payload: dict, text_lines: list[str], as_json: bool) -> None:
     if as_json:
-        sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        text = json.dumps(
+            _finite_or_null(payload), indent=2, sort_keys=True, allow_nan=False
+        )
+        sys.stdout.write(text + "\n")
     else:
         sys.stdout.write("\n".join(text_lines) + "\n")
 

@@ -12,6 +12,12 @@ value of a weight is computed only for ordering, evaluation, and display.
     RationalGF             quotient of two GeneralizedPolynomials
     CoefficientSeries      weight-sorted (WeightVector, count) pairs
 
+A WeightVector is an immutable tuple of its multiplicities (a tuple
+subclass, checked once when built), so the dict and heap work of the hot
+loops hashes, compares and orders vectors in C, and a vector equals the
+plain tuple of its entries. A sum of two valid vectors is valid, so `+`
+and the loops below build their sums without checking them again.
+
 Concatenating strings adds their weights, so a product of terms adds weight
 vectors component-wise. `expand_series` turns a RationalGF into the exact
 counting series of the language it enumerates, up to a weight cutoff, in a
@@ -21,12 +27,19 @@ class costs one heap operation and one product per denominator term. The
 pass keys classes by raw multiplicity tuples and builds a WeightVector only
 for the entries it returns.
 
-Float evaluation, the hot loop of the capacity solvers, reads
-`GeneralizedPolynomial.float_terms()`: a tuple of (float exponent,
-coefficient) pairs in term order, built on first use from
-`WeightVector.value` and cached on the (immutable) polynomial. A pole scan
-of a thousand grid points then computes each weight's value once, not once
-per point, and every caller sees the very same floats.
+Each weight's float is computed once per stage, by the same expression as
+`WeightVector.value` (the int 0 for the zero vector):
+  - `GeneralizedPolynomial.float_terms()`, the hot loop of the capacity
+    solvers, is a tuple of (float exponent, coefficient) pairs in term
+    order, built on first use and cached on the (immutable) polynomial. A
+    pole scan of a thousand grid points then computes each weight's value
+    once, not once per point, and every caller sees the very same floats.
+  - `expand_series` and the enumeration walk compute the float of every
+    class they queue and hand those floats to the CoefficientSeries they
+    build. The series checks its order on them and caches them for
+    `values`, `pairs`, `evaluate` and every later reader. A series built
+    through its public constructor computes and caches its floats the same
+    way, in the same check.
 """
 
 from __future__ import annotations
@@ -34,7 +47,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Iterator, Union
@@ -104,20 +117,36 @@ class WeightBasis:
             raise KeyError(f"no atom named {name!r} in basis") from None
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    """Exact exponent: a nonnegative integer multiplicity per basis atom."""
+class WeightVector(tuple):
+    """Exact exponent: a nonnegative integer multiplicity per basis atom.
 
-    mults: tuple[int, ...]
+    An immutable tuple of the multiplicities, so hashing, equality and
+    ordering run in C and a vector equals the plain tuple of its entries.
+    `+` adds two vectors componentwise and refuses anything else, a plain
+    tuple included, rather than concatenate; tuple repetition (`wv * k`)
+    raises TypeError, and `scaled` multiplies the entries instead.
+    """
 
-    def __post_init__(self) -> None:
-        mults = tuple(self.mults)
-        for m in mults:
+    __slots__ = ()
+
+    def __new__(cls, mults: Iterable[int]) -> "WeightVector":
+        self = tuple.__new__(cls, mults)
+        for m in self:
             if not isinstance(m, int) or isinstance(m, bool):
                 raise ValueError(f"multiplicities must be integers, got {m!r}")
             if m < 0:
                 raise ValueError(f"negative multiplicity {m}")
-        object.__setattr__(self, "mults", mults)
+        return self
+
+    @classmethod
+    def _unchecked(cls, mults: Iterable[int]) -> "WeightVector":
+        """A vector of multiplicities known to be valid, such as a sum of
+        valid vectors, built without the check of __new__."""
+        return tuple.__new__(cls, mults)
+
+    @property
+    def mults(self) -> "WeightVector":
+        return self
 
     @classmethod
     def zero(cls, basis: WeightBasis) -> "WeightVector":
@@ -128,20 +157,35 @@ class WeightVector:
         mults = [0] * basis.size
         for name, mult in mapping.items():
             mults[basis.index(name)] = mult
-        return cls(tuple(mults))
+        return cls(mults)
 
     def __add__(self, other: "WeightVector") -> "WeightVector":
-        if len(self.mults) != len(other.mults):
+        if not isinstance(other, WeightVector):
+            raise TypeError(f"cannot add {type(other).__name__} to a weight vector")
+        if len(self) != len(other):
             raise BasisMismatchError("cannot add weight vectors of different lengths")
-        return WeightVector(tuple(a + b for a, b in zip(self.mults, other.mults)))
+        # Sums of nonnegative integers need no second check.
+        return tuple.__new__(WeightVector, map(add, self, other))
+
+    def __radd__(self, other: object) -> "WeightVector":
+        # Reached for tuple + vector, which would otherwise concatenate.
+        raise TypeError(f"cannot add a weight vector to {type(other).__name__}")
+
+    def __mul__(self, other: object) -> "WeightVector":
+        raise TypeError("weight vectors do not repeat; use scaled(k) to multiply entries")
+
+    __rmul__ = __mul__
+
+    def __repr__(self) -> str:
+        return f"WeightVector(mults={tuple.__repr__(self)})"
 
     def scaled(self, k: int) -> "WeightVector":
         if k < 0:
             raise ValueError("scale factor must be nonnegative")
-        return WeightVector(tuple(k * m for m in self.mults))
+        return WeightVector(k * m for m in self)
 
     def is_zero(self) -> bool:
-        return not any(self.mults)
+        return not any(self)
 
     def value(self, basis: WeightBasis) -> float:
         """Sum of multiplicity times atom value; the int 0 for the zero vector.
@@ -150,19 +194,19 @@ class WeightVector:
         summing only the nonzero ones, because adding 0.0 is exact.
         """
         values = basis.values()
-        if len(values) != len(self.mults):
+        if len(values) != len(self):
             raise BasisMismatchError("weight vector does not match basis size")
-        return sum(map(mul, self.mults, values)) or 0
+        return sum(map(mul, self, values)) or 0
 
     def as_mapping(self, basis: WeightBasis) -> dict[str, int]:
-        return {a.name: m for a, m in zip(basis.atoms, self.mults) if m}
+        return {a.name: m for a, m in zip(basis.atoms, self) if m}
 
 
 def weight_sort_key(basis: WeightBasis):
     """Sort key ordering vectors by numeric value, exact lexicographic tiebreak."""
 
     def key(wv: WeightVector) -> tuple[float, tuple[int, ...]]:
-        return (wv.value(basis), wv.mults)
+        return (wv.value(basis), wv)
 
     return key
 
@@ -180,9 +224,10 @@ class GeneralizedPolynomial:
             items = terms.items()
         else:
             items = terms
+        size = basis.size
         clean: dict[WeightVector, int] = {}
         for wv, c in items:
-            if len(wv.mults) != basis.size:
+            if len(wv.mults) != size:
                 raise BasisMismatchError("term exponent does not match basis size")
             if not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError(f"coefficients must be integers, got {c!r}")
@@ -330,37 +375,68 @@ class RationalGF:
 
 @dataclass(frozen=True)
 class CoefficientSeries:
-    """Exact counts per weight, sorted by (numeric value, exponent vector)."""
+    """Exact counts per weight, sorted by (numeric value, exponent vector).
+
+    The float weight of every entry is computed once, by whoever builds
+    the series, checked for order and cached; `values`, `pairs` and
+    `evaluate` read the cache.
+    """
 
     basis: WeightBasis
     entries: tuple[tuple[WeightVector, int], ...]
     cutoff: float
+    _values: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         entries = tuple((wv, c) for wv, c in self.entries)
-        key = weight_sort_key(self.basis)
+        basis = self.basis
+        values = self._checked(entries, (wv.value(basis) for wv, _ in entries))
+        object.__setattr__(self, "entries", entries)
+        object.__setattr__(self, "cutoff", float(self.cutoff))
+        object.__setattr__(self, "_values", values)
+
+    @classmethod
+    def _from_values(
+        cls, basis: WeightBasis, entries: list, values: list, cutoff: float
+    ) -> "CoefficientSeries":
+        """The series of `entries` whose float weights the caller already
+        computed, exactly as WeightVector.value does; the public
+        constructor's check runs on these floats."""
+        series = object.__new__(cls)
+        entries = tuple(entries)
+        object.__setattr__(series, "basis", basis)
+        object.__setattr__(series, "entries", entries)
+        object.__setattr__(series, "cutoff", float(cutoff))
+        object.__setattr__(series, "_values", cls._checked(entries, iter(values)))
+        return series
+
+    @staticmethod
+    def _checked(entries: tuple, values: Iterator) -> tuple:
+        """The entries' float weights, drawn from `values` one per entry,
+        after checking each count and the strict (value, vector) order."""
+        checked = []
         prev = None
         for wv, c in entries:
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {c!r}")
-            k = key(wv)
-            if prev is not None and not prev < k:
+            key = (next(values), wv)
+            if prev is not None and not prev < key:
                 raise ValueError("series entries must be strictly increasing by weight")
-            prev = k
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cutoff", float(self.cutoff))
+            checked.append(key[0])
+            prev = key
+        return tuple(checked)
 
     def __len__(self) -> int:
         return len(self.entries)
 
     def values(self) -> list[float]:
-        return [wv.value(self.basis) for wv, _ in self.entries]
+        return list(self._values)
 
     def counts(self) -> list[int]:
         return [c for _, c in self.entries]
 
     def pairs(self) -> list[tuple[float, int]]:
-        return [(wv.value(self.basis), c) for wv, c in self.entries]
+        return [(v, c) for v, (_, c) in zip(self._values, self.entries)]
 
     def total_count(self) -> int:
         return sum(c for _, c in self.entries)
@@ -368,8 +444,8 @@ class CoefficientSeries:
     def evaluate(self, y: float) -> float:
         """Partial sum of the series at y; monotone in the cutoff for y > 0."""
         total = 0.0
-        for wv, c in self.entries:
-            total += c * (y ** wv.value(self.basis))
+        for v, (_, c) in zip(self._values, self.entries):
+            total += c * (y ** v)
         return total
 
 
@@ -414,6 +490,8 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     heapq.heapify(heap)
     generated = len(heap)
     entries: list[tuple[WeightVector, int]] = []
+    weights: list[float] = []
+    vector = WeightVector._unchecked
     while heap:
         if generated > term_limit:
             raise ResourceLimitError(
@@ -434,7 +512,8 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             )
         if not count:
             continue
-        entries.append((WeightVector(mults), count))
+        entries.append((vector(mults), count))
+        weights.append(value)
         for step, e in growth:
             nmults = tuple(map(add, mults, step))
             if nmults in pending:
@@ -445,4 +524,4 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
                 pending[nmults] = e * count
                 heapq.heappush(heap, (nvalue, nmults))
                 generated += 1
-    return CoefficientSeries(basis, tuple(entries), cutoff)
+    return CoefficientSeries._from_values(basis, entries, weights, cutoff)

@@ -21,7 +21,9 @@ are closed under concatenation, so for any weight w with R_q[w] >= 1,
 The estimate is the best such bound over all states and enumerated
 weights; it can only improve as the cutoff grows. The companion upper
 proxy min over large enumerated weights of ln(N[w]) / w gives the
-reported uncertainty.
+reported uncertainty. The walk keeps the best bound as it records the
+return counts and hands the series the float weight it queued each class
+with, so the estimate computes no weight again.
 
 The work budget MAX_CONFIGS counts configurations, every walk's included,
 and is checked once per popped class. When it runs out, the
@@ -56,6 +58,8 @@ class EnumerationResult:
 
     `configurations` is what the budget counted, the (walk, state) entries
     of every popped weight class; `classes` is the number of heap pops.
+    `loop_bound` is the best ln(count) / weight over the return counts in
+    `loop_counts`, 0.0 when there are none.
     """
 
     series: CoefficientSeries
@@ -64,11 +68,12 @@ class EnumerationResult:
     states_analyzed: int
     configurations: int
     classes: int
+    loop_bound: float
 
 
 def _walk(
     spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
-) -> tuple[list, list, int, int]:
+) -> tuple[list, list, list, float, int, int]:
     """Series and return counts of one best-first walk over weight classes.
 
     Walk w < n_loops counts the paths that start at state w and records
@@ -87,9 +92,13 @@ def _walk(
     class; past MAX_CONFIGS the ResourceLimitError's `partial` holds the
     series' weight classes completed before that class.
 
-    Returns (series pairs, per-walk return pairs, configurations, classes),
-    the pairs as (WeightVector, count); the walks share one WeightVector
-    per recorded class.
+    Returns (series pairs, per-walk return pairs, series weights, loop
+    bound, configurations, classes). The pairs are (WeightVector, count),
+    the walks sharing one WeightVector per recorded class; the series
+    weights are the floats the walk queued each series class with, the int
+    0 at weight zero as WeightVector.value gives it; the loop bound is the
+    best ln(count) / weight over the returns at positive weight, 0.0 if
+    none exceeds it.
     """
     max_configs = MAX_CONFIGS
     heappop, heappush = heapq.heappop, heapq.heappush
@@ -113,9 +122,15 @@ def _walk(
     start = {q * n + q: 1 for q in range(n_loops)}
     start[series_base + machine.initial] = 1
     pending: dict[tuple[int, ...], dict[int, int]] = {zero: start}
-    heap = [(0.0, zero)]
+    # The int 0, as WeightVector.value gives weight zero to the series.
+    heap = [(0, zero)]
     series: list[tuple[WeightVector, int]] = []
+    weights: list[float] = []
     loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
+    loop_bound = 0.0
+    log = math.log
+    # Every class is a sum of symbol weights, so a valid vector.
+    vector = WeightVector._unchecked
     configurations = classes = 0
     while heap:
         value, mults = heappop(heap)
@@ -148,8 +163,13 @@ def _walk(
                     accepted += count
                 else:
                     if wv is None:
-                        wv = WeightVector(mults)
+                        wv = vector(mults)
                     loops[slot].append((wv, count))
+                    # A count of 1 bounds nothing, and every return at weight 0 is 1.
+                    if count > 1:
+                        bound = log(count) / value
+                        if bound > loop_bound:
+                            loop_bound = bound
             for i, offset in arcs[key]:
                 target = targets[i]
                 if target is not None:
@@ -157,13 +177,14 @@ def _walk(
                     target[nkey] = target.get(nkey, 0) + count
         if accepted:
             if wv is None:
-                wv = WeightVector(mults)
+                wv = vector(mults)
             series.append((wv, accepted))
+            weights.append(value)
         for nvalue, nmults, target in fresh:
             if target:
                 pending[nmults] = target
                 heappush(heap, (nvalue, nmults))
-    return series, loops, configurations, classes
+    return series, loops, weights, loop_bound, configurations, classes
 
 
 def enumerate_channel(
@@ -187,19 +208,22 @@ def enumerate_channel(
         raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
     machine = automaton_mod.for_spec(spec)
     n_loops = min(machine.n_states, STATE_CAP) if with_loops else 0
-    series, loops, configurations, classes = _walk(spec, machine, cutoff, n_loops)
+    series, loops, weights, loop_bound, configurations, classes = _walk(
+        spec, machine, cutoff, n_loops
+    )
     loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
     for state, returns in enumerate(loops):
         # The first return of every loop walk is its own start, at weight 0.
         if len(returns) > 1:
             loop_counts[state] = tuple(returns[1:])
     return EnumerationResult(
-        series=CoefficientSeries(spec.basis, tuple(series), cutoff),
+        series=CoefficientSeries._from_values(spec.basis, series, weights, cutoff),
         loop_counts=loop_counts,
         n_states=machine.n_states,
         states_analyzed=n_loops,
         configurations=configurations,
         classes=classes,
+        loop_bound=loop_bound,
     )
 
 
@@ -225,20 +249,13 @@ def estimate_capacity(enum: EnumerationResult) -> CapacityReport:
             "enumeration found fewer than two weights with strings; "
             "raise the cutoff"
         )
-    basis = series.basis
-    estimate = 0.0
-    for pairs in enum.loop_counts.values():
-        for wv, count in pairs:
-            if count >= 1:
-                bound = math.log(count) / wv.value(basis)
-                if bound > estimate:
-                    estimate = bound
+    estimate = enum.loop_bound
     cumulative: list[tuple[float, int]] = []
     running = 0
-    for wv, c in series.entries:
+    for value, c in series.pairs():
         running += c
-        if not wv.is_zero():
-            cumulative.append((wv.value(basis), running))
+        if value:
+            cumulative.append((value, running))
     if cumulative:
         upper_half = cumulative[len(cumulative) // 2 :]
         proxy = min(math.log(c) / w for w, c in upper_half)

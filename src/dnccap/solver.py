@@ -188,6 +188,19 @@ def _log_enclosure_width(low: float, high: float) -> float:
     return math.log(high / low)
 
 
+def _finite_language_report(method: str) -> CapacityReport:
+    """A constant denominator makes the quotient a polynomial: finitely
+    many strings, capacity 0, no singularity to locate."""
+    return CapacityReport(
+        method=method,
+        radius_or_pole=math.inf,
+        capacity_nats=0.0,
+        error_bound=0.0,
+        iterations=0,
+        note="denominator has no growth terms; finitely many strings, capacity 0",
+    )
+
+
 def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | None:
     """E with den = d0 - E and E nonnegative, or None if den lacks star form."""
     terms = {}
@@ -220,14 +233,7 @@ def capacity_from_characteristic(
         )
     d0 = den.constant_coefficient
     if not growth:
-        return CapacityReport(
-            method="characteristic-root",
-            radius_or_pole=math.inf,
-            capacity_nats=0.0,
-            error_bound=0.0,
-            iterations=0,
-            note="denominator has no growth terms; finitely many strings, capacity 0",
-        )
+        return _finite_language_report("characteristic-root")
     result = smallest_positive_root(growth, float(d0), tol=tol)
     if _is_removable(gf, result.root):
         raise SolverError(
@@ -361,12 +367,15 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     The grid runs it skips are those whose sign the monotone bound on
     D = P - N proves (see SKIP_MARGIN), so it brackets exactly the roots a
     scan evaluating every grid point would. `iterations` is the number of
-    `evaluate` calls the scan made on D, P and N. Raises SolverError when
-    no surviving root is bracketed, a constant denominator included: a
+    `evaluate` calls the scan made on D, P and N. A constant denominator
+    has no pole to scan for: the language is finite and the capacity 0.
+    Otherwise raises SolverError when no surviving root is bracketed: a
     root of even multiplicity touches zero without changing sign, so an
     empty scan bounds nothing.
     """
     scan = _PoleScan(gf.denominator, tol)
+    if all(wv.is_zero() for wv, _ in gf.denominator.terms()):
+        return _finite_language_report("smallest-pole")
     skipped = 0
     for cand in scan:
         if _is_removable(gf, cand.root):

@@ -30,6 +30,12 @@ walk over weight classes that `enumerate_channel` shares among them.
 `reference_weight_value` is the former `WeightVector.value`, a sum over
 the nonzero terms only, kept as the reference for the weight expression
 that sums every term.
+`ReferenceWeightVector` is the former `WeightVector`, a frozen dataclass
+around a tuple of multiplicities, kept as the reference for the tuple
+subclass that replaced it, and `reference_estimate_capacity` the former
+`estimate_capacity`, which recomputed the float weight of every return
+count and series entry, kept as the reference for the estimate that reads
+the floats the walk computed.
 """
 
 from __future__ import annotations
@@ -40,8 +46,10 @@ import math
 import os
 import random
 from collections import deque
+from collections.abc import Mapping
+from dataclasses import dataclass
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 from pathlib import Path
 
 from dnccap import ChannelSpec, load_spec, oracle
@@ -59,6 +67,7 @@ from dnccap.chanspec import (
     Union,
 )
 from dnccap.errors import (
+    BasisMismatchError,
     EvalOverflowError,
     ExpansionError,
     InsufficientDataError,
@@ -72,7 +81,14 @@ from dnccap.genpoly import (
     WeightVector,
     weight_sort_key,
 )
-from dnccap.solver import DEFAULT_TOL, GRID_STEP, Y_MAX, DensityReport, RootResult
+from dnccap.solver import (
+    DEFAULT_TOL,
+    GRID_STEP,
+    Y_MAX,
+    CapacityReport,
+    DensityReport,
+    RootResult,
+)
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
@@ -577,9 +593,101 @@ def reference_enumerate_channel(
         states_analyzed=analyzed,
         configurations=budget[0],
         classes=budget[0],
+        loop_bound=reference_loop_bound(loop_counts, spec.basis),
     )
 
 
 def reference_weight_value(wv: WeightVector, basis: WeightBasis) -> float:
     """The former WeightVector.value: a generator over the nonzero terms."""
     return sum(m * v for m, v in zip(wv.mults, basis.values()) if m)
+
+
+# --- reference weight vector and capacity estimate ---------------------------------
+
+
+@dataclass(frozen=True)
+class ReferenceWeightVector:
+    """The former WeightVector: a frozen dataclass around the tuple."""
+
+    mults: tuple[int, ...]
+
+    def __post_init__(self) -> None:
+        mults = tuple(self.mults)
+        for m in mults:
+            if not isinstance(m, int) or isinstance(m, bool):
+                raise ValueError(f"multiplicities must be integers, got {m!r}")
+            if m < 0:
+                raise ValueError(f"negative multiplicity {m}")
+        object.__setattr__(self, "mults", mults)
+
+    def __add__(self, other: "ReferenceWeightVector") -> "ReferenceWeightVector":
+        if len(self.mults) != len(other.mults):
+            raise BasisMismatchError("cannot add weight vectors of different lengths")
+        return ReferenceWeightVector(tuple(a + b for a, b in zip(self.mults, other.mults)))
+
+    def scaled(self, k: int) -> "ReferenceWeightVector":
+        if k < 0:
+            raise ValueError("scale factor must be nonnegative")
+        return ReferenceWeightVector(tuple(k * m for m in self.mults))
+
+    def is_zero(self) -> bool:
+        return not any(self.mults)
+
+    def value(self, basis: WeightBasis) -> float:
+        values = basis.values()
+        if len(values) != len(self.mults):
+            raise BasisMismatchError("weight vector does not match basis size")
+        return sum(map(mul, self.mults, values)) or 0
+
+    def as_mapping(self, basis: WeightBasis) -> dict[str, int]:
+        return {a.name: m for a, m in zip(basis.atoms, self.mults) if m}
+
+
+def reference_loop_bound(
+    loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]], basis: WeightBasis
+) -> float:
+    """Best ln(count) / weight over the return counts, each weight
+    recomputed by WeightVector.value; 0.0 when none is positive."""
+    estimate = 0.0
+    for pairs in loop_counts.values():
+        for wv, count in pairs:
+            if count >= 1:
+                bound = math.log(count) / wv.value(basis)
+                if bound > estimate:
+                    estimate = bound
+    return estimate
+
+
+def reference_estimate_capacity(enum: oracle.EnumerationResult) -> CapacityReport:
+    """The former estimate_capacity, recomputing every weight it reads."""
+    series = enum.series
+    if sum(1 for _, c in series.entries if c >= 1) < 2:
+        raise InsufficientDataError(
+            "enumeration found fewer than two weights with strings; "
+            "raise the cutoff"
+        )
+    basis = series.basis
+    estimate = reference_loop_bound(enum.loop_counts, basis)
+    cumulative: list[tuple[float, int]] = []
+    running = 0
+    for wv, c in series.entries:
+        running += c
+        if not wv.is_zero():
+            cumulative.append((wv.value(basis), running))
+    if cumulative:
+        upper_half = cumulative[len(cumulative) // 2 :]
+        proxy = min(math.log(c) / w for w, c in upper_half)
+    else:
+        proxy = 0.0
+    gap = max(0.0, proxy - estimate)
+    return CapacityReport(
+        method="oracle-estimate",
+        radius_or_pole=math.exp(-estimate),
+        capacity_nats=estimate,
+        error_bound=gap,
+        iterations=len(series.entries),
+        note=(
+            f"lower bound from {enum.states_analyzed} of {enum.n_states} "
+            f"automaton state(s); upper proxy {proxy:.6g}"
+        ),
+    )

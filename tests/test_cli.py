@@ -51,6 +51,74 @@ DOUBLE_POLE_DOC = {
 }
 
 
+def strict_json(text: str):
+    """json.loads that refuses NaN, Infinity and -Infinity."""
+
+    def refuse(name):
+        raise ValueError(f"{name} is not valid JSON")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+def binary_doc(constraint: dict) -> dict:
+    return {
+        "atoms": {"unit": 1.0},
+        "symbols": [{"name": n, "weight": {"unit": 1}} for n in "01"],
+        "constraint": constraint,
+    }
+
+
+# Languages with finitely many strings, so capacity 0: the quotient of each
+# forbidden set is a polynomial over the constant denominator 1.
+FINITE_DOCS = {
+    "forbid-0-11": binary_doc({"type": "forbidden", "patterns": ["0", "11"]}),
+    "forbid-00-11-10": binary_doc({"type": "forbidden", "patterns": ["00", "11", "10"]}),
+    "regex-two-symbols": binary_doc(
+        {"type": "regex", "expr": "(0|1)(0|1)", "unambiguous": True}
+    ),
+}
+
+
+class TestFiniteLanguages:
+    @pytest.mark.parametrize("name", sorted(FINITE_DOCS))
+    @pytest.mark.parametrize(
+        "method, expected",
+        [
+            (None, None),
+            ("pole", "smallest-pole"),
+            ("characteristic", "characteristic-root"),
+        ],
+        ids=["auto", "pole", "characteristic"],
+    )
+    def test_every_analytic_route_answers_zero(self, capsys, tmp_path, name, method, expected):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(FINITE_DOCS[name]))
+        argv = ["capacity", str(path)] + (["--method", method] if method else [])
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        lines = out.splitlines()
+        assert "radius or pole: inf" in lines
+        assert "capacity: 0 nats per unit weight" in lines
+        assert "note: denominator has no growth terms; finitely many strings, capacity 0" in lines
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        report = strict_json(out)
+        assert report["radius_or_pole"] is None
+        assert (report["capacity_nats"], report["error_bound"], report["iterations"]) == (0.0, 0.0, 0)
+        if expected:
+            assert report["method"] == expected
+
+    @pytest.mark.parametrize("name", ["forbid-0-11", "forbid-00-11-10"])
+    def test_the_oracle_agrees(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(FINITE_DOCS[name]))
+        code, out, _ = run(
+            capsys, "capacity", str(path), "--method", "oracle", "--cutoff", "6", "--json"
+        )
+        assert code == 0
+        assert strict_json(out)["capacity_nats"] == 0.0
+
+
 class TestCapacity:
     def test_mixed_weight_channel_text(self, capsys):
         code, out, _ = run(capsys, "capacity", channel("ex2.json"))
@@ -597,3 +665,5 @@ def test_fuzzed_argv_exits_with_a_documented_code(fuzz_files, data):
         assert stderr.getvalue().startswith(("error: ", "usage: "))
     else:
         assert stdout.getvalue()
+        if "--json" in argv:
+            strict_json(stdout.getvalue())

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import math
+import pickle
 from collections import Counter
 from types import MappingProxyType
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from dnccap import (
     BasisMismatchError,
@@ -19,9 +21,13 @@ from dnccap import (
     WeightAtom,
     WeightBasis,
     WeightVector,
+    build_gf,
+    enumerate_channel,
     expand_series,
 )
 from dnccap import genpoly
+
+from corpus import SHIPPED_CUTOFFS, ReferenceWeightVector, load_channel
 
 UNIT = WeightBasis.from_mapping({"unit": 1.0})
 MIXED = WeightBasis.from_mapping({"unit": 1.0, "pi": math.pi})
@@ -30,6 +36,41 @@ HALVES = WeightBasis.from_mapping({"unit": 1.0, "half": 0.5})
 
 def poly(basis: WeightBasis, terms: dict[tuple, int]) -> GeneralizedPolynomial:
     return GeneralizedPolynomial(basis, {WeightVector(k): v for k, v in terms.items()})
+
+
+class IntSubclass(int):
+    """An int subclass: accepted as a multiplicity, like int itself."""
+
+
+# Valid, negative, bool, float and int-subclass multiplicities.
+MULTIPLICITY = st.one_of(
+    st.integers(0, 10**6),
+    st.integers(-3, -1),
+    st.booleans(),
+    st.floats(allow_nan=False, allow_infinity=False, min_value=-2.0, max_value=2.0),
+    st.integers(0, 5).map(IntSubclass),
+)
+ATOM_NAMES = ("unit", "pi", "r2", "half")
+ATOM_VALUES = (1.0, math.pi, math.sqrt(2.0), 0.5)
+
+
+def _build(cls, mults):
+    """The vector, or the message that refused it."""
+    try:
+        return cls(tuple(mults))
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def _add(a, b):
+    try:
+        return a + b
+    except BasisMismatchError as exc:
+        return f"BasisMismatchError: {exc}"
+
+
+def _outcome(result):
+    return result if isinstance(result, str) else "accepted"
 
 
 class TestWeightVector:
@@ -63,6 +104,69 @@ class TestWeightVector:
     def test_basis_mismatch(self):
         with pytest.raises(BasisMismatchError):
             WeightVector((1,)).value(MIXED)
+
+    def test_equals_the_plain_tuple(self):
+        wv = WeightVector((2, 1))
+        assert wv == (2, 1) and hash(wv) == hash((2, 1))
+        assert wv.mults is wv
+        assert repr(wv) == "WeightVector(mults=(2, 1))"
+
+    @pytest.mark.parametrize(
+        "repeat",
+        [lambda wv: wv * 2, lambda wv: 2 * wv, lambda wv: wv * wv, lambda wv: wv * True],
+        ids=["wv*2", "2*wv", "wv*wv", "wv*True"],
+    )
+    def test_tuple_repetition_is_refused(self, repeat):
+        with pytest.raises(TypeError):
+            repeat(WeightVector((1, 2)))
+
+    @pytest.mark.parametrize(
+        "concatenate",
+        [lambda wv: wv + (3, 4), lambda wv: (3, 4) + wv, lambda wv: wv + 1],
+        ids=["wv+tuple", "tuple+wv", "wv+int"],
+    )
+    def test_only_vectors_add(self, concatenate):
+        with pytest.raises(TypeError):
+            concatenate(WeightVector((1, 2)))
+
+    def test_in_place_repetition_is_refused(self):
+        wv = WeightVector((1, 2))
+        with pytest.raises(TypeError):
+            wv *= 3
+        assert wv == WeightVector((1, 2))
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.lists(MULTIPLICITY, max_size=4), st.lists(MULTIPLICITY, max_size=4))
+    @example([1, 2], [0, 3])
+    @example([IntSubclass(2), 0], [1, IntSubclass(1)])
+    @example([True], [1])
+    @example([-1, 2.0], [])
+    def test_matches_the_former_dataclass(self, a, b):
+        new_a, old_a = _build(WeightVector, a), _build(ReferenceWeightVector, a)
+        new_b, old_b = _build(WeightVector, b), _build(ReferenceWeightVector, b)
+        assert _outcome(new_a) == _outcome(old_a)
+        assert _outcome(new_b) == _outcome(old_b)
+        if isinstance(new_a, str):
+            return
+        assert type(new_a) is WeightVector and new_a.mults == old_a.mults
+        assert repr(new_a) == repr(old_a).removeprefix("Reference")
+        assert new_a.is_zero() == old_a.is_zero()
+        basis = WeightBasis.from_mapping(dict(zip(ATOM_NAMES, ATOM_VALUES[: len(a)])))
+        new_v, old_v = new_a.value(basis), old_a.value(basis)
+        assert (type(new_v), repr(new_v)) == (type(old_v), repr(old_v))
+        assert new_a.as_mapping(basis) == old_a.as_mapping(basis)
+        loaded = pickle.loads(pickle.dumps(new_a))
+        assert type(loaded) is WeightVector and loaded == new_a
+        assert hash(loaded) == hash(new_a)
+        if isinstance(new_b, str):
+            return
+        assert (new_a == new_b) == (old_a == old_b)
+        if new_a == new_b:
+            assert hash(new_a) == hash(new_b)
+        new_sum, old_sum = _add(new_a, new_b), _add(old_a, old_b)
+        assert _outcome(new_sum) == _outcome(old_sum)
+        if not isinstance(new_sum, str):
+            assert type(new_sum) is WeightVector and new_sum.mults == old_sum.mults
 
     def test_atom_must_be_positive(self):
         with pytest.raises(ValueError):
@@ -273,9 +377,65 @@ class TestCoefficientSeries:
         with pytest.raises(ValueError):
             CoefficientSeries(UNIT, ((WeightVector((0,)), -1),), 2.0)
 
+    def test_rejects_out_of_order_entries_with_todays_message(self):
+        for entries in (
+            ((WeightVector((1,)), 1), (WeightVector((0,)), 1)),
+            ((WeightVector((1,)), 1), (WeightVector((1,)), 2)),
+        ):
+            with pytest.raises(
+                ValueError, match="^series entries must be strictly increasing by weight$"
+            ):
+                CoefficientSeries(UNIT, entries, 2.0)
+
+    @pytest.mark.parametrize("count", [-1, True, False, 1.0, None])
+    def test_rejects_bad_counts_with_todays_message(self, count):
+        message = f"counts must be nonnegative integers, got {count!r}"
+        with pytest.raises(ValueError) as info:
+            CoefficientSeries(UNIT, ((WeightVector((0,)), 1), (WeightVector((1,)), count)), 2.0)
+        assert str(info.value) == message
+
+    def test_a_bad_count_is_reported_before_a_later_entry_is_weighed(self):
+        # Each entry's count is checked before its weight is computed.
+        entries = ((WeightVector((0,)), -1), (WeightVector((0, 1)), 1))
+        with pytest.raises(ValueError, match="nonnegative integers"):
+            CoefficientSeries(UNIT, entries, 2.0)
+
+    def test_caches_the_floats_it_checked(self):
+        series = CoefficientSeries(
+            HALVES, [[WeightVector((0, 0)), 1], [WeightVector((0, 1)), 2]], 1.0
+        )
+        assert series.entries == ((WeightVector((0, 0)), 1), (WeightVector((0, 1)), 2))
+        assert _bits(series.values()) == [(int, "0"), (float, "0.5")]
+        assert series.pairs() == [(0, 1), (0.5, 2)]
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CUTOFFS))
+    def test_floats_are_the_weight_values_bit_for_bit(self, name):
+        spec = load_channel(name)
+        cutoff = SHIPPED_CUTOFFS[name]
+        for series in (
+            expand_series(build_gf(spec), cutoff),
+            enumerate_channel(spec, cutoff).series,
+        ):
+            expected = [wv.value(spec.basis) for wv, _ in series.entries]
+            assert _bits(series.values()) == _bits(expected)
+            assert series.values()[0] == 0 and type(series.values()[0]) is int
+            assert series.pairs() == [(v, c) for v, (_, c) in zip(expected, series.entries)]
+            # The partial sum adds the same terms in the same order.
+            total = 0.0
+            for v, (_, c) in zip(expected, series.entries):
+                total += c * (0.4 ** v)
+            assert series.evaluate(0.4) == total
+            assert series == CoefficientSeries(spec.basis, series.entries, cutoff)
+
     def test_partial_sum_evaluation(self):
         series = CoefficientSeries(
             UNIT, ((WeightVector((0,)), 1), (WeightVector((1,)), 2)), 1.0
         )
         assert series.evaluate(0.5) == pytest.approx(1 + 2 * 0.5)
         assert series.total_count() == 3
+
+
+def _bits(values):
+    """Each value's type and shortest round-trip repr: equal exactly when
+    the floats are equal bit for bit (none here is NaN or -0.0)."""
+    return [(type(v), repr(v)) for v in values]

@@ -91,6 +91,19 @@ def test_cli_run_is_byte_identical(capsys, monkeypatch, run):
     assert captured.out.encode() == (CLI_DIR / f"{run}.json").read_bytes()
 
 
+def _refuse(name):
+    raise ValueError(f"{name} is not valid JSON")
+
+
+@pytest.mark.parametrize(
+    "record",
+    sorted(GOLDEN_DIR.parent.rglob("*.json")),
+    ids=lambda path: str(path.relative_to(GOLDEN_DIR.parent)),
+)
+def test_golden_record_is_strict_json(record):
+    json.loads(record.read_text(), parse_constant=_refuse)
+
+
 def test_every_channel_and_subcommand_is_pinned():
     expected = dict(DENSITY_RUNS)
     for name in channel_specs():

@@ -29,6 +29,7 @@ from corpus import (
     load_channel,
     naive_enumerate,
     reference_enumerate_channel,
+    reference_estimate_capacity,
     reference_weight_value,
 )
 
@@ -225,9 +226,9 @@ def channels(draw):
     return parse_spec(json.dumps(doc))
 
 
-def _estimate(enum):
+def _estimate(enum, estimate=estimate_capacity):
     try:
-        return estimate_capacity(enum)
+        return estimate(enum)
     except InsufficientDataError as exc:
         return str(exc)
 
@@ -248,7 +249,13 @@ class TestSharedWalk:
         assert enum.n_states == reference.n_states
         assert enum.states_analyzed == reference.states_analyzed
         assert enum.configurations == reference.configurations
+        assert enum.loop_bound == reference.loop_bound
         assert _estimate(enum) == _estimate(reference)
+        # Exactly the former formula, which recomputed every weight.
+        assert _estimate(enum) == _estimate(enum, reference_estimate_capacity)
+        values = enum.series.values()
+        expected = [wv.value(spec.basis) for wv, _ in enum.series.entries]
+        assert [(type(v), repr(v)) for v in values] == [(type(v), repr(v)) for v in expected]
         alone = enumerate_channel(spec, cutoff, with_loops=False)
         assert alone.series == reference.series
         assert alone.configurations == reference_enumerate_channel(

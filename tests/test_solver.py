@@ -194,11 +194,18 @@ class TestSmallestPositivePole:
         with pytest.raises(SolverError, match="apart from 1 removable"):
             smallest_positive_pole(gf)
 
-    def test_constant_denominator_is_an_error(self):
-        # A finite language; the characteristic route answers capacity 0.
+    def test_constant_denominator_is_a_finite_language(self):
+        # (1 + y) / 1 counts finitely many strings: capacity 0, the same
+        # answer as the characteristic route's.
         gf = RationalGF(unit_poly((0, 1), (1, 1)), unit_poly((0, 1)))
-        with pytest.raises(SolverError, match="no sign change"):
-            smallest_positive_pole(gf)
+        by_pole = smallest_positive_pole(gf)
+        by_char = capacity_from_characteristic(gf)
+        assert by_pole.method == "smallest-pole"
+        assert by_pole.radius_or_pole == math.inf
+        assert by_pole.capacity_nats == 0.0 and by_pole.error_bound == 0.0
+        assert by_pole.iterations == 0
+        assert by_pole.note == by_char.note
+        assert "finitely many strings" in by_pole.note
 
     def test_removable_root_skipped(self):
         # den = 4 - 13y + 10y**2 vanishes at 0.5 and 0.8; the numerator
