@@ -18,8 +18,8 @@ Construction routes:
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 
+from ._record import Record, set_slot as _set
 from .chanspec import (
     ChannelSpec,
     Concat,
@@ -35,13 +35,18 @@ from .chanspec import (
 from .errors import ResourceLimitError
 
 
-@dataclass(frozen=True)
-class ConstraintAutomaton:
+class ConstraintAutomaton(Record):
     """Trim DFA: transitions[state][symbol] -> state, absent means reject."""
 
+    __slots__ = ("transitions", "initial", "accepting")
     transitions: tuple[dict, ...]
     initial: int
     accepting: frozenset
+
+    def __init__(self, transitions: tuple[dict, ...], initial: int, accepting: frozenset) -> None:
+        _set(self, "transitions", transitions)
+        _set(self, "initial", initial)
+        _set(self, "accepting", accepting)
 
     @property
     def n_states(self) -> int:
@@ -58,6 +63,31 @@ class ConstraintAutomaton:
     def accepts(self, symbols) -> bool:
         state = self.run(symbols)
         return state is not None and state in self.accepting
+
+    def is_acyclic(self) -> bool:
+        """Whether no path leads from a state back to itself. In a trim
+        automaton every path spells part of an accepted string, so an
+        acyclic one accepts finitely many strings, and a cyclic one
+        infinitely many.
+
+        Kahn's topological sort: states whose every incoming arc comes
+        from a removed state are removed; all are removed exactly when
+        there is no cycle.
+        """
+        transitions = self.transitions
+        indegree = [0] * len(transitions)
+        for row in transitions:
+            for t in row.values():
+                indegree[t] += 1
+        ready = [s for s, d in enumerate(indegree) if not d]
+        removed = 0
+        while ready:
+            removed += 1
+            for t in transitions[ready.pop()].values():
+                indegree[t] -= 1
+                if not indegree[t]:
+                    ready.append(t)
+        return removed == len(transitions)
 
 
 # The regex route refuses a subset construction with more states than this.

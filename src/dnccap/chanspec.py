@@ -31,9 +31,8 @@ from __future__ import annotations
 import json
 import math
 import re
-from dataclasses import dataclass
-from typing import Union as TUnion
 
+from ._record import Record, set_slot as _set
 from .errors import SpecError
 from .genpoly import WeightBasis, WeightVector
 
@@ -41,41 +40,52 @@ from .genpoly import WeightBasis, WeightVector
 # --- regex abstract syntax ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Epsilon:
-    pass
+class Epsilon(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Symbol:
+class Symbol(Record):
+    __slots__ = ("name",)
     name: str
 
-
-@dataclass(frozen=True)
-class Union:
-    parts: tuple["RegexNode", ...]
+    def __init__(self, name: str) -> None:
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class Concat:
-    parts: tuple["RegexNode", ...]
+class Union(Record):
+    __slots__ = ("parts",)
+    parts: tuple[RegexNode, ...]
+
+    def __init__(self, parts: tuple[RegexNode, ...]) -> None:
+        _set(self, "parts", parts)
 
 
-@dataclass(frozen=True)
-class Star:
-    child: "RegexNode"
+class Concat(Record):
+    __slots__ = ("parts",)
+    parts: tuple[RegexNode, ...]
+
+    def __init__(self, parts: tuple[RegexNode, ...]) -> None:
+        _set(self, "parts", parts)
 
 
-RegexNode = TUnion[Epsilon, Symbol, Union, Concat, Star]
+class Star(Record):
+    __slots__ = ("child",)
+    child: RegexNode
+
+    def __init__(self, child: RegexNode) -> None:
+        _set(self, "child", child)
 
 
-def union_of(parts: list["RegexNode"]) -> "RegexNode":
+RegexNode = Epsilon | Symbol | Union | Concat | Star
+
+
+def union_of(parts: list[RegexNode]) -> RegexNode:
     if not parts:
         raise ValueError("union of nothing")
     return parts[0] if len(parts) == 1 else Union(tuple(parts))
 
 
-def concat_of(parts: list["RegexNode"]) -> "RegexNode":
+def concat_of(parts: list[RegexNode]) -> RegexNode:
     if not parts:
         raise ValueError("concatenation of nothing")
     return parts[0] if len(parts) == 1 else Concat(tuple(parts))
@@ -84,47 +94,61 @@ def concat_of(parts: list["RegexNode"]) -> "RegexNode":
 # --- constraint kinds and the spec itself ------------------------------------
 
 
-@dataclass(frozen=True)
-class Free:
-    pass
+class Free(Record):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class ForbiddenPatterns:
+class ForbiddenPatterns(Record):
+    __slots__ = ("patterns",)
     patterns: tuple[tuple[str, ...], ...]
 
+    def __init__(self, patterns: tuple[tuple[str, ...], ...]) -> None:
+        _set(self, "patterns", patterns)
 
-@dataclass(frozen=True)
-class Regex:
+
+class Regex(Record):
+    __slots__ = ("expr",)
     expr: RegexNode
 
+    def __init__(self, expr: RegexNode) -> None:
+        _set(self, "expr", expr)
 
-ConstraintKind = TUnion[Free, ForbiddenPatterns, Regex]
+
+ConstraintKind = Free | ForbiddenPatterns | Regex
 
 
-@dataclass(frozen=True)
-class SymbolDef:
+class SymbolDef(Record):
+    __slots__ = ("name", "weight")
     name: str
     weight: WeightVector
 
+    def __init__(self, name: str, weight: WeightVector) -> None:
+        _set(self, "name", name)
+        _set(self, "weight", weight)
 
-@dataclass(frozen=True)
-class ChannelSpec:
+
+class ChannelSpec(Record):
+    __slots__ = ("basis", "symbols", "constraint")
     basis: WeightBasis
     symbols: tuple[SymbolDef, ...]
     constraint: ConstraintKind
 
-    def __post_init__(self) -> None:
-        if not self.symbols:
+    def __init__(
+        self, basis: WeightBasis, symbols: tuple[SymbolDef, ...], constraint: ConstraintKind
+    ) -> None:
+        if not symbols:
             raise ValueError("a channel needs at least one symbol")
-        names = [s.name for s in self.symbols]
+        names = [s.name for s in symbols]
         if len(set(names)) != len(names):
             raise ValueError("duplicate symbol names")
-        for s in self.symbols:
+        for s in symbols:
             if not s.name:
                 raise ValueError("symbol names must be nonempty")
-            if s.weight.value(self.basis) <= 0.0:
+            if s.weight.value(basis) <= 0.0:
                 raise ValueError(f"symbol {s.name!r} must have positive weight")
+        _set(self, "basis", basis)
+        _set(self, "symbols", symbols)
+        _set(self, "constraint", constraint)
 
     def symbol_names(self) -> tuple[str, ...]:
         return tuple(s.name for s in self.symbols)

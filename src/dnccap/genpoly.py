@@ -46,12 +46,10 @@ from __future__ import annotations
 
 import heapq
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
-from fractions import Fraction
+from collections.abc import Iterable, Iterator, Mapping
 from operator import add, mul
-from typing import Iterable, Iterator, Union
 
+from ._record import Record, set_slot as _set
 from .errors import (
     BasisMismatchError,
     EvalOverflowError,
@@ -63,38 +61,39 @@ from .errors import (
 TERM_LIMIT = 1_000_000
 
 
-@dataclass(frozen=True)
-class WeightAtom:
+class WeightAtom(Record):
     """A named positive real used as a building block for symbol weights."""
 
+    __slots__ = ("name", "value")
     name: str
     value: float
 
-    def __post_init__(self) -> None:
-        if not isinstance(self.name, str) or not self.name:
+    def __init__(self, name: str, value: float) -> None:
+        if not isinstance(name, str) or not name:
             raise ValueError("atom name must be a nonempty string")
-        v = float(self.value)
+        v = float(value)
         if not v > 0.0 or math.isinf(v):
             raise ValueError(
-                f"atom {self.name!r} must have a positive finite value, got {self.value!r}"
+                f"atom {name!r} must have a positive finite value, got {value!r}"
             )
-        object.__setattr__(self, "value", v)
+        _set(self, "name", name)
+        _set(self, "value", v)
 
 
-@dataclass(frozen=True)
-class WeightBasis:
+class WeightBasis(Record):
     """Ordered tuple of atoms; every WeightVector is indexed against it."""
 
+    __slots__ = ("atoms", "_values", "_index")
     atoms: tuple[WeightAtom, ...]
 
-    def __post_init__(self) -> None:
-        atoms = tuple(self.atoms)
+    def __init__(self, atoms: tuple[WeightAtom, ...]) -> None:
+        atoms = tuple(atoms)
         names = [a.name for a in atoms]
         if len(set(names)) != len(names):
             raise ValueError("duplicate atom names in basis")
-        object.__setattr__(self, "atoms", atoms)
-        object.__setattr__(self, "_values", tuple(a.value for a in atoms))
-        object.__setattr__(self, "_index", {a.name: i for i, a in enumerate(atoms)})
+        _set(self, "atoms", atoms)
+        _set(self, "_values", tuple(a.value for a in atoms))
+        _set(self, "_index", {a.name: i for i, a in enumerate(atoms)})
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, float]) -> "WeightBasis":
@@ -108,11 +107,11 @@ class WeightBasis:
         return tuple(a.name for a in self.atoms)
 
     def values(self) -> tuple[float, ...]:
-        return self._values  # type: ignore[attr-defined]
+        return self._values
 
     def index(self, name: str) -> int:
         try:
-            return self._index[name]  # type: ignore[attr-defined]
+            return self._index[name]
         except KeyError:
             raise KeyError(f"no atom named {name!r} in basis") from None
 
@@ -211,15 +210,16 @@ def weight_sort_key(basis: WeightBasis):
     return key
 
 
-TermsLike = Union[Mapping[WeightVector, int], Iterable[tuple[WeightVector, int]]]
-
-
 class GeneralizedPolynomial:
     """Finite integer-coefficient sum of y**(weight value) terms. Immutable."""
 
     __slots__ = ("basis", "_terms", "_float_terms")
 
-    def __init__(self, basis: WeightBasis, terms: TermsLike = ()):
+    def __init__(
+        self,
+        basis: WeightBasis,
+        terms: Mapping[WeightVector, int] | Iterable[tuple[WeightVector, int]] = (),
+    ):
         if type(terms) is dict or isinstance(terms, Mapping):
             items = terms.items()
         else:
@@ -341,8 +341,7 @@ class GeneralizedPolynomial:
         return "GeneralizedPolynomial(" + (" + ".join(parts) or "0") + ")"
 
 
-@dataclass(frozen=True)
-class RationalGF:
+class RationalGF(Record):
     """Quotient of two generalized polynomials.
 
     Normalized so the denominator's constant term is positive; a zero
@@ -350,20 +349,24 @@ class RationalGF:
     counting series starting at weight 0.
     """
 
+    __slots__ = ("numerator", "denominator")
     numerator: GeneralizedPolynomial
     denominator: GeneralizedPolynomial
 
-    def __post_init__(self) -> None:
-        if self.numerator.basis != self.denominator.basis:
+    def __init__(
+        self, numerator: GeneralizedPolynomial, denominator: GeneralizedPolynomial
+    ) -> None:
+        if numerator.basis != denominator.basis:
             raise BasisMismatchError("numerator and denominator use different bases")
-        d0 = self.denominator.constant_coefficient
+        d0 = denominator.constant_coefficient
         if d0 == 0:
             raise ExpansionError(
                 "not a valid counting quotient: denominator constant term is zero"
             )
         if d0 < 0:
-            object.__setattr__(self, "numerator", -self.numerator)
-            object.__setattr__(self, "denominator", -self.denominator)
+            numerator, denominator = -numerator, -denominator
+        _set(self, "numerator", numerator)
+        _set(self, "denominator", denominator)
 
     @property
     def basis(self) -> WeightBasis:
@@ -373,8 +376,7 @@ class RationalGF:
         return self.numerator.evaluate(y) / self.denominator.evaluate(y)
 
 
-@dataclass(frozen=True)
-class CoefficientSeries:
+class CoefficientSeries(Record):
     """Exact counts per weight, sorted by (numeric value, exponent vector).
 
     The float weight of every entry is computed once, by whoever builds
@@ -382,18 +384,23 @@ class CoefficientSeries:
     `evaluate` read the cache.
     """
 
+    __slots__ = ("basis", "entries", "cutoff", "_values")
     basis: WeightBasis
     entries: tuple[tuple[WeightVector, int], ...]
     cutoff: float
-    _values: tuple = field(init=False, repr=False, compare=False)
 
-    def __post_init__(self) -> None:
-        entries = tuple((wv, c) for wv, c in self.entries)
-        basis = self.basis
+    def __init__(
+        self,
+        basis: WeightBasis,
+        entries: Iterable[tuple[WeightVector, int]],
+        cutoff: float,
+    ) -> None:
+        entries = tuple((wv, c) for wv, c in entries)
         values = self._checked(entries, (wv.value(basis) for wv, _ in entries))
-        object.__setattr__(self, "entries", entries)
-        object.__setattr__(self, "cutoff", float(self.cutoff))
-        object.__setattr__(self, "_values", values)
+        _set(self, "basis", basis)
+        _set(self, "entries", entries)
+        _set(self, "cutoff", float(cutoff))
+        _set(self, "_values", values)
 
     @classmethod
     def _from_values(
@@ -404,10 +411,10 @@ class CoefficientSeries:
         constructor's check runs on these floats."""
         series = object.__new__(cls)
         entries = tuple(entries)
-        object.__setattr__(series, "basis", basis)
-        object.__setattr__(series, "entries", entries)
-        object.__setattr__(series, "cutoff", float(cutoff))
-        object.__setattr__(series, "_values", cls._checked(entries, iter(values)))
+        _set(series, "basis", basis)
+        _set(series, "entries", entries)
+        _set(series, "cutoff", float(cutoff))
+        _set(series, "_values", cls._checked(entries, iter(values)))
         return series
 
     @staticmethod
@@ -501,8 +508,10 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
         total = pending.pop(mults)
         count, rest = divmod(total, d0)
         if rest:
+            # d0 > 0 and does not divide total: the reduced fraction n/d.
+            g = math.gcd(total, d0)
             raise ExpansionError(
-                f"non-integral count {Fraction(total, d0)} at weight {value:.6g}: "
+                f"non-integral count {total // g}/{d0 // g} at weight {value:.6g}: "
                 "the quotient does not enumerate a language"
             )
         if count < 0:

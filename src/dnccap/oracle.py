@@ -25,6 +25,11 @@ reported uncertainty. The walk keeps the best bound as it records the
 return counts and hands the series the float weight it queued each class
 with, so the estimate computes no weight again.
 
+A trim automaton without a cycle accepts finitely many strings, so its
+capacity is 0 exactly, whatever the cutoff; the estimate says so instead
+of bounding it. This check reads the automaton only, not the counting
+quotient of the analytic routes.
+
 The work budget MAX_CONFIGS counts configurations, every walk's included,
 and is checked once per popped class. When it runs out, the
 ResourceLimitError's `partial` holds the series' completed weight
@@ -35,11 +40,11 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
+from collections.abc import Mapping
 from operator import add, mul
-from typing import Mapping
 
 from . import automaton as automaton_mod
+from ._record import Record, set_slot as _set
 from .automaton import ConstraintAutomaton
 from .chanspec import ChannelSpec
 from .errors import InsufficientDataError, ResourceLimitError
@@ -52,16 +57,27 @@ MAX_CONFIGS = 1_000_000
 STATE_CAP = 64
 
 
-@dataclass(frozen=True)
-class EnumerationResult:
+class EnumerationResult(Record):
     """Exact counts by weight, plus per-state return counts for estimation.
 
     `configurations` is what the budget counted, the (walk, state) entries
     of every popped weight class; `classes` is the number of heap pops.
     `loop_bound` is the best ln(count) / weight over the return counts in
-    `loop_counts`, 0.0 when there are none.
+    `loop_counts`, 0.0 when there are none. `finite` is True when the
+    channel's automaton has no cycle, so the channel has finitely many
+    strings.
     """
 
+    __slots__ = (
+        "series",
+        "loop_counts",
+        "n_states",
+        "states_analyzed",
+        "configurations",
+        "classes",
+        "loop_bound",
+        "finite",
+    )
     series: CoefficientSeries
     loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]]
     n_states: int
@@ -69,6 +85,27 @@ class EnumerationResult:
     configurations: int
     classes: int
     loop_bound: float
+    finite: bool
+
+    def __init__(
+        self,
+        series: CoefficientSeries,
+        loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]],
+        n_states: int,
+        states_analyzed: int,
+        configurations: int,
+        classes: int,
+        loop_bound: float,
+        finite: bool = False,
+    ) -> None:
+        _set(self, "series", series)
+        _set(self, "loop_counts", loop_counts)
+        _set(self, "n_states", n_states)
+        _set(self, "states_analyzed", states_analyzed)
+        _set(self, "configurations", configurations)
+        _set(self, "classes", classes)
+        _set(self, "loop_bound", loop_bound)
+        _set(self, "finite", finite)
 
 
 def _walk(
@@ -224,6 +261,7 @@ def enumerate_channel(
         configurations=configurations,
         classes=classes,
         loop_bound=loop_bound,
+        finite=machine.is_acyclic(),
     )
 
 
@@ -242,8 +280,20 @@ def estimate_capacity(enum: EnumerationResult) -> CapacityReport:
     stay meaningful when individual weight classes are sparse (mixed
     irrational weights leave classes of count 1 at every cutoff); the
     proxy is not certified, but the gap shrinks as the cutoff grows.
+
+    A finite channel (`enum.finite`) has capacity 0 exactly, at every
+    cutoff, with error bound 0.
     """
     series = enum.series
+    if enum.finite:
+        return CapacityReport(
+            method="oracle-estimate",
+            radius_or_pole=math.inf,
+            capacity_nats=0.0,
+            error_bound=0.0,
+            iterations=len(series.entries),
+            note="automaton has no cycle; finitely many strings, capacity 0",
+        )
     if sum(1 for _, c in series.entries if c >= 1) < 2:
         raise InsufficientDataError(
             "enumeration found fewer than two weights with strings; "

@@ -35,8 +35,8 @@ from __future__ import annotations
 import math
 from bisect import bisect_left
 from collections.abc import Iterator
-from dataclasses import dataclass
 
+from ._record import Record, set_slot as _set
 from .errors import (
     EvalOverflowError,
     InsufficientDataError,
@@ -67,33 +67,54 @@ REMOVABLE_RTOL = 1e-9
 MAX_DENSITY_THRESHOLDS = 1_000_000
 
 
-@dataclass(frozen=True)
-class RootResult:
+class RootResult(Record):
     """A located root with its certified enclosure [low, high]."""
 
+    __slots__ = ("root", "low", "high", "iterations")
     root: float
     low: float
     high: float
     iterations: int
+
+    def __init__(self, root: float, low: float, high: float, iterations: int) -> None:
+        _set(self, "root", root)
+        _set(self, "low", low)
+        _set(self, "high", high)
+        _set(self, "iterations", iterations)
 
     @property
     def error_bound(self) -> float:
         return self.high - self.low
 
 
-@dataclass(frozen=True)
-class CapacityReport:
+class CapacityReport(Record):
+    __slots__ = (
+        "method", "radius_or_pole", "capacity_nats", "error_bound", "iterations", "note"
+    )
     method: str
     radius_or_pole: float
     capacity_nats: float
     error_bound: float
     iterations: int
-    note: str | None = None
+    note: str | None
 
-    def __post_init__(self) -> None:
+    def __init__(
+        self,
+        method: str,
+        radius_or_pole: float,
+        capacity_nats: float,
+        error_bound: float,
+        iterations: int,
+        note: str | None = None,
+    ) -> None:
+        _set(self, "method", method)
+        _set(self, "radius_or_pole", radius_or_pole)
         # -log(1.0) is -0.0; adding 0.0 turns it into 0.0 and leaves every
         # other float as it is, so a capacity of 0 never prints as -0.
-        object.__setattr__(self, "capacity_nats", self.capacity_nats + 0.0)
+        _set(self, "capacity_nats", capacity_nats + 0.0)
+        _set(self, "error_bound", error_bound)
+        _set(self, "iterations", iterations)
+        _set(self, "note", note)
 
     def to_dict(self) -> dict:
         return {
@@ -106,14 +127,37 @@ class CapacityReport:
         }
 
 
-@dataclass(frozen=True)
-class DensityReport:
+class DensityReport(Record):
+    __slots__ = (
+        "cutoff",
+        "counts_below_n",
+        "fitted_exponent",
+        "exponential_flag",
+        "poly_residual",
+        "exp_residual",
+    )
     cutoff: float
     counts_below_n: tuple[tuple[int, int], ...]
     fitted_exponent: float
     exponential_flag: bool
     poly_residual: float
     exp_residual: float
+
+    def __init__(
+        self,
+        cutoff: float,
+        counts_below_n: tuple[tuple[int, int], ...],
+        fitted_exponent: float,
+        exponential_flag: bool,
+        poly_residual: float,
+        exp_residual: float,
+    ) -> None:
+        _set(self, "cutoff", cutoff)
+        _set(self, "counts_below_n", counts_below_n)
+        _set(self, "fitted_exponent", fitted_exponent)
+        _set(self, "exponential_flag", exponential_flag)
+        _set(self, "poly_residual", poly_residual)
+        _set(self, "exp_residual", exp_residual)
 
     def to_dict(self) -> dict:
         return {

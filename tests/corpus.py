@@ -27,6 +27,8 @@ reference for the one-pattern case of the cluster quotient.
 `reference_enumerate_channel` its composition into the series walk and
 one loop walk per state; they are kept as the reference for the single
 walk over weight classes that `enumerate_channel` shares among them.
+`reference_is_acyclic` checks each state for a path back to itself, the
+reference for the topological sort of `ConstraintAutomaton.is_acyclic`.
 `reference_weight_value` is the former `WeightVector.value`, a sum over
 the nonzero terms only, kept as the reference for the weight expression
 that sums every term.
@@ -594,7 +596,23 @@ def reference_enumerate_channel(
         configurations=budget[0],
         classes=budget[0],
         loop_bound=reference_loop_bound(loop_counts, spec.basis),
+        finite=reference_is_acyclic(machine),
     )
+
+
+def reference_is_acyclic(machine: ConstraintAutomaton) -> bool:
+    """No state is reachable from its own successors."""
+    for state in range(machine.n_states):
+        seen = set()
+        stack = list(machine.transitions[state].values())
+        while stack:
+            s = stack.pop()
+            if s == state:
+                return False
+            if s not in seen:
+                seen.add(s)
+                stack.extend(machine.transitions[s].values())
+    return True
 
 
 def reference_weight_value(wv: WeightVector, basis: WeightBasis) -> float:

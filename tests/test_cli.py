@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import ast
 import contextlib
 import io
 import itertools
 import json
 import math
+import os
 import subprocess
 import sys
 import time
@@ -18,7 +20,7 @@ from dnccap.cli import main
 from dnccap.gf_builder import MAX_PATTERNS
 from dnccap.oracle import enumerate_channel
 
-from corpus import CHANNELS_DIR, GOLDEN_DIR, cli_env
+from corpus import CHANNELS_DIR, GOLDEN_DIR, SRC_DIR, cli_env
 
 
 def channel(name: str) -> str:
@@ -108,15 +110,43 @@ class TestFiniteLanguages:
         if expected:
             assert report["method"] == expected
 
-    @pytest.mark.parametrize("name", ["forbid-0-11", "forbid-00-11-10"])
+    @pytest.mark.parametrize("name", sorted(FINITE_DOCS))
     def test_the_oracle_agrees(self, capsys, tmp_path, name):
+        # Every string of (0|1)(0|1) has weight 2: one weight class, and
+        # the oracle still answers from its acyclic automaton.
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps(FINITE_DOCS[name]))
-        code, out, _ = run(
-            capsys, "capacity", str(path), "--method", "oracle", "--cutoff", "6", "--json"
-        )
-        assert code == 0
-        assert strict_json(out)["capacity_nats"] == 0.0
+        for cutoff in ("3", "6"):
+            argv = ["capacity", str(path), "--method", "oracle", "--cutoff", cutoff]
+            code, out, err = run(capsys, *argv)
+            assert (code, err) == (0, "")
+            lines = out.splitlines()
+            assert "method: oracle-estimate" in lines
+            assert "radius or pole: inf" in lines
+            assert "capacity: 0 nats per unit weight" in lines
+            assert "error bound: 0" in lines
+            assert "note: automaton has no cycle; finitely many strings, capacity 0" in lines
+            code, out, err = run(capsys, *argv, "--json")
+            assert (code, err) == (0, "")
+            report = strict_json(out)
+            assert report["radius_or_pole"] is None
+            assert (report["capacity_nats"], report["error_bound"]) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("name", sorted(FINITE_DOCS))
+    def test_verify_passes(self, capsys, tmp_path, name):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(FINITE_DOCS[name]))
+        argv = ["capacity", str(path), "--verify", "--cutoff", "3"]
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        assert "verification: oracle agrees at cutoff 3" in out
+        assert "lower bound 0)" in out
+        code, out, err = run(capsys, *argv, "--json")
+        assert (code, err) == (0, "")
+        verification = strict_json(out)["verification"]
+        assert verification["coefficients_match"] is True
+        assert verification["estimate_nats"] == 0.0
+        assert verification["estimate_within_bound"] is True
 
 
 class TestCapacity:
@@ -536,6 +566,22 @@ def test_cli_import_does_not_load_numpy():
         check=True,
     )
     assert proc.stdout.strip() == "False"
+
+
+def test_cli_import_loads_no_heavy_stdlib_module():
+    # -S skips site, so a .pth file that imports one of these cannot hide
+    # an import of it by dnccap.
+    code = "import sys, dnccap.cli; print(sorted(sys.modules))"
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    loaded = set(ast.literal_eval(proc.stdout))
+    assert "dnccap.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "typing"})
 
 
 # argv, and the exit code the command gives with or without numpy.

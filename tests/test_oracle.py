@@ -184,6 +184,37 @@ class TestEstimate:
         with pytest.raises(InsufficientDataError, match="cutoff"):
             estimate_capacity(enumerate_channel(load_channel("ex3.json"), 0.5))
 
+    @pytest.mark.parametrize(
+        "constraint",
+        [
+            {"type": "regex", "expr": "(0|1)(0|1)", "unambiguous": True},
+            {"type": "regex", "expr": "0|01|ε", "unambiguous": True},
+            {"type": "forbidden", "patterns": ["0", "11"]},
+        ],
+    )
+    @pytest.mark.parametrize("cutoff", [0.0, 1.0, 3.0, 10.0])
+    def test_finite_language_estimates_zero_exactly(self, constraint, cutoff):
+        doc = {
+            "atoms": {"unit": 1.0},
+            "symbols": [{"name": n, "weight": {"unit": 1}} for n in "01"],
+            "constraint": constraint,
+        }
+        enum = enumerate_channel(parse_spec(json.dumps(doc)), cutoff)
+        assert enum.finite
+        report = estimate_capacity(enum)
+        assert report.method == "oracle-estimate"
+        assert (report.radius_or_pole, report.capacity_nats, report.error_bound) == (
+            math.inf,
+            0.0,
+            0.0,
+        )
+        assert report.iterations == len(enum.series)
+        assert report.note == "automaton has no cycle; finitely many strings, capacity 0"
+
+    @pytest.mark.parametrize("name", sorted(SHIPPED_CUTOFFS))
+    def test_shipped_channels_are_infinite(self, name):
+        assert not enumerate_channel(load_channel(name), 0.0).finite
+
 
 # --- the shared walk against the per-start reference walks ----------------------
 
@@ -250,9 +281,13 @@ class TestSharedWalk:
         assert enum.states_analyzed == reference.states_analyzed
         assert enum.configurations == reference.configurations
         assert enum.loop_bound == reference.loop_bound
+        assert enum.finite == reference.finite
         assert _estimate(enum) == _estimate(reference)
-        # Exactly the former formula, which recomputed every weight.
-        assert _estimate(enum) == _estimate(enum, reference_estimate_capacity)
+        if enum.finite:
+            assert (_estimate(enum).capacity_nats, _estimate(enum).error_bound) == (0.0, 0.0)
+        else:
+            # Exactly the former formula, which recomputed every weight.
+            assert _estimate(enum) == _estimate(enum, reference_estimate_capacity)
         values = enum.series.values()
         expected = [wv.value(spec.basis) for wv, _ in enum.series.entries]
         assert [(type(v), repr(v)) for v in values] == [(type(v), repr(v)) for v in expected]
