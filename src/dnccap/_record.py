@@ -1,17 +1,23 @@
 """Immutable value records: the base of dnccap's spec and result types.
 
 A record class lists its attributes in `__slots__`. The names that do not
-start with an underscore are its fields, in the order its constructor
-takes them; the others are caches the constructor fills from the fields,
-such as `WeightBasis._index`. On the fields a record gets
+start with an underscore are its fields, in slot order; the others are
+caches a constructor fills from the fields, such as `WeightBasis._index`.
+On the fields a record gets
 
+  - a constructor taking them positionally or by keyword, in slot order,
+    each required exactly once;
   - equality and hashing, between records of the very same class only;
   - the repr `Name(field=value, ...)`;
+  - `to_dict()`, the fields by name in slot order;
   - pickle and copy support, by calling the constructor on the fields.
 
-Every slot is written once, by the class's own `__init__` through
-`set_slot`; assigning or deleting an attribute afterwards raises
-AttributeError.
+Most records only store their fields and use `Record.__init__`. A class
+writes its own constructor, storing every slot through `set_slot`, when
+it must check, normalise or cache: `WeightAtom`, `WeightBasis`,
+`ChannelSpec`, `RationalGF`, `CoefficientSeries` and `CapacityReport`.
+Either way each slot is written once, by the constructor; assigning or
+deleting an attribute afterwards raises AttributeError.
 """
 
 from __future__ import annotations
@@ -28,8 +34,31 @@ class Record:
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if not name.startswith("_"))
 
+    def __init__(self, *args, **kwargs) -> None:
+        fields = self._fields
+        if len(args) > len(fields):
+            raise TypeError(
+                f"{type(self).__qualname__}() takes {len(fields)} arguments "
+                f"but {len(args)} were given"
+            )
+        for field, value in zip(fields, args):
+            set_slot(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(
+                    f"{type(self).__qualname__}() missing required argument {field!r}"
+                )
+            set_slot(self, field, kwargs.pop(field))
+        if kwargs:
+            field = next(iter(kwargs))
+            problem = "multiple values for" if field in fields else "unexpected keyword"
+            raise TypeError(f"{type(self).__qualname__}() got {problem} argument {field!r}")
+
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])
+
+    def to_dict(self) -> dict:
+        return dict(zip(self._fields, self._astuple()))
 
     def __eq__(self, other: object) -> bool:
         if self is other:

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from ._record import Record, set_slot as _set
+from ._record import Record
 from .chanspec import (
     ChannelSpec,
     Concat,
@@ -42,11 +42,6 @@ class ConstraintAutomaton(Record):
     transitions: tuple[dict, ...]
     initial: int
     accepting: frozenset
-
-    def __init__(self, transitions: tuple[dict, ...], initial: int, accepting: frozenset) -> None:
-        _set(self, "transitions", transitions)
-        _set(self, "initial", initial)
-        _set(self, "accepting", accepting)
 
     @property
     def n_states(self) -> int:

@@ -48,32 +48,20 @@ class Symbol(Record):
     __slots__ = ("name",)
     name: str
 
-    def __init__(self, name: str) -> None:
-        _set(self, "name", name)
-
 
 class Union(Record):
     __slots__ = ("parts",)
     parts: tuple[RegexNode, ...]
-
-    def __init__(self, parts: tuple[RegexNode, ...]) -> None:
-        _set(self, "parts", parts)
 
 
 class Concat(Record):
     __slots__ = ("parts",)
     parts: tuple[RegexNode, ...]
 
-    def __init__(self, parts: tuple[RegexNode, ...]) -> None:
-        _set(self, "parts", parts)
-
 
 class Star(Record):
     __slots__ = ("child",)
     child: RegexNode
-
-    def __init__(self, child: RegexNode) -> None:
-        _set(self, "child", child)
 
 
 RegexNode = Epsilon | Symbol | Union | Concat | Star
@@ -102,16 +90,10 @@ class ForbiddenPatterns(Record):
     __slots__ = ("patterns",)
     patterns: tuple[tuple[str, ...], ...]
 
-    def __init__(self, patterns: tuple[tuple[str, ...], ...]) -> None:
-        _set(self, "patterns", patterns)
-
 
 class Regex(Record):
     __slots__ = ("expr",)
     expr: RegexNode
-
-    def __init__(self, expr: RegexNode) -> None:
-        _set(self, "expr", expr)
 
 
 ConstraintKind = Free | ForbiddenPatterns | Regex
@@ -121,10 +103,6 @@ class SymbolDef(Record):
     __slots__ = ("name", "weight")
     name: str
     weight: WeightVector
-
-    def __init__(self, name: str, weight: WeightVector) -> None:
-        _set(self, "name", name)
-        _set(self, "weight", weight)
 
 
 class ChannelSpec(Record):
@@ -144,8 +122,11 @@ class ChannelSpec(Record):
         for s in symbols:
             if not s.name:
                 raise ValueError("symbol names must be nonempty")
-            if s.weight.value(basis) <= 0.0:
+            total = _total_weight(s.weight, basis)
+            if total <= 0.0:
                 raise ValueError(f"symbol {s.name!r} must have positive weight")
+            if math.isinf(total):
+                raise ValueError(f"symbol {s.name!r} must have finite weight")
         _set(self, "basis", basis)
         _set(self, "symbols", symbols)
         _set(self, "constraint", constraint)
@@ -165,6 +146,15 @@ class ChannelSpec(Record):
     @property
     def single_char_names(self) -> bool:
         return all(len(s.name) == 1 for s in self.symbols)
+
+
+def _total_weight(wv: WeightVector, basis: WeightBasis) -> float:
+    """The vector's weight value, inf when it overflows a float."""
+    try:
+        return wv.value(basis)
+    except OverflowError:
+        # A multiplicity too large to become a float.
+        return math.inf
 
 
 # --- regex parsing ------------------------------------------------------------
@@ -368,7 +358,10 @@ def _parse_atoms(doc, where: str) -> WeightBasis:
             raise SpecError(f"{where}.{name}: atom names must be identifiers")
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise SpecError(f"{where}.{name}: atom value must be a number")
-        value = float(raw)
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
         if not value > 0.0 or math.isinf(value):
             raise SpecError(f"{where}.{name}: atom value must be positive and finite")
         atoms.append((name, value))
@@ -411,8 +404,11 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
                 raise SpecError(f"{here}.weight.{atom}: undeclared atom {atom!r}") from None
             mapping[atom] = mult
         wv = WeightVector.from_mapping(basis, mapping)
-        if wv.value(basis) <= 0.0:
+        total = _total_weight(wv, basis)
+        if total <= 0.0:
             raise SpecError(f"{here}.weight: symbol {name!r} must have positive total weight")
+        if math.isinf(total):
+            raise SpecError(f"{here}.weight: symbol {name!r} must have finite total weight")
         symbols.append(SymbolDef(name, wv))
     return tuple(symbols)
 

@@ -259,7 +259,8 @@ class GeneralizedPolynomial:
 
     @property
     def constant_coefficient(self) -> int:
-        return self._terms.get(WeightVector.zero(self.basis), 0)
+        # A vector hashes and compares like the plain tuple of its entries.
+        return self._terms.get((0,) * self.basis.size, 0)
 
     def terms(self) -> Iterator[tuple[WeightVector, int]]:
         return iter(self._terms.items())

@@ -44,7 +44,7 @@ from collections.abc import Mapping
 from operator import add, mul
 
 from . import automaton as automaton_mod
-from ._record import Record, set_slot as _set
+from ._record import Record
 from .automaton import ConstraintAutomaton
 from .chanspec import ChannelSpec
 from .errors import InsufficientDataError, ResourceLimitError
@@ -86,26 +86,6 @@ class EnumerationResult(Record):
     classes: int
     loop_bound: float
     finite: bool
-
-    def __init__(
-        self,
-        series: CoefficientSeries,
-        loop_counts: Mapping[int, tuple[tuple[WeightVector, int], ...]],
-        n_states: int,
-        states_analyzed: int,
-        configurations: int,
-        classes: int,
-        loop_bound: float,
-        finite: bool = False,
-    ) -> None:
-        _set(self, "series", series)
-        _set(self, "loop_counts", loop_counts)
-        _set(self, "n_states", n_states)
-        _set(self, "states_analyzed", states_analyzed)
-        _set(self, "configurations", configurations)
-        _set(self, "classes", classes)
-        _set(self, "loop_bound", loop_bound)
-        _set(self, "finite", finite)
 
 
 def _walk(

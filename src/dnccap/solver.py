@@ -76,12 +76,6 @@ class RootResult(Record):
     high: float
     iterations: int
 
-    def __init__(self, root: float, low: float, high: float, iterations: int) -> None:
-        _set(self, "root", root)
-        _set(self, "low", low)
-        _set(self, "high", high)
-        _set(self, "iterations", iterations)
-
     @property
     def error_bound(self) -> float:
         return self.high - self.low
@@ -116,16 +110,6 @@ class CapacityReport(Record):
         _set(self, "iterations", iterations)
         _set(self, "note", note)
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method,
-            "radius_or_pole": self.radius_or_pole,
-            "capacity_nats": self.capacity_nats,
-            "error_bound": self.error_bound,
-            "iterations": self.iterations,
-            "note": self.note,
-        }
-
 
 class DensityReport(Record):
     __slots__ = (
@@ -142,32 +126,6 @@ class DensityReport(Record):
     exponential_flag: bool
     poly_residual: float
     exp_residual: float
-
-    def __init__(
-        self,
-        cutoff: float,
-        counts_below_n: tuple[tuple[int, int], ...],
-        fitted_exponent: float,
-        exponential_flag: bool,
-        poly_residual: float,
-        exp_residual: float,
-    ) -> None:
-        _set(self, "cutoff", cutoff)
-        _set(self, "counts_below_n", counts_below_n)
-        _set(self, "fitted_exponent", fitted_exponent)
-        _set(self, "exponential_flag", exponential_flag)
-        _set(self, "poly_residual", poly_residual)
-        _set(self, "exp_residual", exp_residual)
-
-    def to_dict(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "counts_below_n": [list(pair) for pair in self.counts_below_n],
-            "fitted_exponent": self.fitted_exponent,
-            "exponential_flag": self.exponential_flag,
-            "poly_residual": self.poly_residual,
-            "exp_residual": self.exp_residual,
-        }
 
 
 def _check_tol(tol: float) -> None:

@@ -9,6 +9,7 @@ import pytest
 
 from dnccap import SpecError, parse_regex, parse_spec, render_regex, render_spec
 from dnccap.chanspec import (
+    ChannelSpec,
     Concat,
     Epsilon,
     ForbiddenPatterns,
@@ -16,8 +17,10 @@ from dnccap.chanspec import (
     Regex,
     Star,
     Symbol,
+    SymbolDef,
     Union,
 )
+from dnccap.genpoly import WeightBasis, WeightVector
 
 from corpus import CHANNELS_DIR, SHIPPED_CUTOFFS, load_channel
 
@@ -115,6 +118,17 @@ ERROR_CASES = [
     (doc(symbols=[{"name": "0", "weight": {"unit": -1}}]), "nonnegative"),
     (doc(symbols=[{"name": "0", "weight": {"other": 1}}]), "undeclared atom"),
     (doc(symbols=[{"name": "0", "weight": {}}]), "positive total weight"),
+    # Numbers too large for a float, or whose weight overflows to inf.
+    (doc(atoms={"unit": 10**400}), "atoms.unit: atom value must be positive and finite"),
+    (
+        doc(symbols=[{"name": "0", "weight": {"unit": 10**400}}]),
+        "symbols[0].weight: symbol '0' must have finite total weight",
+    ),
+    (
+        doc(atoms={"unit": 1e308}, symbols=[{"name": "0", "weight": {"unit": 1}},
+                                            {"name": "1", "weight": {"unit": 10}}]),
+        "symbols[1].weight: symbol '1' must have finite total weight",
+    ),
     (doc(constraint={"type": "nope"}), "expected 'free'"),
     (doc(constraint={"type": "forbidden", "patterns": []}), "nonempty"),
     (doc(constraint={"type": "forbidden", "patterns": [""]}), "pattern is empty"),
@@ -133,6 +147,15 @@ def test_parse_errors_are_positioned(text, needle):
     with pytest.raises(SpecError) as err:
         parse_spec(text)
     assert needle in str(err.value)
+
+
+@pytest.mark.parametrize(
+    "mult,needle", [(0, "positive weight"), (10, "finite weight"), (10**400, "finite weight")]
+)
+def test_channel_spec_checks_symbol_weights(mult, needle):
+    basis = WeightBasis.from_mapping({"unit": 1e308})
+    with pytest.raises(ValueError, match=needle):
+        ChannelSpec(basis, (SymbolDef("0", WeightVector((mult,))),), Free())
 
 
 def test_invalid_utf8_is_a_spec_error():

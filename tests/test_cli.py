@@ -510,6 +510,31 @@ class TestErrors:
         assert code == 1
         assert "unit" in err
 
+    def test_oversized_numbers_are_spec_errors(self, tmp_path):
+        # An atom or multiplicity too large for a float, and a symbol weight
+        # that overflows to inf.
+        docs = {
+            "atom": ({"unit": 10**400}, {"unit": 1}, "atoms.unit: "),
+            "multiplicity": ({"unit": 1.0}, {"unit": 10**400}, "symbols[1].weight: "),
+            "weight": ({"unit": 1e308}, {"unit": 10}, "symbols[1].weight: "),
+        }
+        for name, (atoms, weight, where) in docs.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "atoms": atoms,
+                "symbols": [{"name": "0", "weight": {"unit": 1}},
+                            {"name": "1", "weight": weight}],
+                "constraint": {"type": "free"},
+            }))
+            for argv in (["capacity"], ["gf"], ["coefficients", "--cutoff", "3"]):
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dnccap", *argv, str(path)],
+                    capture_output=True, text=True, env=cli_env(), timeout=60,
+                )
+                assert proc.returncode == 1, (name, argv, proc.stderr)
+                assert proc.stderr.startswith(f"error: {where}")
+                assert "Traceback" not in proc.stderr
+
 
 class TestArgumentValidation:
     """Non-finite or out-of-range numbers are usage errors (exit 2 with a

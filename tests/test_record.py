@@ -8,11 +8,15 @@ hashing, repr, immutability, pickling and copying.
 from __future__ import annotations
 
 import copy
+import importlib
 import math
 import pickle
+import pkgutil
 
 import pytest
 
+import dnccap
+from dnccap._record import Record
 from dnccap.automaton import ConstraintAutomaton
 from dnccap.chanspec import (
     ChannelSpec,
@@ -226,3 +230,57 @@ def test_series_equality_and_repr_ignore_the_cached_floats():
     assert other == SERIES
     assert hash(other) == hash(SERIES)
     assert repr(other) == SERIES_REPR
+
+
+@TYPES
+def test_to_dict_lists_the_fields_in_order(cls):
+    record = build(cls)
+    names = list(RECORDS[cls][0])
+    assert list(record.to_dict().items()) == [(name, getattr(record, name)) for name in names]
+
+
+@TYPES
+def test_too_many_positional_arguments(cls):
+    keywords, _ = RECORDS[cls]
+    with pytest.raises(TypeError):
+        cls(*keywords.values(), None)
+
+
+@TYPES
+def test_unknown_keyword(cls):
+    keywords, _ = RECORDS[cls]
+    with pytest.raises(TypeError):
+        cls(**keywords, unknown=None)
+
+
+FIELDED = pytest.mark.parametrize(
+    "cls", [cls for cls in RECORDS if RECORDS[cls][0]], ids=lambda cls: cls.__name__
+)
+
+
+@FIELDED
+def test_missing_field(cls):
+    keywords, _ = RECORDS[cls]
+    first = next(iter(keywords))
+    with pytest.raises(TypeError):
+        cls(**{name: value for name, value in keywords.items() if name != first})
+
+
+@FIELDED
+def test_field_given_twice(cls):
+    keywords, _ = RECORDS[cls]
+    first = next(iter(keywords))
+    with pytest.raises(TypeError):
+        cls(*keywords.values(), **{first: keywords[first]})
+
+
+def test_every_record_type_is_listed():
+    for info in pkgutil.iter_modules(dnccap.__path__):
+        importlib.import_module(f"dnccap.{info.name}")
+    found, pending = set(), [Record]
+    while pending:
+        for sub in pending.pop().__subclasses__():
+            if sub.__module__.startswith("dnccap.") and sub not in found:
+                found.add(sub)
+                pending.append(sub)
+    assert not found - set(RECORDS), sorted(cls.__name__ for cls in found - set(RECORDS))
