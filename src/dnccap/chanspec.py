@@ -392,18 +392,18 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
         weight_doc = obj["weight"]
         if not isinstance(weight_doc, dict):
             raise SpecError(f"{here}.weight: expected an object of atom multiplicities")
-        mapping = {}
+        mults = [0] * basis.size
         for atom, mult in weight_doc.items():
             if isinstance(mult, bool) or not isinstance(mult, int):
                 raise SpecError(f"{here}.weight.{atom}: multiplicity must be an integer")
             if mult < 0:
                 raise SpecError(f"{here}.weight.{atom}: multiplicity must be nonnegative")
             try:
-                basis.index(atom)
+                mults[basis.index(atom)] = mult
             except KeyError:
                 raise SpecError(f"{here}.weight.{atom}: undeclared atom {atom!r}") from None
-            mapping[atom] = mult
-        wv = WeightVector.from_mapping(basis, mapping)
+        # Each multiplicity was checked above, with its position.
+        wv = WeightVector._unchecked(mults)
         total = _total_weight(wv, basis)
         if total <= 0.0:
             raise SpecError(f"{here}.weight: symbol {name!r} must have positive total weight")

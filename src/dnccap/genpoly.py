@@ -23,9 +23,17 @@ vectors component-wise. `expand_series` turns a RationalGF into the exact
 counting series of the language it enumerates, up to a weight cutoff, in a
 single pass in weight order: with denominator d0 - sum_j e_j * y**u_j, the
 count at weight w is (num[w] + sum_j e_j * c[w - u_j]) / d0, so each weight
-class costs one heap operation and one product per denominator term. The
-pass keys classes by raw multiplicity tuples and builds a WeightVector only
-for the entries it returns.
+class costs one heap operation and one product per denominator term.
+
+The pass keys each weight class by one int, its multiplicities packed in
+mixed radix with the first atom as the most significant digit, so a
+successor's key is `key + step_key` and `pending` hashes ints. Each radix
+exceeds twice the largest digit a queued class or a step can carry, a
+bound taken from the cutoff and from TERM_LIMIT (see `_places`), so the
+addition never carries: distinct vectors get distinct keys, and on a tie
+in weight int order is tuple order. The pass builds a class's
+multiplicity tuple and float only when the class is new, and a
+WeightVector only for the entries it returns.
 
 Each weight's float is computed once per stage, by the same expression as
 `WeightVector.value` (the int 0 for the zero vector):
@@ -47,7 +55,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Iterator, Mapping
-from operator import add, mul
+from operator import add, itemgetter, lt, mul
 
 from ._record import Record, set_slot as _set
 from .errors import (
@@ -292,15 +300,28 @@ class GeneralizedPolynomial:
         if self.basis != other.basis:
             raise BasisMismatchError("operands use different weight bases")
 
+    @classmethod
+    def _from_terms(
+        cls, basis: WeightBasis, terms: dict[WeightVector, int]
+    ) -> "GeneralizedPolynomial":
+        """The polynomial of `terms`, exponents over `basis` and integer
+        coefficients already, as the arithmetic below builds them; only
+        the zero coefficients are dropped."""
+        poly = object.__new__(cls)
+        poly.basis = basis
+        poly._terms = {wv: c for wv, c in terms.items() if c}
+        poly._float_terms = None
+        return poly
+
     def __add__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         self._check_same_basis(other)
         merged = dict(self._terms)
         for wv, c in other._terms.items():
             merged[wv] = merged.get(wv, 0) + c
-        return GeneralizedPolynomial(self.basis, merged)
+        return self._from_terms(self.basis, merged)
 
     def __neg__(self) -> "GeneralizedPolynomial":
-        return GeneralizedPolynomial(self.basis, {wv: -c for wv, c in self._terms.items()})
+        return self._from_terms(self.basis, {wv: -c for wv, c in self._terms.items()})
 
     def __sub__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         return self + (-other)
@@ -308,18 +329,18 @@ class GeneralizedPolynomial:
     def __mul__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         self._check_same_basis(other)
         out: dict[WeightVector, int] = {}
+        new = tuple.__new__
         for wv1, c1 in self._terms.items():
             for wv2, c2 in other._terms.items():
-                wv = wv1 + wv2
+                # A sum of two valid vectors of one basis is valid.
+                wv = new(WeightVector, map(add, wv1, wv2))
                 out[wv] = out.get(wv, 0) + c1 * c2
-        return GeneralizedPolynomial(self.basis, out)
+        return self._from_terms(self.basis, out)
 
     def __rmul__(self, scalar: int) -> "GeneralizedPolynomial":
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
-        return GeneralizedPolynomial(
-            self.basis, {wv: scalar * c for wv, c in self._terms.items()}
-        )
+        return self._from_terms(self.basis, {wv: scalar * c for wv, c in self._terms.items()})
 
     def evaluate(self, y: float) -> float:
         """Numeric value at y >= 0, with the 0**0 = 1 convention."""
@@ -412,10 +433,24 @@ class CoefficientSeries(Record):
         constructor's check runs on these floats."""
         series = object.__new__(cls)
         entries = tuple(entries)
+        # The same check as _checked, run in C: counts of type int and
+        # nonnegative, (value, vector) keys strictly increasing. On failure
+        # the per-entry loop runs, for its error message.
+        keys = list(zip(values, map(itemgetter(0), entries)))
+        counts = list(map(itemgetter(1), entries))
+        if (
+            len(values) == len(entries)
+            and set(map(type, counts)) <= {int}
+            and min(counts, default=0) >= 0
+            and all(map(lt, keys, keys[1:]))
+        ):
+            checked = tuple(values)
+        else:
+            checked = cls._checked(entries, iter(values))
         _set(series, "basis", basis)
         _set(series, "entries", entries)
         _set(series, "cutoff", float(cutoff))
-        _set(series, "_values", cls._checked(entries, iter(values)))
+        _set(series, "_values", checked)
         return series
 
     @staticmethod
@@ -457,6 +492,44 @@ class CoefficientSeries(Record):
         return total
 
 
+def _places(values, cutoff: float, start, steps, budget: int) -> list[int]:
+    """Place values of the packed class keys of `expand_series`.
+
+    A class with multiplicities m is keyed by the int sum_i m_i * place_i,
+    a mixed-radix number whose first atom is the most significant digit.
+    The radix of atom i exceeds twice the largest digit D_i any queued
+    class can carry, and twice every step's digit S_i, so the key of a
+    successor, key + step key, has digits D_i + S_i below the radix and
+    never carries: distinct vectors get distinct keys, and on vectors of
+    such digits int order is tuple order.
+
+    D_i is the smaller of two bounds, both exact ints:
+      - cutoff: a class is queued when its computed value is <= cutoff.
+        Each product m_j * v_j and the sum of these nonnegative products
+        (plain, or compensated since Python 3.12) lie within a relative
+        (atoms + 2) * 2**-52 of the exact values, so m_i * v_i <= 2 *
+        cutoff * (1 - 2**-53) and m_i <= float(2 * cutoff / v_i). An
+        infinite quotient gives no bound and is skipped, never turned
+        into an int.
+      - budget: a class is a start term plus the steps of a chain of
+        popped classes. A pop passes the budget check only while at most
+        `budget` classes were queued, so at most `budget` pops pass it,
+        and m_i <= max start digit + budget * S_i.
+    """
+    places = []
+    place = 1
+    for i in reversed(range(len(values))):
+        step_digit = max((step[i] for step in steps), default=0)
+        digit = max((m[i] for m in start), default=0) + budget * step_digit
+        quotient = 2.0 * cutoff / values[i]
+        if not math.isinf(quotient):
+            digit = min(digit, int(quotient))
+        places.append(place)
+        place *= 2 * max(digit, step_digit) + 1
+    places.reverse()
+    return places
+
+
 def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     """Exact coefficient extraction from a quotient, up to a weight cutoff.
 
@@ -488,25 +561,33 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
         for wv, c in gf.denominator.terms()
         if not wv.is_zero() and wv.value(basis) <= cutoff
     ]
-    pending: dict[tuple[int, ...], int] = {}
-    heap: list[tuple[float, tuple[int, ...]]] = []
-    for wv, c in gf.numerator.terms():
-        value = wv.value(basis)
-        if value <= cutoff:
-            pending[wv.mults] = c
-            heap.append((value, wv.mults))
+    start = [
+        (value, wv.mults, c)
+        for wv, c in gf.numerator.terms()
+        if (value := wv.value(basis)) <= cutoff
+    ]
+    places = _places(
+        values, cutoff, [m for _, m, _ in start], [step for step, _ in growth], term_limit
+    )
+    steps = [(sum(map(mul, step, places)), step, e) for step, e in growth]
+    pending: dict[int, int] = {}
+    heap: list[tuple[float, int, tuple[int, ...]]] = []
+    for value, mults, c in start:
+        key = sum(map(mul, mults, places))
+        pending[key] = c
+        heap.append((value, key, mults))
     heapq.heapify(heap)
     generated = len(heap)
     entries: list[tuple[WeightVector, int]] = []
     weights: list[float] = []
-    vector = WeightVector._unchecked
+    new = tuple.__new__
     while heap:
         if generated > term_limit:
             raise ResourceLimitError(
                 f"series expansion exceeded the term limit of {term_limit}"
             )
-        value, mults = heapq.heappop(heap)
-        total = pending.pop(mults)
+        value, key, mults = heapq.heappop(heap)
+        total = pending.pop(key)
         count, rest = divmod(total, d0)
         if rest:
             # d0 > 0 and does not divide total: the reduced fraction n/d.
@@ -522,16 +603,17 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             )
         if not count:
             continue
-        entries.append((vector(mults), count))
+        entries.append((new(WeightVector, mults), count))
         weights.append(value)
-        for step, e in growth:
-            nmults = tuple(map(add, mults, step))
-            if nmults in pending:
-                pending[nmults] += e * count
+        for step_key, step, e in steps:
+            nkey = key + step_key
+            if nkey in pending:
+                pending[nkey] += e * count
                 continue
+            nmults = tuple(map(add, mults, step))
             nvalue = sum(map(mul, nmults, values))
             if nvalue <= cutoff:
-                pending[nmults] = e * count
-                heapq.heappush(heap, (nvalue, nmults))
+                pending[nkey] = e * count
+                heapq.heappush(heap, (nvalue, nkey, nmults))
                 generated += 1
     return CoefficientSeries._from_values(basis, entries, weights, cutoff)

@@ -18,6 +18,7 @@ declared unambiguity; only `capacity --verify` checks it, by enumeration.
 from __future__ import annotations
 
 import functools
+import math
 
 from .chanspec import (
     ChannelSpec,
@@ -31,7 +32,7 @@ from .chanspec import (
     Symbol,
     Union,
 )
-from .errors import ResourceLimitError, UnsupportedChannelError
+from .errors import ResourceLimitError, SpecError, UnsupportedChannelError
 from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
 
 # Most reduced forbidden patterns the cluster quotient's determinant takes.
@@ -138,12 +139,29 @@ def gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
 
 
 def build_gf(spec: ChannelSpec) -> RationalGF:
-    """Closed-form counting quotient for the spec's constraint kind."""
+    """Closed-form counting quotient for the spec's constraint kind.
+
+    Every symbol weight is finite, but a term of the quotient sums the
+    weights of a word and can overflow a float; that raises SpecError.
+    """
     constraint = spec.constraint
     if isinstance(constraint, Free):
-        return gf_free_monoid(spec)
-    if isinstance(constraint, ForbiddenPatterns):
-        return gf_forbidden_patterns(spec)
-    if isinstance(constraint, Regex):
-        return gf_from_regex(constraint.expr, spec)
-    raise TypeError(f"not a constraint: {constraint!r}")
+        gf = gf_free_monoid(spec)
+    elif isinstance(constraint, ForbiddenPatterns):
+        gf = gf_forbidden_patterns(spec)
+    elif isinstance(constraint, Regex):
+        gf = gf_from_regex(constraint.expr, spec)
+    else:
+        raise TypeError(f"not a constraint: {constraint!r}")
+    for part, poly in (("numerator", gf.numerator), ("denominator", gf.denominator)):
+        try:
+            finite = all(math.isfinite(e) for e, _ in poly.float_terms())
+        except OverflowError:
+            # A multiplicity too large to become a float.
+            finite = False
+        if not finite:
+            raise SpecError(
+                f"constraint: a word weight in the quotient's {part} is too large "
+                "for a float"
+            )
+    return gf

@@ -9,12 +9,19 @@ exact when popped. Strings in a deterministic automaton correspond
 one-to-one to automaton paths, so aggregating counts per configuration
 enumerates strings without storing them.
 
+Each class is keyed by one int that packs its multiplicities in mixed
+radix (see `_places`). The series expansion packs its keys the same way,
+but this module keeps its own code for it: the oracle shares no code with
+the analytic routes it checks.
+
 `estimate_capacity` turns the same walk into a certified lower bound on
-capacity. Next to the series walk from the initial state, the walk runs
-one loop walk per automaton state q (up to STATE_CAP), all in the same
-heap, counting the strings whose run starts and ends at q (with q
-reachable and useful, which trim automata guarantee). Those string sets
-are closed under concatenation, so for any weight w with R_q[w] >= 1,
+capacity. The walk runs one loop walk per automaton state q (up to
+STATE_CAP), all in the same heap, counting the strings whose run starts
+and ends at q (with q reachable and useful, which trim automata
+guarantee). The initial state is state 0, and its loop walk also records
+the series: the strings that run from it to an accepting state. The
+return string sets are closed under concatenation, so for any weight w
+with R_q[w] >= 1,
 
     capacity >= ln(R_q[w]) / w.
 
@@ -30,10 +37,10 @@ capacity is 0 exactly, whatever the cutoff; the estimate says so instead
 of bounding it. This check reads the automaton only, not the counting
 quotient of the analytic routes.
 
-The work budget MAX_CONFIGS counts configurations, every walk's included,
-and is checked once per popped class. When it runs out, the
-ResourceLimitError's `partial` holds the series' completed weight
-classes, a prefix of the full series.
+The work budget MAX_CONFIGS counts the (walk, state) configurations
+actually walked, every loop walk's included, and is checked once per
+popped class. When it runs out, the ResourceLimitError's `partial` holds
+the series' completed weight classes, a prefix of the full series.
 """
 
 from __future__ import annotations
@@ -61,7 +68,8 @@ class EnumerationResult(Record):
     """Exact counts by weight, plus per-state return counts for estimation.
 
     `configurations` is what the budget counted, the (walk, state) entries
-    of every popped weight class; `classes` is the number of heap pops.
+    of every popped weight class, the series walk being the initial
+    state's loop walk; `classes` is the number of heap pops.
     `loop_bound` is the best ln(count) / weight over the return counts in
     `loop_counts`, 0.0 when there are none. `finite` is True when the
     channel's automaton has no cycle, so the channel has finitely many
@@ -88,26 +96,69 @@ class EnumerationResult(Record):
     finite: bool
 
 
+def _places(values, cutoff: float, steps, budget: int) -> list[int]:
+    """Place values of the walk's packed class keys.
+
+    A class with multiplicities m is keyed by the int sum_i m_i * place_i,
+    a mixed-radix number whose first atom is the most significant digit.
+    The radix of atom i exceeds twice the largest digit D_i any queued
+    class can carry, and twice every step's digit S_i, so the key of a
+    successor, key + step key, has digits D_i + S_i below the radix and
+    never carries: distinct vectors get distinct keys, and on vectors of
+    such digits int order is tuple order.
+
+    D_i is the smaller of two bounds, both exact ints:
+      - cutoff: a class is queued when its computed value is <= cutoff.
+        Each product m_j * v_j and the sum of these nonnegative products
+        (plain, or compensated since Python 3.12) lie within a relative
+        (atoms + 2) * 2**-52 of the exact values, so m_i * v_i <= 2 *
+        cutoff * (1 - 2**-53) and m_i <= float(2 * cutoff / v_i). An
+        infinite quotient gives no bound and is skipped, never turned
+        into an int.
+      - budget: a class is the sum of the steps of a chain of popped
+        classes from weight zero, each pop counts at least one
+        configuration, and at most `budget` configurations pass the
+        budget check, so m_i <= budget * S_i.
+    """
+    places = []
+    place = 1
+    for i in reversed(range(len(values))):
+        step_digit = max((step[i] for step in steps), default=0)
+        digit = budget * step_digit
+        quotient = 2.0 * cutoff / values[i]
+        if not math.isinf(quotient):
+            digit = min(digit, int(quotient))
+        places.append(place)
+        place *= 2 * max(digit, step_digit) + 1
+    places.reverse()
+    return places
+
+
 def _walk(
     spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
 ) -> tuple[list, list, list, float, int, int]:
     """Series and return counts of one best-first walk over weight classes.
 
     Walk w < n_loops counts the paths that start at state w and records
-    those ending back at w; walk n_loops counts the paths from the initial
-    state and records those ending in an accepting state. A min-heap pops
-    weight classes in (numeric weight, multiplicities) order, and
-    `pending` holds each queued class's path counts keyed by
-    walk * n_states + state. Every contribution to a class comes from a
-    strictly lighter one, so a popped class is final. Per popped class the
-    walk computes one successor class per distinct symbol weight, whose
-    numeric weight is computed once and queued only within the cutoff and
-    only if some arc reaches it, then makes one dict update per (walk,
-    state, arc). The pop order is the order of weight_sort_key, so each
-    walk's records come out in series order. Every recorded count is at
-    least 1. The budget counts the (walk, state) entries of each popped
-    class; past MAX_CONFIGS the ResourceLimitError's `partial` holds the
-    series' weight classes completed before that class.
+    those ending back at w. Walk 0 starts at state 0, the initial state of
+    every automaton `automaton.for_spec` builds, so it also records the
+    paths ending in an accepting state: the series. Without loop walks
+    (n_loops == 0) walk 0 runs for the series alone. A min-heap pops
+    weight classes in (numeric weight, multiplicities) order: each class
+    is keyed by one int that packs its multiplicities (see `_places`), so
+    a successor's key is one int addition and ties in weight pop in
+    multiplicity order. `pending` holds each queued class's path counts,
+    keyed by walk * n_states + state. Every contribution to a class comes
+    from a strictly lighter one, so a popped class is final. Per popped
+    class the walk computes one successor key per distinct symbol weight;
+    a new successor's multiplicities and numeric weight are computed once,
+    and it is queued only within the cutoff and only if some arc reaches
+    it. Then the walk makes one dict update per (walk, state, arc). The
+    pop order is the order of weight_sort_key, so each walk's records come
+    out in series order. Every recorded count is at least 1. The budget
+    counts the (walk, state) entries of each popped class; past
+    MAX_CONFIGS the ResourceLimitError's `partial` holds the series'
+    weight classes completed before that class.
 
     Returns (series pairs, per-walk return pairs, series weights, loop
     bound, configurations, classes). The pairs are (WeightVector, count),
@@ -126,32 +177,36 @@ def _walk(
         sym.name: step_index.setdefault(sym.weight.mults, len(step_index))
         for sym in spec.symbols
     }
-    steps = list(step_index)
-    # One arc list per key, shared by every walk: (step index, key offset).
+    places = _places(values, cutoff, list(step_index), max_configs)
+    steps = [(sum(map(mul, step, places)), step) for step in step_index]
+    n_walks = max(n_loops, 1)
+    # One arc list per config, shared by every walk: (step index, config offset).
     arcs = [
         tuple((step_of[name], nxt - state) for name, nxt in row.items())
         for state, row in enumerate(machine.transitions)
-    ] * (n_loops + 1)
-    series_base = n_loops * n
-    record = {series_base + a: -1 for a in machine.accepting}
+    ] * n_walks
+    # What a config records: -1 the series, q >= 0 the return to q, and -2
+    # both, for state 0 when it accepts and has a loop walk.
+    record = {a: -1 for a in machine.accepting}
     record.update((q * n + q, q) for q in range(n_loops))
+    if n_loops and 0 in machine.accepting:
+        record[0] = -2
     zero = (0,) * len(values)
-    start = {q * n + q: 1 for q in range(n_loops)}
-    start[series_base + machine.initial] = 1
-    pending: dict[tuple[int, ...], dict[int, int]] = {zero: start}
-    # The int 0, as WeightVector.value gives weight zero to the series.
-    heap = [(0, zero)]
+    pending: dict[int, dict[int, int]] = {0: {q * n + q: 1 for q in range(n_walks)}}
+    # Weight zero is the int 0, as WeightVector.value gives it to the
+    # series; the zero vector's key is 0 too.
+    heap = [(0, 0, zero)]
     series: list[tuple[WeightVector, int]] = []
     weights: list[float] = []
     loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
     loop_bound = 0.0
     log = math.log
     # Every class is a sum of symbol weights, so a valid vector.
-    vector = WeightVector._unchecked
+    new = tuple.__new__
     configurations = classes = 0
     while heap:
-        value, mults = heappop(heap)
-        configs = pending.pop(mults)
+        value, key, mults = heappop(heap)
+        configs = pending.pop(key)
         classes += 1
         configurations += len(configs)
         if configurations > max_configs:
@@ -162,45 +217,46 @@ def _walk(
             )
         targets = []
         fresh = []
-        for step in steps:
-            nmults = tuple(map(add, mults, step))
-            target = pending.get(nmults)
+        for step_key, step in steps:
+            nkey = key + step_key
+            target = pending.get(nkey)
             if target is None:
+                nmults = tuple(map(add, mults, step))
                 nvalue = sum(map(mul, nmults, values))
                 if nvalue <= cutoff:
                     target = {}
-                    fresh.append((nvalue, nmults, target))
+                    fresh.append((nvalue, nkey, nmults, target))
             targets.append(target)
         accepted = 0
         wv = None
-        for key, count in configs.items():
-            slot = record.get(key)
+        for config, count in configs.items():
+            slot = record.get(config)
             if slot is not None:
                 if slot < 0:
                     accepted += count
-                else:
+                if slot != -1:
                     if wv is None:
-                        wv = vector(mults)
-                    loops[slot].append((wv, count))
+                        wv = new(WeightVector, mults)
+                    loops[slot if slot >= 0 else 0].append((wv, count))
                     # A count of 1 bounds nothing, and every return at weight 0 is 1.
                     if count > 1:
                         bound = log(count) / value
                         if bound > loop_bound:
                             loop_bound = bound
-            for i, offset in arcs[key]:
+            for i, offset in arcs[config]:
                 target = targets[i]
                 if target is not None:
-                    nkey = key + offset
-                    target[nkey] = target.get(nkey, 0) + count
+                    nconfig = config + offset
+                    target[nconfig] = target.get(nconfig, 0) + count
         if accepted:
             if wv is None:
-                wv = vector(mults)
+                wv = new(WeightVector, mults)
             series.append((wv, accepted))
             weights.append(value)
-        for nvalue, nmults, target in fresh:
+        for nvalue, nkey, nmults, target in fresh:
             if target:
-                pending[nmults] = target
-                heappush(heap, (nvalue, nmults))
+                pending[nkey] = target
+                heappush(heap, (nvalue, nkey, nmults))
     return series, loops, weights, loop_bound, configurations, classes
 
 
@@ -214,11 +270,12 @@ def enumerate_channel(
 
     With `with_loops` the same walk also counts, for each of the first
     STATE_CAP automaton states, the paths that return to it: the return
-    counts the capacity estimator needs. All walks share one heap of
-    weight classes and one budget of MAX_CONFIGS (walk, state, weight)
-    configurations, checked once per popped class. When the budget runs
-    out, the ResourceLimitError's `partial` holds the series' completed
-    weight classes, a prefix of the full series.
+    counts the capacity estimator needs. The first of these loop walks,
+    from the initial state, is also the series walk. All walks share one
+    heap of weight classes and one budget of MAX_CONFIGS (walk, state,
+    weight) configurations, checked once per popped class. When the
+    budget runs out, the ResourceLimitError's `partial` holds the series'
+    completed weight classes, a prefix of the full series.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):

@@ -38,6 +38,13 @@ subclass that replaced it, and `reference_estimate_capacity` the former
 `estimate_capacity`, which recomputed the float weight of every return
 count and series entry, kept as the reference for the estimate that reads
 the floats the walk computed.
+`reference_tuple_expand_series`, `reference_tuple_walk` and
+`reference_tuple_enumerate_channel` are the former hot loops, verbatim
+apart from their names and module prefixes: they key each weight class
+by its multiplicity tuple, and the enumeration runs a series walk from
+the initial state beside that state's loop walk. They are kept as the
+reference for the packed int keys and for the series walk that is the
+initial state's loop walk.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from pathlib import Path
 
 from dnccap import ChannelSpec, load_spec, oracle
 from dnccap import automaton as automaton_mod
+from dnccap import genpoly
 from dnccap.automaton import ConstraintAutomaton, _tidy
 from dnccap.chanspec import (
     Concat,
@@ -708,4 +716,244 @@ def reference_estimate_capacity(enum: oracle.EnumerationResult) -> CapacityRepor
             f"lower bound from {enum.states_analyzed} of {enum.n_states} "
             f"automaton state(s); upper proxy {proxy:.6g}"
         ),
+    )
+
+
+# --- former tuple-keyed hot loops ---------------------------------------------------
+
+
+def reference_tuple_expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
+    """Exact coefficient extraction from a quotient, up to a weight cutoff.
+
+    Write the denominator as d0 - sum_j e_j * y**u_j, every u_j of strictly
+    positive weight. Then the counts obey one recurrence in weight order:
+
+        d0 * c[w] = num[w] + sum_j e_j * c[w - u_j]
+
+    A min-heap pops weight classes in (numeric value, exponent vector)
+    order, and `pending` holds the partial sum of each queued class. Every
+    contribution to a class comes from a strictly lighter one, so a popped
+    class is final: it is divided by d0 and checked there, then passes
+    e_j * c[w] on to each w + u_j within the cutoff. The cost is one heap
+    push and pop per weight class plus one exact integer product per
+    class and denominator term. A count that comes out non-integral or
+    negative means the quotient does not enumerate a language (e.g. an
+    ambiguous construction) and raises ExpansionError. TERM_LIMIT caps
+    the number of weight classes generated.
+    """
+    cutoff = float(cutoff)
+    if not cutoff >= 0 or math.isinf(cutoff):
+        raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
+    term_limit = genpoly.TERM_LIMIT
+    basis = gf.basis
+    values = basis.values()
+    d0 = gf.denominator.constant_coefficient
+    growth = [
+        (wv.mults, -c)
+        for wv, c in gf.denominator.terms()
+        if not wv.is_zero() and wv.value(basis) <= cutoff
+    ]
+    pending: dict[tuple[int, ...], int] = {}
+    heap: list[tuple[float, tuple[int, ...]]] = []
+    for wv, c in gf.numerator.terms():
+        value = wv.value(basis)
+        if value <= cutoff:
+            pending[wv.mults] = c
+            heap.append((value, wv.mults))
+    heapq.heapify(heap)
+    generated = len(heap)
+    entries: list[tuple[WeightVector, int]] = []
+    weights: list[float] = []
+    vector = WeightVector._unchecked
+    while heap:
+        if generated > term_limit:
+            raise ResourceLimitError(
+                f"series expansion exceeded the term limit of {term_limit}"
+            )
+        value, mults = heapq.heappop(heap)
+        total = pending.pop(mults)
+        count, rest = divmod(total, d0)
+        if rest:
+            # d0 > 0 and does not divide total: the reduced fraction n/d.
+            g = math.gcd(total, d0)
+            raise ExpansionError(
+                f"non-integral count {total // g}/{d0 // g} at weight {value:.6g}: "
+                "the quotient does not enumerate a language"
+            )
+        if count < 0:
+            raise ExpansionError(
+                f"negative count {count} at weight {value:.6g}: "
+                "the quotient does not enumerate a language"
+            )
+        if not count:
+            continue
+        entries.append((vector(mults), count))
+        weights.append(value)
+        for step, e in growth:
+            nmults = tuple(map(add, mults, step))
+            if nmults in pending:
+                pending[nmults] += e * count
+                continue
+            nvalue = sum(map(mul, nmults, values))
+            if nvalue <= cutoff:
+                pending[nmults] = e * count
+                heapq.heappush(heap, (nvalue, nmults))
+                generated += 1
+    return CoefficientSeries._from_values(basis, entries, weights, cutoff)
+
+
+def reference_tuple_walk(
+    spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
+) -> tuple[list, list, list, float, int, int]:
+    """Series and return counts of one best-first walk over weight classes.
+
+    Walk w < n_loops counts the paths that start at state w and records
+    those ending back at w; walk n_loops counts the paths from the initial
+    state and records those ending in an accepting state. A min-heap pops
+    weight classes in (numeric weight, multiplicities) order, and
+    `pending` holds each queued class's path counts keyed by
+    walk * n_states + state. Every contribution to a class comes from a
+    strictly lighter one, so a popped class is final. Per popped class the
+    walk computes one successor class per distinct symbol weight, whose
+    numeric weight is computed once and queued only within the cutoff and
+    only if some arc reaches it, then makes one dict update per (walk,
+    state, arc). The pop order is the order of weight_sort_key, so each
+    walk's records come out in series order. Every recorded count is at
+    least 1. The budget counts the (walk, state) entries of each popped
+    class; past MAX_CONFIGS the ResourceLimitError's `partial` holds the
+    series' weight classes completed before that class.
+
+    Returns (series pairs, per-walk return pairs, series weights, loop
+    bound, configurations, classes). The pairs are (WeightVector, count),
+    the walks sharing one WeightVector per recorded class; the series
+    weights are the floats the walk queued each series class with, the int
+    0 at weight zero as WeightVector.value gives it; the loop bound is the
+    best ln(count) / weight over the returns at positive weight, 0.0 if
+    none exceeds it.
+    """
+    max_configs = oracle.MAX_CONFIGS
+    heappop, heappush = heapq.heappop, heapq.heappush
+    n = machine.n_states
+    values = spec.basis.values()
+    step_index: dict[tuple[int, ...], int] = {}
+    step_of = {
+        sym.name: step_index.setdefault(sym.weight.mults, len(step_index))
+        for sym in spec.symbols
+    }
+    steps = list(step_index)
+    # One arc list per key, shared by every walk: (step index, key offset).
+    arcs = [
+        tuple((step_of[name], nxt - state) for name, nxt in row.items())
+        for state, row in enumerate(machine.transitions)
+    ] * (n_loops + 1)
+    series_base = n_loops * n
+    record = {series_base + a: -1 for a in machine.accepting}
+    record.update((q * n + q, q) for q in range(n_loops))
+    zero = (0,) * len(values)
+    start = {q * n + q: 1 for q in range(n_loops)}
+    start[series_base + machine.initial] = 1
+    pending: dict[tuple[int, ...], dict[int, int]] = {zero: start}
+    # The int 0, as WeightVector.value gives weight zero to the series.
+    heap = [(0, zero)]
+    series: list[tuple[WeightVector, int]] = []
+    weights: list[float] = []
+    loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
+    loop_bound = 0.0
+    log = math.log
+    # Every class is a sum of symbol weights, so a valid vector.
+    vector = WeightVector._unchecked
+    configurations = classes = 0
+    while heap:
+        value, mults = heappop(heap)
+        configs = pending.pop(mults)
+        classes += 1
+        configurations += len(configs)
+        if configurations > max_configs:
+            raise ResourceLimitError(
+                f"enumeration exceeded {max_configs} configurations "
+                f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
+                partial=dict(series),
+            )
+        targets = []
+        fresh = []
+        for step in steps:
+            nmults = tuple(map(add, mults, step))
+            target = pending.get(nmults)
+            if target is None:
+                nvalue = sum(map(mul, nmults, values))
+                if nvalue <= cutoff:
+                    target = {}
+                    fresh.append((nvalue, nmults, target))
+            targets.append(target)
+        accepted = 0
+        wv = None
+        for key, count in configs.items():
+            slot = record.get(key)
+            if slot is not None:
+                if slot < 0:
+                    accepted += count
+                else:
+                    if wv is None:
+                        wv = vector(mults)
+                    loops[slot].append((wv, count))
+                    # A count of 1 bounds nothing, and every return at weight 0 is 1.
+                    if count > 1:
+                        bound = log(count) / value
+                        if bound > loop_bound:
+                            loop_bound = bound
+            for i, offset in arcs[key]:
+                target = targets[i]
+                if target is not None:
+                    nkey = key + offset
+                    target[nkey] = target.get(nkey, 0) + count
+        if accepted:
+            if wv is None:
+                wv = vector(mults)
+            series.append((wv, accepted))
+            weights.append(value)
+        for nvalue, nmults, target in fresh:
+            if target:
+                pending[nmults] = target
+                heappush(heap, (nvalue, nmults))
+    return series, loops, weights, loop_bound, configurations, classes
+
+
+def reference_tuple_enumerate_channel(
+    spec: ChannelSpec,
+    cutoff: float,
+    *,
+    with_loops: bool = True,
+) -> EnumerationResult:
+    """Enumerate all channel strings of weight <= cutoff, grouped by weight.
+
+    With `with_loops` the same walk also counts, for each of the first
+    STATE_CAP automaton states, the paths that return to it: the return
+    counts the capacity estimator needs. All walks share one heap of
+    weight classes and one budget of MAX_CONFIGS (walk, state, weight)
+    configurations, checked once per popped class. When the budget runs
+    out, the ResourceLimitError's `partial` holds the series' completed
+    weight classes, a prefix of the full series.
+    """
+    cutoff = float(cutoff)
+    if not cutoff >= 0 or math.isinf(cutoff):
+        raise ValueError(f"cutoff must be finite and nonnegative, got {cutoff!r}")
+    machine = automaton_mod.for_spec(spec)
+    n_loops = min(machine.n_states, oracle.STATE_CAP) if with_loops else 0
+    series, loops, weights, loop_bound, configurations, classes = reference_tuple_walk(
+        spec, machine, cutoff, n_loops
+    )
+    loop_counts: dict[int, tuple[tuple[WeightVector, int], ...]] = {}
+    for state, returns in enumerate(loops):
+        # The first return of every loop walk is its own start, at weight 0.
+        if len(returns) > 1:
+            loop_counts[state] = tuple(returns[1:])
+    return oracle.EnumerationResult(
+        series=CoefficientSeries._from_values(spec.basis, series, weights, cutoff),
+        loop_counts=loop_counts,
+        n_states=machine.n_states,
+        states_analyzed=n_loops,
+        configurations=configurations,
+        classes=classes,
+        loop_bound=loop_bound,
+        finite=machine.is_acyclic(),
     )

@@ -536,6 +536,32 @@ class TestErrors:
                 assert "Traceback" not in proc.stderr
 
 
+    def test_overflowing_word_weights_are_spec_errors(self, tmp_path):
+        # Each symbol weighs 1e308, so the word "ab" weighs 2e308: in the
+        # denominator of (ab)*, and in the cluster quotient of forbidding "ab".
+        constraints = {
+            "regex": {"type": "regex", "expr": "(ab)*", "unambiguous": True},
+            "forbidden": {"type": "forbidden", "patterns": ["ab"]},
+        }
+        for name, constraint in constraints.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({
+                "atoms": {"u": 1e308},
+                "symbols": [{"name": n, "weight": {"u": 1}} for n in "ab"],
+                "constraint": constraint,
+            }))
+            commands = (["capacity"], ["gf"], ["gf", "--json"], ["coefficients", "--cutoff", "3"])
+            for argv in commands:
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dnccap", *argv, str(path)],
+                    capture_output=True, text=True, env=cli_env(), timeout=60,
+                )
+                assert proc.returncode == 1, (name, argv, proc.stderr)
+                assert proc.stderr.startswith("error: constraint: "), (name, argv)
+                assert "Traceback" not in proc.stderr
+                assert proc.stdout == ""
+
+
 class TestArgumentValidation:
     """Non-finite or out-of-range numbers are usage errors (exit 2 with a
     message), never a traceback or a plausible wrong answer."""

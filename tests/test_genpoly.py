@@ -27,7 +27,12 @@ from dnccap import (
 )
 from dnccap import genpoly
 
-from corpus import SHIPPED_CUTOFFS, ReferenceWeightVector, load_channel
+from corpus import (
+    SHIPPED_CUTOFFS,
+    ReferenceWeightVector,
+    load_channel,
+    reference_tuple_expand_series,
+)
 
 UNIT = WeightBasis.from_mapping({"unit": 1.0})
 MIXED = WeightBasis.from_mapping({"unit": 1.0, "pi": math.pi})
@@ -364,7 +369,121 @@ class TestExpandSeries:
         ]
 
 
+def _free_gf(values, weights) -> RationalGF:
+    """1 / (1 - sum of y**w) over atoms a0, a1, ... of the given values."""
+    basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+    zero = WeightVector((0,) * len(values))
+    den = GeneralizedPolynomial(basis, [(zero, 1)] + [(WeightVector(w), -1) for w in weights])
+    return RationalGF(GeneralizedPolynomial.one(basis), den)
+
+
+def _series_outcome(expand, gf, cutoff):
+    """Entries and float bits of the series, or the error's type and text."""
+    try:
+        series = expand(gf, cutoff)
+    except (ExpansionError, ResourceLimitError) as exc:
+        return type(exc), str(exc)
+    return series.entries, _bits(series.values())
+
+
+# (atom values, symbol weights, cutoff, term limit or None). Atoms at both
+# ends of the float range, whose cutoff bound 2 * cutoff / value is
+# infinite for 5e-324 at cutoff 1 and for 1e308 at cutoff 1e308; cutoff 0;
+# a huge cutoff stopped by the term limit; a step of one 10**300 digit;
+# bases of 1, 2 and 4 atoms.
+RADIX_CASES = {
+    "tiny-atom": ((5e-324,), [(1,), (2,)], 1e-322, None),
+    "tiny-atom-inf-bound": ((5e-324,), [(1,), (3,)], 1.0, 200),
+    "huge-atom": ((1e308,), [(1,)], 1e308, None),
+    "cutoff-0": ((1.0, math.pi), [(1, 0), (0, 1)], 0.0, None),
+    "huge-cutoff": ((1.0,), [(1,), (2,)], 1e300, 300),
+    "large-digit": ((1.0, 1e-300), [(1, 0), (0, 10**300)], 12.0, None),
+    "two-atoms": ((1.0, math.pi), [(1, 0), (0, 1), (1, 1)], 12.0, None),
+    "four-atoms": (
+        (1.0, 0.5, math.pi, math.sqrt(2.0)),
+        [(1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 1), (0, 3, 0, 1)],
+        7.0,
+        None,
+    ),
+}
+
+
+class TestPackedKeys:
+    @pytest.mark.parametrize("case", sorted(RADIX_CASES))
+    def test_radix_extremes_match_the_tuple_keyed_loop(self, monkeypatch, case):
+        values, weights, cutoff, limit = RADIX_CASES[case]
+        if limit is not None:
+            monkeypatch.setattr(genpoly, "TERM_LIMIT", limit)
+        gf = _free_gf(values, weights)
+        outcome = _series_outcome(expand_series, gf, cutoff)
+        assert outcome == _series_outcome(reference_tuple_expand_series, gf, cutoff)
+        if limit is not None:
+            assert outcome[0] is ResourceLimitError
+            return
+        entries, _ = outcome
+        steps = [w for w in weights if WeightVector(w).value(gf.basis) <= cutoff]
+        places = genpoly._places(
+            gf.basis.values(), cutoff, [(0,) * len(values)], steps, genpoly.TERM_LIMIT
+        )
+        assert all(type(p) is int for p in places)
+        classes = [wv for wv, _ in entries]
+        successors = [tuple(map(sum, zip(wv, step))) for wv in classes for step in steps]
+        # Distinct vectors get distinct keys, ordered as the vectors.
+        vectors = sorted(set(classes + successors))
+        keys = [sum(m * p for m, p in zip(v, places)) for v in vectors]
+        assert keys == sorted(set(keys))
+
+    def test_radix_exceeds_twice_the_digit_bounds(self):
+        # One atom of value 1, steps of digit 1 and 2, cutoff 10: a queued
+        # class carries at most int(2 * 10 / 1) = 20, below the term
+        # limit's bound, so the radix is 2 * 20 + 1.
+        assert genpoly._places((1.0, 1.0), 10.0, [(0, 0)], [(1, 0), (0, 2)], 10**6) == [41, 1]
+        # 5e-324 gives an infinite cutoff bound: the budget bounds the
+        # digit, start digit 3 plus 7 steps of digit 2.
+        assert genpoly._places((5e-324,), 1.0, [(3,)], [(2,)], 7) == [1]
+        assert genpoly._places((5e-324, 1.0), 1.0, [(3, 0)], [(2, 1)], 7) == [5, 1]
+        assert genpoly._places((1.0, 5e-324), 1.0, [(0, 3)], [(1, 2)], 7) == [35, 1]
+
+
 class TestCoefficientSeries:
+    @pytest.mark.parametrize(
+        "entries, values, message",
+        [
+            (
+                ((WeightVector((1,)), 1), (WeightVector((0,)), 1)),
+                [1.0, 0],
+                "series entries must be strictly increasing by weight",
+            ),
+            (
+                ((WeightVector((1,)), 1), (WeightVector((1,)), 2)),
+                [1.0, 1.0],
+                "series entries must be strictly increasing by weight",
+            ),
+            (
+                ((WeightVector((0,)), 1), (WeightVector((1,)), -1)),
+                [0, 1.0],
+                "counts must be nonnegative integers, got -1",
+            ),
+            (
+                ((WeightVector((0,)), True), (WeightVector((1,)), 1)),
+                [0, 1.0],
+                "counts must be nonnegative integers, got True",
+            ),
+        ],
+    )
+    def test_from_values_refuses_with_the_constructors_message(self, entries, values, message):
+        with pytest.raises(ValueError) as info:
+            CoefficientSeries._from_values(UNIT, list(entries), values, 2.0)
+        assert str(info.value) == message
+        with pytest.raises(ValueError) as info:
+            CoefficientSeries(UNIT, entries, 2.0)
+        assert str(info.value) == message
+
+    def test_from_values_takes_int_subclass_counts(self):
+        entries = [(WeightVector((0,)), IntSubclass(2)), (WeightVector((1,)), 1)]
+        series = CoefficientSeries._from_values(UNIT, entries, [0, 1.0], 2.0)
+        assert series == CoefficientSeries(UNIT, entries, 2.0)
+
     def test_requires_sorted_entries(self):
         with pytest.raises(ValueError):
             CoefficientSeries(

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from dnccap import (
     GeneralizedPolynomial,
+    SpecError,
     UnsupportedChannelError,
     WeightBasis,
     WeightVector,
@@ -237,3 +238,35 @@ class TestNormalization:
         gf = build_gf(load_channel(name))
         assert gf.denominator.constant_coefficient > 0
         assert gf.evaluate(0.0) == 1.0
+
+
+# Every symbol weight is finite, but "ab" weighs 2e308: the regex (ab)*
+# puts it in the denominator, forbidding "ab" in the numerator and
+# denominator of the cluster quotient.
+OVERFLOWING_WORDS = {
+    "regex": {"type": "regex", "expr": "(ab)*", "unambiguous": True},
+    "forbidden": {"type": "forbidden", "patterns": ["ab"]},
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING_WORDS))
+def test_overflowing_word_weight_is_a_spec_error(kind):
+    spec = parse_spec(json.dumps({
+        "atoms": {"u": 1e308},
+        "symbols": [{"name": n, "weight": {"u": 1}} for n in "ab"],
+        "constraint": OVERFLOWING_WORDS[kind],
+    }))
+    with pytest.raises(SpecError, match="^constraint: a word weight in the quotient's"):
+        build_gf(spec)
+
+
+def test_word_multiplicity_too_large_for_a_float_is_a_spec_error():
+    # Each multiplicity becomes a float, 1e308 at an atom of 1e-300, but
+    # the word "ab" sums them to 2e308, which does not.
+    spec = parse_spec(json.dumps({
+        "atoms": {"u": 1e-300},
+        "symbols": [{"name": n, "weight": {"u": 10**308}} for n in "ab"],
+        "constraint": OVERFLOWING_WORDS["regex"],
+    }))
+    with pytest.raises(SpecError, match="denominator is too large for a float"):
+        build_gf(spec)

@@ -30,6 +30,7 @@ from corpus import (
     naive_enumerate,
     reference_enumerate_channel,
     reference_estimate_capacity,
+    reference_tuple_enumerate_channel,
     reference_weight_value,
 )
 
@@ -107,13 +108,20 @@ class TestEnumeration:
         assert partial == full[: len(partial)]
 
     def test_budget_stopping_a_loop_walk_keeps_series_counts(self, monkeypatch):
-        # The series walk alone fits in 120 configurations; the loop walks
-        # exhaust the budget, and `partial` still holds series counts.
+        # ex3 (no "111") has states 0, 1, 2 for 0, 1, 2 trailing 1s. The
+        # walk from state 0, which also records the series, reaches 1, 2
+        # and 3 states at weights 0, 1 and >= 2; from state 1: 1, 2, 2,
+        # then 3; from state 2: 1, 1, 2, then 3. So the classes carry 3,
+        # 5, 7, then 9 configurations each, 15 + 9 * (w - 2) up to weight
+        # w >= 2: 114 fit in a budget of 120 at weight 13, and weight 14
+        # exceeds it. The series walk alone (90 configurations up to 30)
+        # would fit, and `partial` holds the series counts of weights 0-13.
         monkeypatch.setattr(oracle, "MAX_CONFIGS", 120)
         with pytest.raises(ResourceLimitError) as info:
             enumerate_channel(load_channel("ex3.json"), 30.0)
+        assert "reached weight 14 of cutoff 30" in str(info.value)
         assert list(info.value.partial.values()) == [
-            1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504
+            1, 2, 4, 7, 13, 24, 44, 81, 149, 274, 504, 927, 1705, 3136
         ]
 
     def test_cutoff_must_be_finite(self):
@@ -279,7 +287,10 @@ class TestSharedWalk:
         assert enum.loop_counts == reference.loop_counts
         assert enum.n_states == reference.n_states
         assert enum.states_analyzed == reference.states_analyzed
-        assert enum.configurations == reference.configurations
+        # The loop walk of the initial state doubles as the series walk, so
+        # the reference's separate series walk is not counted.
+        series_walk = reference_enumerate_channel(spec, cutoff, with_loops=False)
+        assert enum.configurations == reference.configurations - series_walk.configurations
         assert enum.loop_bound == reference.loop_bound
         assert enum.finite == reference.finite
         assert _estimate(enum) == _estimate(reference)
@@ -293,18 +304,114 @@ class TestSharedWalk:
         assert [(type(v), repr(v)) for v in values] == [(type(v), repr(v)) for v in expected]
         alone = enumerate_channel(spec, cutoff, with_loops=False)
         assert alone.series == reference.series
-        assert alone.configurations == reference_enumerate_channel(
-            spec, cutoff, with_loops=False
-        ).configurations
+        assert alone.configurations == series_walk.configurations
 
     def test_work_counters(self):
         # ex3 has three states and a class at every integer weight: 31
-        # heap pops carry all the configurations the four reference walks
-        # pop one at a time.
+        # heap pops carry the configurations of the three loop walks, the
+        # first of which is also the series walk. The reference pops them
+        # one at a time, the series walk's 90 (1 + 2 + 3 * 29) included.
         spec = load_channel("ex3.json")
         enum = enumerate_channel(spec, 30.0)
         assert enum.classes == 31
-        assert enum.configurations == reference_enumerate_channel(spec, 30.0).configurations
+        assert enum.configurations == 3 + 5 + 7 + 9 * 28
+        assert enum.configurations == reference_enumerate_channel(spec, 30.0).configurations - 90
+
+
+class TestPackedKeys:
+    @settings(max_examples=200, deadline=None)
+    @given(channels(), st.sampled_from([0.0, 2.5, 6.0, 9.0]), st.sampled_from([None, 1, 2]))
+    @example(load_channel("ex2.json"), 20.0, None)
+    @example(load_channel("mixed-free.json"), 12.0, None)
+    @example(load_channel("half-step.json"), 8.0, 1)
+    def test_walk_equals_the_tuple_keyed_walk(self, spec, cutoff, state_cap):
+        with pytest.MonkeyPatch.context() as mp:
+            if state_cap is not None:
+                mp.setattr(oracle, "STATE_CAP", state_cap)
+            enum = enumerate_channel(spec, cutoff)
+            former = reference_tuple_enumerate_channel(spec, cutoff)
+        assert enum.series.entries == former.series.entries
+        assert _bits(enum.series.values()) == _bits(former.series.values())
+        assert enum.loop_counts == former.loop_counts
+        assert enum.loop_bound == former.loop_bound
+        assert (enum.n_states, enum.states_analyzed, enum.classes, enum.finite) == (
+            former.n_states, former.states_analyzed, former.classes, former.finite
+        )
+        # The former walk ran the series walk beside the initial state's
+        # loop walk; without loop walks it runs just that walk.
+        series_walk = reference_tuple_enumerate_channel(spec, cutoff, with_loops=False)
+        assert enum.configurations == former.configurations - series_walk.configurations
+
+    # (atom values, symbol weights, cutoff, budget or None): atoms at both
+    # ends of the float range, whose cutoff bound 2 * cutoff / value is
+    # infinite for 5e-324 at cutoff 1 and for 1e308 at cutoff 1e308; cutoff
+    # 0; a huge cutoff stopped by the budget; a symbol of one 10**300
+    # digit; a symbol past the cutoff, whose digit 20 added to a queued
+    # class's 10 would carry in a radix of 21; bases of 1, 2 and 4 atoms.
+    RADIX_CASES = {
+        "heavy-step": ((0.5, 1.0), [{"a1": 1}, {"a0": 1}, {"a1": 20}], 10.0, None),
+        "tiny-atom": ((5e-324,), [{"a0": 1}, {"a0": 2}], 1e-322, None),
+        "tiny-atom-inf-bound": ((5e-324,), [{"a0": 1}, {"a0": 3}], 1.0, 300),
+        "huge-atom": ((1e308,), [{"a0": 1}], 1e308, None),
+        "cutoff-0": ((1.0, math.pi), [{"a0": 1}, {"a1": 1}], 0.0, None),
+        "huge-cutoff": ((1.0,), [{"a0": 1}, {"a0": 2}], 1e300, 300),
+        "large-digit": ((1.0, 1e-300), [{"a0": 1}, {"a1": 10**300}], 12.0, None),
+        "two-atoms": ((1.0, math.pi), [{"a0": 1}, {"a1": 1}, {"a0": 1, "a1": 1}], 12.0, None),
+        "four-atoms": (
+            (1.0, 0.5, math.pi, math.sqrt(2.0)),
+            [{"a0": 1}, {"a1": 1}, {"a2": 1, "a3": 1}, {"a1": 3, "a3": 1}],
+            7.0,
+            None,
+        ),
+    }
+
+    @pytest.mark.parametrize("case", sorted(RADIX_CASES))
+    @pytest.mark.parametrize(
+        "constraint", [{"type": "free"}, {"type": "forbidden", "patterns": ["00"]}]
+    )
+    def test_radix_extremes_match_the_tuple_keyed_walk(self, monkeypatch, case, constraint):
+        values, weights, cutoff, budget = self.RADIX_CASES[case]
+        doc = {
+            "atoms": {f"a{i}": v for i, v in enumerate(values)},
+            "symbols": [{"name": str(i), "weight": w} for i, w in enumerate(weights)],
+            "constraint": constraint,
+        }
+        spec = parse_spec(json.dumps(doc))
+        if budget is not None:
+            monkeypatch.setattr(oracle, "MAX_CONFIGS", budget)
+            with pytest.raises(ResourceLimitError) as info:
+                enumerate_channel(spec, cutoff)
+            with pytest.raises(ResourceLimitError):
+                reference_tuple_enumerate_channel(spec, cutoff)
+            assert info.value.partial
+            return
+        enum = enumerate_channel(spec, cutoff)
+        former = reference_tuple_enumerate_channel(spec, cutoff)
+        assert enum.series.entries == former.series.entries
+        assert _bits(enum.series.values()) == _bits(former.series.values())
+        assert enum.loop_counts == former.loop_counts
+        steps = [s.weight.mults for s in spec.symbols]
+        places = oracle._places(spec.basis.values(), cutoff, steps, oracle.MAX_CONFIGS)
+        assert all(type(p) is int for p in places)
+        classes = [wv for wv, _ in enum.series.entries]
+        classes += [wv for pairs in enum.loop_counts.values() for wv, _ in pairs]
+        successors = [tuple(map(sum, zip(wv, step))) for wv in classes for step in steps]
+        vectors = sorted(set(classes + successors))
+        keys = [sum(m * p for m, p in zip(v, places)) for v in vectors]
+        assert keys == sorted(set(keys))
+
+    def test_radix_exceeds_twice_the_digit_bounds(self):
+        # Cutoff 10 over a value-1 atom bounds its digit by 20; the budget
+        # bounds a 5e-324 atom's digit, 7 steps of digit 2. Each radix is
+        # twice the larger of that bound and the step digit, plus one.
+        assert oracle._places((1.0, 1.0), 10.0, [(1, 0), (0, 2)], 10**6) == [41, 1]
+        assert oracle._places((1.0, 5e-324), 1.0, [(1, 2)], 7) == [29, 1]
+        assert oracle._places((1.0, 1.0), 0.0, [(1, 0), (0, 5)], 10**6) == [11, 1]
+
+
+def _bits(values):
+    """Each value's type and shortest round-trip repr."""
+    return [(type(v), repr(v)) for v in values]
 
 
 ATOM_VALUES = st.floats(min_value=5e-324, max_value=1e300, allow_nan=False, allow_infinity=False)

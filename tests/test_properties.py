@@ -6,6 +6,7 @@ import itertools
 import json
 import math
 
+import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from dnccap import (
@@ -27,6 +28,7 @@ from dnccap import (
     InsufficientDataError,
     WeightBasis,
     WeightVector,
+    build_gf,
     check_density,
     expand_series,
     parse_regex,
@@ -34,14 +36,17 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
+from dnccap import genpoly
 from dnccap.gf_builder import _minors
 from dnccap.solver import bracket_denominator_roots
 
 from corpus import (
+    load_channel,
     reference_bracket_denominator_roots,
     reference_check_density,
     reference_evaluate,
     reference_expand_series,
+    reference_tuple_expand_series,
 )
 
 
@@ -330,6 +335,71 @@ class TestSeriesRecurrence:
         assert _outcome(expand_series, gf, cutoff) == _outcome(
             reference_expand_series, gf, cutoff
         )
+
+
+# Atom values with ties (1, 0.5 and 1.5 are rationally dependent), an
+# irrational, and values small and large enough that one atom's digits
+# run long or stay at zero within the cutoff.
+PACKED_ATOMS = (1.0, 0.5, math.pi / 4, 1.5, 0.1, 12.0)
+
+
+@st.composite
+def packed_quotients(draw):
+    """A quotient over 1-4 atoms: a numerator of mixed signs around a
+    positive constant term and growth terms, both scaled by d0 or not, so
+    valid series and rejected ones (negative or non-integral counts) both
+    occur."""
+    k = draw(st.integers(1, 4))
+    basis = WeightBasis.from_mapping(
+        {f"a{i}": v for i, v in enumerate(draw(st.lists(
+            st.sampled_from(PACKED_ATOMS), min_size=k, max_size=k
+        )))}
+    )
+    # Sparse vectors: one or two atoms of multiplicity 1 or 2.
+    digits = st.dictionaries(
+        st.integers(0, k - 1), st.integers(1, 2), min_size=1, max_size=2
+    ).map(lambda d: WeightVector(d.get(i, 0) for i in range(k)))
+    num = draw(st.dictionaries(digits, st.integers(-3, 5), max_size=4))
+    growth = draw(st.dictionaries(
+        digits, st.sampled_from([1, 2, 3, -1]), min_size=1, max_size=4
+    ))
+    d0 = draw(st.integers(1, 3))
+    scale = d0 if draw(st.booleans()) else 1
+    num = GeneralizedPolynomial(basis, num) + GeneralizedPolynomial.constant(
+        basis, draw(st.integers(1, 4))
+    )
+    den = GeneralizedPolynomial.constant(basis, d0) - scale * GeneralizedPolynomial(
+        basis, growth
+    )
+    return RationalGF(scale * num, den)
+
+
+def _packed_outcome(expand, gf, cutoff):
+    try:
+        series = expand(gf, cutoff)
+    except DncError as exc:
+        return type(exc), str(exc)
+    return series.entries, [(type(v), repr(v)) for v in series.values()]
+
+
+class TestPackedKeys:
+    @given(
+        packed_quotients(),
+        st.sampled_from([0.0, 1.0, 2.5, 4.0, 6.3, 9.0, 12.0]),
+        st.sampled_from([None, 3, 30]),
+    )
+    @settings(max_examples=300, deadline=None)
+    @example(build_gf(load_channel("ex2.json")), 30.0, None)
+    @example(build_gf(load_channel("mixed-free.json")), 12.0, 40)
+    def test_expansion_equals_the_tuple_keyed_loop(self, gf, cutoff, term_limit):
+        # Entries, float bits, and the text of an ExpansionError or of a
+        # term-limit error, all as the former loop gives them.
+        with pytest.MonkeyPatch.context() as mp:
+            if term_limit is not None:
+                mp.setattr(genpoly, "TERM_LIMIT", term_limit)
+            assert _packed_outcome(expand_series, gf, cutoff) == _packed_outcome(
+                reference_tuple_expand_series, gf, cutoff
+            )
 
 
 @st.composite

@@ -19,6 +19,7 @@ from dnccap import (
     build_gf,
     expand_series,
 )
+from dnccap import solver
 from dnccap.oracle import enumerate_by_weight
 from dnccap.solver import (
     MAX_DENSITY_THRESHOLDS,
@@ -370,6 +371,22 @@ class TestCheckDensity:
         with pytest.raises(ResourceLimitError, match=str(MAX_DENSITY_THRESHOLDS)):
             check_density(weights, cutoff=cutoff)
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize(
+        "source, cutoff", [("dense-weights", None), ("ex3", 12.0)]
+    )
+    def test_fit_does_not_depend_on_how_sum_adds_floats(self, monkeypatch, source, cutoff):
+        # Python 3.12's sum() compensates, and changed the last digits of
+        # these residuals; the fit adds in plain left-to-right order, so a
+        # correctly rounded sum() in the solver's namespace changes nothing.
+        path = CHANNELS_DIR / f"{source}.json"
+        if cutoff is None:
+            weights = json.loads(path.read_text())["weights"]
+        else:
+            weights = enumerate_by_weight(load_channel(path.name), cutoff).values()
+        plain = check_density(weights, cutoff=cutoff)
+        monkeypatch.setattr(solver, "sum", math.fsum, raising=False)
+        assert check_density(weights, cutoff=cutoff) == plain
 
     def test_threshold_budget_is_inclusive(self, monkeypatch):
         monkeypatch.setattr("dnccap.solver.MAX_DENSITY_THRESHOLDS", 10)
