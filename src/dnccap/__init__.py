@@ -6,6 +6,10 @@ closed form, extracts exact coefficients, locates the dominant singularity
 with certified enclosures, and cross-checks everything against brute-force
 enumeration. Weights may be arbitrary positive reals; exponents are kept
 exact as integer combinations of named weight atoms.
+
+The enumeration oracle and the automaton it walks load on first use: the
+names in `__all__` that `oracle` defines, and the submodules `oracle` and
+`automaton`, come through the module `__getattr__` (PEP 562).
 """
 
 from .chanspec import (
@@ -50,12 +54,6 @@ from .gf_builder import (
     gf_forbidden_patterns,
     gf_free_monoid,
     gf_from_regex,
-)
-from .oracle import (
-    EnumerationResult,
-    enumerate_by_weight,
-    enumerate_channel,
-    estimate_capacity,
 )
 from .solver import (
     CapacityReport,
@@ -117,3 +115,30 @@ __all__ = [
     "smallest_positive_pole",
     "smallest_positive_root",
 ]
+
+# Name served by __getattr__ -> the submodule that defines it.
+_LAZY = {
+    "EnumerationResult": "oracle",
+    "automaton": "automaton",
+    "enumerate_by_weight": "oracle",
+    "enumerate_channel": "oracle",
+    "estimate_capacity": "oracle",
+    "oracle": "oracle",
+}
+
+
+def __getattr__(name: str):
+    # Reached only for names not bound here. A served name is looked up on
+    # each access, not copied here, so it always is the submodule's own.
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    import importlib
+
+    loaded = importlib.import_module(f"{__name__}.{module}")
+    return loaded if name == module else getattr(loaded, name)
+
+
+def __dir__() -> list[str]:
+    # The names an eager import of every submodule would bind here.
+    return sorted((set(globals()) - {"_LAZY", "__dir__", "__getattr__"}) | set(_LAZY))

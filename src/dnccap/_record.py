@@ -17,7 +17,10 @@ writes its own constructor, storing every slot through `set_slot`, when
 it must check, normalise or cache: `WeightAtom`, `WeightBasis`,
 `ChannelSpec`, `RationalGF`, `CoefficientSeries` and `CapacityReport`.
 Either way each slot is written once, by the constructor; assigning or
-deleting an attribute afterwards raises AttributeError.
+deleting an attribute afterwards raises AttributeError. A parser that has
+checked every value itself, with the value's position for its error
+message, builds `WeightAtom` and `ChannelSpec` through `_unchecked`, past
+their checks.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ class Record:
 
     def __init__(self, *args, **kwargs) -> None:
         fields = self._fields
+        if len(args) == len(fields) and not kwargs:
+            # Every field given positionally, the common call.
+            for field, value in zip(fields, args):
+                set_slot(self, field, value)
+            return
         if len(args) > len(fields):
             raise TypeError(
                 f"{type(self).__qualname__}() takes {len(fields)} arguments "
@@ -53,6 +61,16 @@ class Record:
             field = next(iter(kwargs))
             problem = "multiple values for" if field in fields else "unexpected keyword"
             raise TypeError(f"{type(self).__qualname__}() got {problem} argument {field!r}")
+
+    @classmethod
+    def _unchecked(cls, *values):
+        """The record of field values its caller has already checked, as a
+        parser does, built past the class's own constructor. Only for a
+        class whose every slot is a field."""
+        self = object.__new__(cls)
+        for field, value in zip(cls._fields, values):
+            set_slot(self, field, value)
+        return self
 
     def _astuple(self) -> tuple:
         return tuple([getattr(self, name) for name in self._fields])

@@ -34,7 +34,7 @@ import re
 
 from ._record import Record, set_slot as _set
 from .errors import SpecError
-from .genpoly import WeightBasis, WeightVector
+from .genpoly import WeightAtom, WeightBasis, WeightVector
 
 
 # --- regex abstract syntax ---------------------------------------------------
@@ -333,8 +333,10 @@ def tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
 
 # --- JSON document parsing ----------------------------------------------------
 
-_ATOM_NAME = re.compile(r"^[A-Za-z_][A-Za-z0-9_]*$")
-_SYMBOL_FORBIDDEN = set(_SPECIALS) | {_EPSILON}
+_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+# What a symbol name may not contain: a character for which str.isspace()
+# is true, a regex special character or the empty-string sign.
+_SYMBOL_FORBIDDEN = re.compile(r"[\s()|*" + _EPSILON + "]")
 
 
 def _require_object(value, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -354,7 +356,7 @@ def _parse_atoms(doc, where: str) -> WeightBasis:
         raise SpecError(f"{where}: expected an object of atom values")
     atoms = []
     for name, raw in doc.items():
-        if not _ATOM_NAME.match(name):
+        if not _ATOM_NAME.fullmatch(name):
             raise SpecError(f"{where}.{name}: atom names must be identifiers")
         if isinstance(raw, bool) or not isinstance(raw, (int, float)):
             raise SpecError(f"{where}.{name}: atom value must be a number")
@@ -364,11 +366,10 @@ def _parse_atoms(doc, where: str) -> WeightBasis:
             value = math.inf
         if not value > 0.0 or math.isinf(value):
             raise SpecError(f"{where}.{name}: atom value must be positive and finite")
-        atoms.append((name, value))
-    try:
-        return WeightBasis.from_mapping(dict(atoms))
-    except ValueError as exc:
-        raise SpecError(f"{where}: {exc}") from exc
+        # The name and value are checked above, and the keys of one
+        # object are distinct names.
+        atoms.append(WeightAtom._unchecked(name, value))
+    return WeightBasis(tuple(atoms))
 
 
 def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]:
@@ -376,39 +377,45 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
         raise SpecError(f"{where}: expected a nonempty array of symbols")
     symbols = []
     seen = set()
+    index = basis._index
+    size = basis.size
+    # An entry's position, f"{where}[{i}]", is spelt out only in an error.
     for i, entry in enumerate(doc):
-        here = f"{where}[{i}]"
-        obj = _require_object(entry, here, ("name", "weight"))
-        name = obj["name"]
+        if not isinstance(entry, dict) or entry.keys() != {"name", "weight"}:
+            _require_object(entry, f"{where}[{i}]", ("name", "weight"))  # raises
+        name = entry["name"]
         if not isinstance(name, str) or not name:
-            raise SpecError(f"{here}.name: symbol names must be nonempty strings")
-        if any(ch.isspace() or ch in _SYMBOL_FORBIDDEN for ch in name):
+            raise SpecError(f"{where}[{i}].name: symbol names must be nonempty strings")
+        if _SYMBOL_FORBIDDEN.search(name):
             raise SpecError(
-                f"{here}.name: symbol name {name!r} may not contain whitespace or ()|*{_EPSILON}"
+                f"{where}[{i}].name: symbol name {name!r} may not contain whitespace "
+                f"or ()|*{_EPSILON}"
             )
         if name in seen:
-            raise SpecError(f"{here}.name: duplicate symbol {name!r}")
+            raise SpecError(f"{where}[{i}].name: duplicate symbol {name!r}")
         seen.add(name)
-        weight_doc = obj["weight"]
+        weight_doc = entry["weight"]
         if not isinstance(weight_doc, dict):
-            raise SpecError(f"{here}.weight: expected an object of atom multiplicities")
-        mults = [0] * basis.size
+            raise SpecError(f"{where}[{i}].weight: expected an object of atom multiplicities")
+        mults = [0] * size
         for atom, mult in weight_doc.items():
             if isinstance(mult, bool) or not isinstance(mult, int):
-                raise SpecError(f"{here}.weight.{atom}: multiplicity must be an integer")
+                raise SpecError(f"{where}[{i}].weight.{atom}: multiplicity must be an integer")
             if mult < 0:
-                raise SpecError(f"{here}.weight.{atom}: multiplicity must be nonnegative")
-            try:
-                mults[basis.index(atom)] = mult
-            except KeyError:
-                raise SpecError(f"{here}.weight.{atom}: undeclared atom {atom!r}") from None
+                raise SpecError(f"{where}[{i}].weight.{atom}: multiplicity must be nonnegative")
+            slot = index.get(atom)
+            if slot is None:
+                raise SpecError(f"{where}[{i}].weight.{atom}: undeclared atom {atom!r}")
+            mults[slot] = mult
         # Each multiplicity was checked above, with its position.
         wv = WeightVector._unchecked(mults)
         total = _total_weight(wv, basis)
         if total <= 0.0:
-            raise SpecError(f"{here}.weight: symbol {name!r} must have positive total weight")
+            raise SpecError(
+                f"{where}[{i}].weight: symbol {name!r} must have positive total weight"
+            )
         if math.isinf(total):
-            raise SpecError(f"{here}.weight: symbol {name!r} must have finite total weight")
+            raise SpecError(f"{where}[{i}].weight: symbol {name!r} must have finite total weight")
         symbols.append(SymbolDef(name, wv))
     return tuple(symbols)
 
@@ -467,10 +474,9 @@ def parse_spec(text) -> ChannelSpec:
     symbols = _parse_symbols(doc["symbols"], basis, "symbols")
     names = tuple(s.name for s in symbols)
     constraint = _parse_constraint(doc["constraint"], names, "constraint")
-    try:
-        return ChannelSpec(basis, symbols, constraint)
-    except ValueError as exc:
-        raise SpecError(f"document root: {exc}") from exc
+    # _parse_symbols checked what ChannelSpec checks: at least one symbol,
+    # distinct nonempty names, each weight positive and finite.
+    return ChannelSpec._unchecked(basis, symbols, constraint)
 
 
 def load_spec(path) -> ChannelSpec:

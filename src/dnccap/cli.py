@@ -15,6 +15,9 @@ precision payload with sorted keys, so identical inputs give byte-identical
 output, and writes a non-finite number (such as the infinite radius of a
 finite language) as null. Warnings (for example, distinct exact weights
 merged in a printed row because their numeric values collide) go to stderr.
+
+The enumeration oracle is imported by the commands that enumerate, when
+they do, so an analytic answer never loads it or its automaton.
 """
 
 from __future__ import annotations
@@ -28,7 +31,6 @@ from .chanspec import ChannelSpec, ForbiddenPatterns, load_spec, parse_spec
 from .errors import DncError, SpecError
 from .genpoly import CoefficientSeries, GeneralizedPolynomial, RationalGF, expand_series
 from .gf_builder import build_gf
-from .oracle import enumerate_by_weight, enumerate_channel, estimate_capacity
 from .solver import (
     CapacityReport,
     capacity_from_characteristic,
@@ -156,6 +158,8 @@ def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
     oracle = args.method == "oracle"
     enum = None
+    if oracle or args.verify:
+        from .oracle import enumerate_channel, estimate_capacity
     if oracle:
         if args.cutoff is None:
             raise DncError("--method oracle requires --cutoff")
@@ -239,6 +243,8 @@ def _first_mismatch(expanded: CoefficientSeries, enumerated: CoefficientSeries):
 def cmd_coefficients(args) -> int:
     spec = load_spec(args.spec)
     if args.oracle:
+        from .oracle import enumerate_by_weight
+
         series = enumerate_by_weight(spec, args.cutoff)
         source = "oracle"
     else:
@@ -320,6 +326,8 @@ def _density_inputs(raw: bytes, cutoff):
     if cutoff is None:
         raise DncError("--cutoff is required to enumerate a channel's weights")
     density_thresholds(float(cutoff))
+    from .oracle import enumerate_by_weight
+
     series = enumerate_by_weight(spec, cutoff)
     return series.values(), float(cutoff)
 

@@ -157,7 +157,7 @@ class WeightVector(tuple):
 
     @classmethod
     def zero(cls, basis: WeightBasis) -> "WeightVector":
-        return cls((0,) * basis.size)
+        return cls._unchecked((0,) * basis.size)
 
     @classmethod
     def from_mapping(cls, basis: WeightBasis, mapping: Mapping[str, int]) -> "WeightVector":
@@ -219,9 +219,14 @@ def weight_sort_key(basis: WeightBasis):
 
 
 class GeneralizedPolynomial:
-    """Finite integer-coefficient sum of y**(weight value) terms. Immutable."""
+    """Finite integer-coefficient sum of y**(weight value) terms. Immutable.
 
-    __slots__ = ("basis", "_terms", "_float_terms")
+    Besides `_float_terms`, a polynomial caches what
+    solver.characteristic_part finds for it in `_characteristic`, a slot
+    left unset until then.
+    """
+
+    __slots__ = ("basis", "_terms", "_float_terms", "_characteristic")
 
     def __init__(
         self,
@@ -254,7 +259,7 @@ class GeneralizedPolynomial:
 
     @classmethod
     def one(cls, basis: WeightBasis) -> "GeneralizedPolynomial":
-        return cls.constant(basis, 1)
+        return cls._from_terms(basis, {WeightVector.zero(basis): 1})
 
     @classmethod
     def monomial(
@@ -276,8 +281,11 @@ class GeneralizedPolynomial:
     def float_terms(self) -> tuple[tuple[float, int], ...]:
         """(float exponent, coefficient) per term, in term order; cached."""
         if self._float_terms is None:
+            # WeightVector.value's expression; every exponent has the
+            # basis's length, as the constructor checked.
+            values = self.basis.values()
             self._float_terms = tuple(
-                (wv.value(self.basis), c) for wv, c in self._terms.items()
+                (sum(map(mul, wv, values)) or 0, c) for wv, c in self._terms.items()
             )
         return self._float_terms
 
@@ -297,7 +305,7 @@ class GeneralizedPolynomial:
         return self.basis == other.basis and self._terms == other._terms
 
     def _check_same_basis(self, other: "GeneralizedPolynomial") -> None:
-        if self.basis != other.basis:
+        if self.basis is not other.basis and self.basis != other.basis:
             raise BasisMismatchError("operands use different weight bases")
 
     @classmethod
@@ -326,8 +334,18 @@ class GeneralizedPolynomial:
     def __sub__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         return self + (-other)
 
+    def _is_one(self) -> bool:
+        terms = self._terms
+        return len(terms) == 1 and terms.get((0,) * len(self.basis.atoms)) == 1
+
     def __mul__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         self._check_same_basis(other)
+        # A product by the constant 1 has the other factor's terms in its
+        # order; polynomials are immutable, so that factor itself serves.
+        if self._is_one():
+            return other
+        if other._is_one():
+            return self
         out: dict[WeightVector, int] = {}
         new = tuple.__new__
         for wv1, c1 in self._terms.items():
@@ -346,13 +364,16 @@ class GeneralizedPolynomial:
         """Numeric value at y >= 0, with the 0**0 = 1 convention."""
         if y < 0:
             raise ValueError("evaluation point must be nonnegative")
+        terms = self._float_terms
+        if terms is None:
+            terms = self.float_terms()
         total = 0.0
-        for e, c in self.float_terms():
-            try:
+        try:
+            for e, c in terms:
                 total += c * (y ** e)
-            except OverflowError as exc:
-                raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
-        if math.isinf(total) or math.isnan(total):
+        except OverflowError as exc:
+            raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
+        if not math.isfinite(total):
             raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
         return total
 

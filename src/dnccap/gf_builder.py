@@ -42,8 +42,13 @@ MAX_PATTERNS = 8
 def gf_free_monoid(spec: ChannelSpec) -> RationalGF:
     """1 / (1 - sum of symbol monomials): all strings over the alphabet."""
     basis = spec.basis
-    den = [(WeightVector.zero(basis), 1)] + [(s.weight, -1) for s in spec.symbols]
-    return RationalGF(GeneralizedPolynomial.one(basis), GeneralizedPolynomial(basis, den))
+    # Symbol weights are valid vectors of the spec's basis; equal ones merge.
+    den = {WeightVector.zero(basis): 1}
+    for s in spec.symbols:
+        den[s.weight] = den.get(s.weight, 0) - 1
+    return RationalGF(
+        GeneralizedPolynomial.one(basis), GeneralizedPolynomial._from_terms(basis, den)
+    )
 
 
 def _contains(v: tuple[str, ...], u: tuple[str, ...]) -> bool:
@@ -58,12 +63,14 @@ def _minors(rows, basis):
         row = rows[len(rows) - len(cols)]
         if len(cols) == 1:
             return row[cols[0]]
-        terms = []
+        terms: dict = {}
         for k, col in enumerate(cols):
             if row[col]:
                 product = row[col] * minor(cols[:k] + cols[k + 1 :])
-                terms += [(wv, -c if k % 2 else c) for wv, c in product.terms()]
-        return GeneralizedPolynomial(basis, terms)
+                sign = -1 if k % 2 else 1
+                for wv, c in product.terms():
+                    terms[wv] = terms.get(wv, 0) + sign * c
+        return GeneralizedPolynomial._from_terms(basis, terms)
 
     return minor
 
@@ -85,17 +92,22 @@ def gf_forbidden_patterns(spec: ChannelSpec) -> RationalGF:
         )
 
     def term(word, coefficient: int = 1) -> tuple[WeightVector, int]:
-        columns = zip(*(spec.weight_of(name).mults for name in word))
-        return WeightVector(tuple(sum(column) for column in columns)), coefficient
+        columns = zip(*(spec.weight_of(name) for name in word))
+        # A sum of valid vectors is valid.
+        return WeightVector._unchecked(map(sum, columns)), coefficient
 
     def entry(v, u) -> GeneralizedPolynomial:
+        # Distinct suffixes of v weigh distinct nonzero vectors, as every
+        # symbol weighs a nonzero one, so no two of these terms merge.
         terms = [term(v[t:]) for t in range(1, min(len(u), len(v))) if u[-t:] == v[:t]]
-        return GeneralizedPolynomial(basis, terms + [(WeightVector.zero(basis), int(v == u))])
+        terms.append((WeightVector.zero(basis), int(v == u)))
+        return GeneralizedPolynomial._from_terms(basis, dict(terms))
 
     one = GeneralizedPolynomial.one(basis)
     rows = [[gf_free_monoid(spec).denominator] + [one] * len(patterns)]
     for v in patterns:
-        rows.append([GeneralizedPolynomial(basis, [term(v, -1)])] + [entry(v, u) for u in patterns])
+        first = GeneralizedPolynomial._from_terms(basis, dict([term(v, -1)]))
+        rows.append([first] + [entry(v, u) for u in patterns])
     minor = _minors(rows, basis)
     return RationalGF(minor(tuple(range(1, len(rows)))), minor(tuple(range(len(rows)))))
 
@@ -104,12 +116,19 @@ def gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
     """Translate an unambiguous regex structurally into a quotient."""
     basis = spec.basis
     one = GeneralizedPolynomial.one(basis)
+    # One monomial per symbol, shared by its occurrences; polynomials are
+    # immutable.
+    monomials = {
+        s.name: GeneralizedPolynomial._from_terms(basis, {s.weight: 1}) for s in spec.symbols
+    }
 
     def walk(node: RegexNode) -> tuple[GeneralizedPolynomial, GeneralizedPolynomial]:
         if isinstance(node, Epsilon):
             return one, one
         if isinstance(node, Symbol):
-            return GeneralizedPolynomial.monomial(basis, spec.weight_of(node.name)), one
+            if node.name not in monomials:
+                spec.weight_of(node.name)  # raises KeyError, naming the symbol
+            return monomials[node.name], one
         if isinstance(node, Union):
             num, den = walk(node.parts[0])
             for part in node.parts[1:]:

@@ -133,13 +133,6 @@ def _check_tol(tol: float) -> None:
         raise ValueError(f"tolerance must be finite and positive, got {tol!r}")
 
 
-def _evaluate_or_inf(p: GeneralizedPolynomial, y: float) -> float:
-    try:
-        return p.evaluate(y)
-    except EvalOverflowError:
-        return math.inf
-
-
 def smallest_positive_root(
     p: GeneralizedPolynomial,
     target: float = 1.0,
@@ -165,9 +158,17 @@ def smallest_positive_root(
     if all(wv.is_zero() for wv, _ in p.terms()):
         raise SolverError("polynomial is constant; it never reaches the target")
 
+    # One call per evaluation; a value that overflows counts as inf.
+    at = p.evaluate
     iterations = 0
     lo, hi = 0.0, 1.0
-    while _evaluate_or_inf(p, hi) < target:
+    while True:
+        try:
+            below = at(hi) < target
+        except EvalOverflowError:
+            below = False
+        if not below:
+            break
         lo, hi = hi, hi * 2.0
         iterations += 1
         if iterations > MAX_DOUBLINGS:
@@ -177,7 +178,11 @@ def smallest_positive_root(
         if mid == lo or mid == hi:
             break
         iterations += 1
-        if _evaluate_or_inf(p, mid) < target:
+        try:
+            below = at(mid) < target
+        except EvalOverflowError:
+            below = False
+        if below:
             lo = mid
         else:
             hi = mid
@@ -204,15 +209,27 @@ def _finite_language_report(method: str) -> CapacityReport:
 
 
 def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | None:
-    """E with den = d0 - E and E nonnegative, or None if den lacks star form."""
+    """E with den = d0 - E and E nonnegative, or None if den lacks star form.
+
+    Computed once per polynomial and cached on it: the CLI's route choice
+    and capacity_from_characteristic both ask for it.
+    """
+    try:
+        return den._characteristic
+    except AttributeError:
+        pass
     terms = {}
     for wv, c in den.terms():
-        if wv.is_zero():
+        if not any(wv):
             continue
         if c > 0:
-            return None
+            terms = None
+            break
         terms[wv] = -c
-    return GeneralizedPolynomial(den.basis, terms)
+    # The terms of den are valid terms, and so are their negations.
+    growth = None if terms is None else GeneralizedPolynomial._from_terms(den.basis, terms)
+    den._characteristic = growth
+    return growth
 
 
 def capacity_from_characteristic(
@@ -282,34 +299,46 @@ class _PoleScan:
         self.tol = tol
         self.evaluations = 0
 
-    def _evaluate(self, p: GeneralizedPolynomial, y: float) -> float:
-        self.evaluations += 1
-        return p.evaluate(y)
-
-    def _bound(self, p: GeneralizedPolynomial, y: float) -> float:
-        # An overflowing P or N makes the skip test fail, not the scan.
-        self.evaluations += 1
-        return _evaluate_or_inf(p, y)
-
     def __iter__(self) -> Iterator[RootResult]:
         den = self.den
-        pos = GeneralizedPolynomial(den.basis, [(wv, c) for wv, c in den.terms() if c > 0])
-        neg = GeneralizedPolynomial(den.basis, [(wv, -c) for wv, c in den.terms() if c < 0])
+        # The terms of D split into valid terms of P and N.
+        pos = GeneralizedPolynomial._from_terms(
+            den.basis, {wv: c for wv, c in den.terms() if c > 0}
+        )
+        neg = GeneralizedPolynomial._from_terms(
+            den.basis, {wv: -c for wv, c in den.terms() if c < 0}
+        )
         margin = SKIP_MARGIN * (len(den) + 4)
         n_grid = int(math.ceil(Y_MAX / GRID_STEP))
+        # D, P and N are evaluated through their bound evaluate methods;
+        # self.evaluations counts every evaluation.
+        d_at, p_at, n_at = den.evaluate, pos.evaluate, neg.evaluate
+
+        def bounds(y: float) -> tuple[float, float]:
+            # An overflowing P or N makes the skip test fail, not the scan.
+            self.evaluations += 2
+            try:
+                p_y = p_at(y)
+            except EvalOverflowError:
+                p_y = math.inf
+            try:
+                return p_y, n_at(y)
+            except EvalOverflowError:
+                return p_y, math.inf
 
         # The walk stands at prev_y, the last point whose float sign is
         # known; p_prev and n_prev are P and N there. It tries to skip the
         # next k grid points, doubling k on success and halving it on
         # failure, and evaluates D at the next grid point once k = 1 fails.
         # Denominator normalization makes the value at 0 positive.
-        prev_y, prev_v = 0.0, self._evaluate(den, 0.0)
-        p_prev, n_prev = self._bound(pos, 0.0), self._bound(neg, 0.0)
+        self.evaluations += 1
+        prev_y, prev_v = 0.0, d_at(0.0)
+        p_prev, n_prev = bounds(0.0)
         j, k = 0, 1
         while j < n_grid:
             k = min(k, n_grid - j)
             y = min((j + k) * GRID_STEP, Y_MAX)
-            p_y, n_y = self._bound(pos, y), self._bound(neg, y)
+            p_y, n_y = bounds(y)
             slack = margin * (p_y + n_y)
             if (p_y - n_prev < -slack) if prev_v < 0.0 else (p_prev - n_y > slack):
                 j += k
@@ -320,7 +349,8 @@ class _PoleScan:
                 k //= 2
                 continue
             j += 1
-            v = self._evaluate(den, y)
+            self.evaluations += 1
+            v = d_at(y)
             if v == 0.0:
                 yield RootResult(y, y, y, 0)
                 probe = y + 0.5 * GRID_STEP
@@ -328,21 +358,24 @@ class _PoleScan:
                 # grid point's probe reaches it.
                 if probe >= Y_MAX:
                     return
-                prev_y, prev_v = probe, self._evaluate(den, probe)
-                p_prev, n_prev = self._bound(pos, probe), self._bound(neg, probe)
+                self.evaluations += 1
+                prev_y, prev_v = probe, d_at(probe)
+                p_prev, n_prev = bounds(probe)
                 continue
             if (v < 0.0) != (prev_v < 0.0):
                 yield self._bisect(prev_y, y, prev_v)
             prev_y, prev_v, p_prev, n_prev = y, v, p_y, n_y
 
     def _bisect(self, lo: float, hi: float, flo: float) -> RootResult:
+        at = self.den.evaluate
         iterations = 0
         while hi - lo > self.tol:
             mid = (lo + hi) / 2.0
             if mid == lo or mid == hi:
                 break
             iterations += 1
-            fmid = self._evaluate(self.den, mid)
+            self.evaluations += 1
+            fmid = at(mid)
             if fmid == 0.0:
                 lo = hi = mid
                 break

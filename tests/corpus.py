@@ -45,15 +45,27 @@ by its multiplicity tuple, and the enumeration runs a series walk from
 the initial state beside that state's loop walk. They are kept as the
 reference for the packed int keys and for the series walk that is the
 initial state's loop walk.
+`reference_parse_spec`, `reference_build_gf` (with `reference_mul`) and
+`reference_auto_capacity` are the former warm capacity path: a parser
+that checked every value again in the public constructors, builders that
+multiplied by 1 term by term and built every polynomial through the
+checking constructor, and solvers that made each evaluation through
+helper calls. They are the former code apart from their names, products
+through `reference_mul`, evaluations through `reference_evaluate`, and
+atom names matched in full. They are kept as the reference for the
+parser that checks each value once, the product that skips a factor 1
+and the solvers that call `evaluate` directly.
 """
 
 from __future__ import annotations
 
+import functools
 import heapq
 import json
 import math
 import os
 import random
+import re
 from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -74,7 +86,12 @@ from dnccap.chanspec import (
     RegexNode,
     Star,
     Symbol,
+    SymbolDef,
     Union,
+    _require_object,
+    _total_weight,
+    parse_regex,
+    tokenize_pattern,
 )
 from dnccap.errors import (
     BasisMismatchError,
@@ -82,7 +99,11 @@ from dnccap.errors import (
     ExpansionError,
     InsufficientDataError,
     ResourceLimitError,
+    SolverError,
+    SpecError,
+    UnsupportedChannelError,
 )
+from dnccap.gf_builder import MAX_PATTERNS, _contains
 from dnccap.genpoly import (
     CoefficientSeries,
     GeneralizedPolynomial,
@@ -94,10 +115,16 @@ from dnccap.genpoly import (
 from dnccap.solver import (
     DEFAULT_TOL,
     GRID_STEP,
+    MAX_DOUBLINGS,
+    SKIP_MARGIN,
     Y_MAX,
     CapacityReport,
     DensityReport,
     RootResult,
+    _check_tol,
+    _finite_language_report,
+    _is_removable,
+    _log_enclosure_width,
 )
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -957,3 +984,440 @@ def reference_tuple_enumerate_channel(
         loop_bound=loop_bound,
         finite=machine.is_acyclic(),
     )
+
+
+# --- reference warm capacity path ------------------------------------------------
+
+_REFERENCE_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_REFERENCE_SYMBOL_FORBIDDEN = set("()|*ε")
+
+
+def _reference_parse_atoms(doc, where: str) -> WeightBasis:
+    if not isinstance(doc, dict):
+        raise SpecError(f"{where}: expected an object of atom values")
+    atoms = []
+    for name, raw in doc.items():
+        if not _REFERENCE_ATOM_NAME.fullmatch(name):
+            raise SpecError(f"{where}.{name}: atom names must be identifiers")
+        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+            raise SpecError(f"{where}.{name}: atom value must be a number")
+        try:
+            value = float(raw)
+        except OverflowError:
+            value = math.inf
+        if not value > 0.0 or math.isinf(value):
+            raise SpecError(f"{where}.{name}: atom value must be positive and finite")
+        atoms.append((name, value))
+    try:
+        return WeightBasis.from_mapping(dict(atoms))
+    except ValueError as exc:
+        raise SpecError(f"{where}: {exc}") from exc
+
+
+def _reference_parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]:
+    if not isinstance(doc, list) or not doc:
+        raise SpecError(f"{where}: expected a nonempty array of symbols")
+    symbols = []
+    seen = set()
+    for i, entry in enumerate(doc):
+        here = f"{where}[{i}]"
+        obj = _require_object(entry, here, ("name", "weight"))
+        name = obj["name"]
+        if not isinstance(name, str) or not name:
+            raise SpecError(f"{here}.name: symbol names must be nonempty strings")
+        if any(ch.isspace() or ch in _REFERENCE_SYMBOL_FORBIDDEN for ch in name):
+            raise SpecError(
+                f"{here}.name: symbol name {name!r} may not contain whitespace or ()|*ε"
+            )
+        if name in seen:
+            raise SpecError(f"{here}.name: duplicate symbol {name!r}")
+        seen.add(name)
+        weight_doc = obj["weight"]
+        if not isinstance(weight_doc, dict):
+            raise SpecError(f"{here}.weight: expected an object of atom multiplicities")
+        mults = [0] * basis.size
+        for atom, mult in weight_doc.items():
+            if isinstance(mult, bool) or not isinstance(mult, int):
+                raise SpecError(f"{here}.weight.{atom}: multiplicity must be an integer")
+            if mult < 0:
+                raise SpecError(f"{here}.weight.{atom}: multiplicity must be nonnegative")
+            try:
+                mults[basis.index(atom)] = mult
+            except KeyError:
+                raise SpecError(f"{here}.weight.{atom}: undeclared atom {atom!r}") from None
+        wv = WeightVector._unchecked(mults)
+        total = _total_weight(wv, basis)
+        if total <= 0.0:
+            raise SpecError(f"{here}.weight: symbol {name!r} must have positive total weight")
+        if math.isinf(total):
+            raise SpecError(f"{here}.weight: symbol {name!r} must have finite total weight")
+        symbols.append(SymbolDef(name, wv))
+    return tuple(symbols)
+
+
+def _reference_parse_constraint(doc, names, where: str):
+    if not isinstance(doc, dict):
+        raise SpecError(f"{where}: expected an object")
+    kind = doc.get("type")
+    if kind == "free":
+        _require_object(doc, where, ("type",))
+        return Free()
+    if kind == "forbidden":
+        _require_object(doc, where, ("type", "patterns"))
+        raw = doc["patterns"]
+        if not isinstance(raw, list) or not raw:
+            raise SpecError(f"{where}.patterns: expected a nonempty array of patterns")
+        patterns = []
+        for i, pat in enumerate(raw):
+            here = f"{where}.patterns[{i}]"
+            if not isinstance(pat, str):
+                raise SpecError(f"{here}: patterns must be strings")
+            patterns.append(tokenize_pattern(pat, names, here))
+        return ForbiddenPatterns(tuple(patterns))
+    if kind == "regex":
+        _require_object(doc, where, ("type", "expr", "unambiguous"))
+        if doc["unambiguous"] is not True:
+            raise SpecError(
+                f"{where}.unambiguous: regex constraints must declare "
+                '"unambiguous": true; counting is only valid for unambiguous '
+                "expressions and the claim is cross-checked empirically"
+            )
+        expr = doc["expr"]
+        if not isinstance(expr, str):
+            raise SpecError(f"{where}.expr: expected a string")
+        return Regex(parse_regex(expr, names))
+    raise SpecError(f"{where}.type: expected 'free', 'forbidden', or 'regex', got {kind!r}")
+
+
+def reference_parse_spec(text) -> ChannelSpec:
+    """The former parse_spec: every value checked again by the public
+    constructors, each position string built ahead of its checks."""
+    if isinstance(text, (bytes, bytearray)):
+        try:
+            text = bytes(text).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise SpecError(f"byte offset {exc.start}: document is not valid UTF-8") from exc
+    if not isinstance(text, str):
+        raise SpecError("document root: expected a JSON string or bytes")
+    try:
+        doc = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise SpecError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except RecursionError:
+        raise SpecError("line 1, column 1: document nests too deeply") from None
+    _require_object(doc, "document root", ("atoms", "symbols", "constraint"))
+    basis = _reference_parse_atoms(doc["atoms"], "atoms")
+    symbols = _reference_parse_symbols(doc["symbols"], basis, "symbols")
+    names = tuple(s.name for s in symbols)
+    constraint = _reference_parse_constraint(doc["constraint"], names, "constraint")
+    try:
+        return ChannelSpec(basis, symbols, constraint)
+    except ValueError as exc:
+        raise SpecError(f"document root: {exc}") from exc
+
+
+def reference_mul(p: GeneralizedPolynomial, q: GeneralizedPolynomial) -> GeneralizedPolynomial:
+    """The former product: every pair of terms multiplied, ones included."""
+    if p.basis != q.basis:
+        raise BasisMismatchError("operands use different weight bases")
+    out: dict[WeightVector, int] = {}
+    for wv1, c1 in p.terms():
+        for wv2, c2 in q.terms():
+            wv = tuple.__new__(WeightVector, map(add, wv1, wv2))
+            out[wv] = out.get(wv, 0) + c1 * c2
+    return GeneralizedPolynomial(p.basis, out)
+
+
+def reference_gf_free_monoid(spec: ChannelSpec) -> RationalGF:
+    basis = spec.basis
+    den = [(WeightVector.zero(basis), 1)] + [(s.weight, -1) for s in spec.symbols]
+    return RationalGF(GeneralizedPolynomial.one(basis), GeneralizedPolynomial(basis, den))
+
+
+def reference_gf_forbidden_patterns(spec: ChannelSpec) -> RationalGF:
+    basis = spec.basis
+    distinct = list(dict.fromkeys(spec.constraint.patterns))
+    patterns = [
+        v for v in distinct if not any(u != v and _contains(v, u) for u in distinct)
+    ]
+    if len(patterns) > MAX_PATTERNS:
+        raise ResourceLimitError(
+            f"{len(patterns)} forbidden patterns exceed the limit of {MAX_PATTERNS}"
+        )
+
+    def term(word, coefficient: int = 1):
+        columns = zip(*(spec.weight_of(name).mults for name in word))
+        return WeightVector(tuple(sum(column) for column in columns)), coefficient
+
+    def entry(v, u) -> GeneralizedPolynomial:
+        terms = [term(v[t:]) for t in range(1, min(len(u), len(v))) if u[-t:] == v[:t]]
+        return GeneralizedPolynomial(basis, terms + [(WeightVector.zero(basis), int(v == u))])
+
+    one = GeneralizedPolynomial.one(basis)
+    rows = [[reference_gf_free_monoid(spec).denominator] + [one] * len(patterns)]
+    for v in patterns:
+        rows.append(
+            [GeneralizedPolynomial(basis, [term(v, -1)])] + [entry(v, u) for u in patterns]
+        )
+
+    @functools.cache
+    def minor(cols: tuple[int, ...]) -> GeneralizedPolynomial:
+        row = rows[len(rows) - len(cols)]
+        if len(cols) == 1:
+            return row[cols[0]]
+        terms = []
+        for k, col in enumerate(cols):
+            if row[col]:
+                product = reference_mul(row[col], minor(cols[:k] + cols[k + 1 :]))
+                terms += [(wv, -c if k % 2 else c) for wv, c in product.terms()]
+        return GeneralizedPolynomial(basis, terms)
+
+    return RationalGF(minor(tuple(range(1, len(rows)))), minor(tuple(range(len(rows)))))
+
+
+def reference_gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
+    basis = spec.basis
+    one = GeneralizedPolynomial.one(basis)
+
+    def walk(node):
+        if isinstance(node, Epsilon):
+            return one, one
+        if isinstance(node, Symbol):
+            return GeneralizedPolynomial.monomial(basis, spec.weight_of(node.name)), one
+        if isinstance(node, Union):
+            num, den = walk(node.parts[0])
+            for part in node.parts[1:]:
+                n2, d2 = walk(part)
+                num = reference_mul(num, d2) + reference_mul(n2, den)
+                den = reference_mul(den, d2)
+            return num, den
+        if isinstance(node, Concat):
+            num, den = walk(node.parts[0])
+            for part in node.parts[1:]:
+                n2, d2 = walk(part)
+                num = reference_mul(num, n2)
+                den = reference_mul(den, d2)
+            return num, den
+        if isinstance(node, Star):
+            n2, d2 = walk(node.child)
+            if n2.constant_coefficient != 0:
+                raise UnsupportedChannelError(
+                    "star of an expression that matches the empty string; "
+                    "rewrite the regex so the starred part is not nullable"
+                )
+            return d2, d2 - n2
+        raise TypeError(f"not a regex node: {node!r}")
+
+    num, den = walk(expr)
+    return RationalGF(num, den)
+
+
+def reference_build_gf(spec: ChannelSpec) -> RationalGF:
+    """The former build_gf, each product by 1 computed term by term and
+    every polynomial built through the checking constructor."""
+    constraint = spec.constraint
+    if isinstance(constraint, Free):
+        gf = reference_gf_free_monoid(spec)
+    elif isinstance(constraint, ForbiddenPatterns):
+        gf = reference_gf_forbidden_patterns(spec)
+    else:
+        gf = reference_gf_from_regex(constraint.expr, spec)
+    for part, poly in (("numerator", gf.numerator), ("denominator", gf.denominator)):
+        try:
+            finite = all(math.isfinite(wv.value(poly.basis)) for wv, _ in poly.terms())
+        except OverflowError:
+            finite = False
+        if not finite:
+            raise SpecError(
+                f"constraint: a word weight in the quotient's {part} is too large "
+                "for a float"
+            )
+    return gf
+
+
+def _reference_evaluate_or_inf(p: GeneralizedPolynomial, y: float) -> float:
+    try:
+        return reference_evaluate(p, y)
+    except EvalOverflowError:
+        return math.inf
+
+
+def reference_characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | None:
+    terms = {}
+    for wv, c in den.terms():
+        if wv.is_zero():
+            continue
+        if c > 0:
+            return None
+        terms[wv] = -c
+    return GeneralizedPolynomial(den.basis, terms)
+
+
+def reference_smallest_positive_root(
+    p: GeneralizedPolynomial, target: float = 1.0, *, tol: float = DEFAULT_TOL
+) -> RootResult:
+    _check_tol(tol)
+    for wv, c in p.terms():
+        if c < 0:
+            raise SolverError("polynomial has a negative coefficient; not monotone")
+    p0 = reference_evaluate(p, 0.0)
+    if not p0 < target:
+        raise SolverError(
+            f"no positive root: value at 0 is {p0:.6g}, already at or above {target:.6g}"
+        )
+    if all(wv.is_zero() for wv, _ in p.terms()):
+        raise SolverError("polynomial is constant; it never reaches the target")
+    iterations = 0
+    lo, hi = 0.0, 1.0
+    while _reference_evaluate_or_inf(p, hi) < target:
+        lo, hi = hi, hi * 2.0
+        iterations += 1
+        if iterations > MAX_DOUBLINGS:
+            raise SolverError(f"no root found below {hi:.3g}")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        iterations += 1
+        if _reference_evaluate_or_inf(p, mid) < target:
+            lo = mid
+        else:
+            hi = mid
+    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
+def reference_capacity_from_characteristic(gf: RationalGF, *, tol: float = DEFAULT_TOL):
+    _check_tol(tol)
+    den = gf.denominator
+    growth = reference_characteristic_part(den)
+    if growth is None:
+        raise SolverError(
+            "denominator is not in star form (positive constant minus "
+            "nonnegative growth terms); use the pole method"
+        )
+    d0 = den.constant_coefficient
+    if not growth:
+        return _finite_language_report("characteristic-root")
+    result = reference_smallest_positive_root(growth, float(d0), tol=tol)
+    if _is_removable(gf, result.root):
+        raise SolverError(
+            f"numerator vanishes at the characteristic root y = {result.root:.12g}; "
+            "the singularity is removable there, use the pole scan instead"
+        )
+    return CapacityReport(
+        method="characteristic-root",
+        radius_or_pole=result.root,
+        capacity_nats=-math.log(result.root),
+        error_bound=_log_enclosure_width(result.low, result.high),
+        iterations=result.iterations,
+    )
+
+
+class _ReferencePoleScan:
+    """The former pole scan, each evaluation made through two helpers."""
+
+    def __init__(self, den: GeneralizedPolynomial, tol: float):
+        _check_tol(tol)
+        self.den = den
+        self.tol = tol
+        self.evaluations = 0
+
+    def _evaluate(self, p, y):
+        self.evaluations += 1
+        return reference_evaluate(p, y)
+
+    def _bound(self, p, y):
+        self.evaluations += 1
+        return _reference_evaluate_or_inf(p, y)
+
+    def __iter__(self):
+        den = self.den
+        pos = GeneralizedPolynomial(den.basis, [(wv, c) for wv, c in den.terms() if c > 0])
+        neg = GeneralizedPolynomial(den.basis, [(wv, -c) for wv, c in den.terms() if c < 0])
+        margin = SKIP_MARGIN * (len(den) + 4)
+        n_grid = int(math.ceil(Y_MAX / GRID_STEP))
+        prev_y, prev_v = 0.0, self._evaluate(den, 0.0)
+        p_prev, n_prev = self._bound(pos, 0.0), self._bound(neg, 0.0)
+        j, k = 0, 1
+        while j < n_grid:
+            k = min(k, n_grid - j)
+            y = min((j + k) * GRID_STEP, Y_MAX)
+            p_y, n_y = self._bound(pos, y), self._bound(neg, y)
+            slack = margin * (p_y + n_y)
+            if (p_y - n_prev < -slack) if prev_v < 0.0 else (p_prev - n_y > slack):
+                j += k
+                prev_y, p_prev, n_prev = y, p_y, n_y
+                k *= 2
+                continue
+            if k > 1:
+                k //= 2
+                continue
+            j += 1
+            v = self._evaluate(den, y)
+            if v == 0.0:
+                yield RootResult(y, y, y, 0)
+                probe = y + 0.5 * GRID_STEP
+                if probe >= Y_MAX:
+                    return
+                prev_y, prev_v = probe, self._evaluate(den, probe)
+                p_prev, n_prev = self._bound(pos, probe), self._bound(neg, probe)
+                continue
+            if (v < 0.0) != (prev_v < 0.0):
+                yield self._bisect(prev_y, y, prev_v)
+            prev_y, prev_v, p_prev, n_prev = y, v, p_y, n_y
+
+    def _bisect(self, lo, hi, flo):
+        iterations = 0
+        while hi - lo > self.tol:
+            mid = (lo + hi) / 2.0
+            if mid == lo or mid == hi:
+                break
+            iterations += 1
+            fmid = self._evaluate(self.den, mid)
+            if fmid == 0.0:
+                lo = hi = mid
+                break
+            if (fmid < 0.0) == (flo < 0.0):
+                lo, flo = mid, fmid
+            else:
+                hi = mid
+        return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
+def reference_smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL):
+    scan = _ReferencePoleScan(gf.denominator, tol)
+    if all(wv.is_zero() for wv, _ in gf.denominator.terms()):
+        return _finite_language_report("smallest-pole")
+    skipped = 0
+    for cand in scan:
+        if _is_removable(gf, cand.root):
+            skipped += 1
+            continue
+        note = None
+        if skipped:
+            note = f"skipped {skipped} removable denominator root(s) below the pole"
+        return CapacityReport(
+            method="smallest-pole",
+            radius_or_pole=cand.root,
+            capacity_nats=-math.log(cand.root),
+            error_bound=_log_enclosure_width(cand.low, cand.high),
+            iterations=scan.evaluations,
+            note=note,
+        )
+    detail = f" apart from {skipped} removable root(s)" if skipped else ""
+    raise SolverError(
+        f"no sign change of the denominator in (0, {Y_MAX:g}]{detail}; "
+        "a root of even multiplicity would not show, so the pole scan "
+        "gives no answer"
+    )
+
+
+def reference_auto_capacity(spec: ChannelSpec, gf: RationalGF) -> CapacityReport:
+    """The CLI's default route on the former solvers: the pole scan for
+    forbidden patterns and denominators without star form, else the
+    characteristic root."""
+    if isinstance(spec.constraint, ForbiddenPatterns) or (
+        reference_characteristic_part(gf.denominator) is None
+    ):
+        return reference_smallest_positive_pole(gf)
+    return reference_capacity_from_characteristic(gf)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 
 import pytest
 
@@ -19,6 +20,7 @@ from dnccap.chanspec import (
     Symbol,
     SymbolDef,
     Union,
+    _SYMBOL_FORBIDDEN,
 )
 from dnccap.genpoly import WeightBasis, WeightVector
 
@@ -101,6 +103,8 @@ ERROR_CASES = [
     ('{"atoms": {}, "symbols": []}', "missing required key"),
     (doc(extra=1), "unknown key"),
     (doc(atoms={"1bad": 1.0}), "identifiers"),
+    # A name matches in full: "$" alone also matches before a final newline.
+    (doc(atoms={"u\n": 1.0}), "identifiers"),
     (doc(atoms={"unit": 0.0}), "positive"),
     (doc(atoms={"unit": -2}), "positive"),
     (doc(atoms={"unit": "x"}), "number"),
@@ -156,6 +160,17 @@ def test_channel_spec_checks_symbol_weights(mult, needle):
     basis = WeightBasis.from_mapping({"unit": 1e308})
     with pytest.raises(ValueError, match=needle):
         ChannelSpec(basis, (SymbolDef("0", WeightVector((mult,))),), Free())
+
+
+def test_symbol_name_class_rejects_exactly_whitespace_and_regex_characters():
+    # One character class stands for `ch.isspace() or ch in "()|*ε"`.
+    differ = [
+        hex(code)
+        for code in range(sys.maxunicode + 1)
+        if bool(_SYMBOL_FORBIDDEN.search(chr(code)))
+        != (chr(code).isspace() or chr(code) in "()|*ε")
+    ]
+    assert differ == []
 
 
 def test_invalid_utf8_is_a_spec_error():

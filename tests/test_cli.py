@@ -210,7 +210,8 @@ class TestCapacity:
             calls.append(args)
             return enumerate_channel(*args, **kwargs)
 
-        monkeypatch.setattr("dnccap.cli.enumerate_channel", counting)
+        # The command imports the oracle's functions when it runs.
+        monkeypatch.setattr("dnccap.oracle.enumerate_channel", counting)
         code, out, _ = run(
             capsys,
             "capacity",
@@ -621,7 +622,8 @@ def test_cli_import_does_not_load_numpy():
 
 def test_cli_import_loads_no_heavy_stdlib_module():
     # -S skips site, so a .pth file that imports one of these cannot hide
-    # an import of it by dnccap.
+    # an import of it by dnccap. The oracle and its automaton load only
+    # in the commands that enumerate.
     code = "import sys, dnccap.cli; print(sorted(sys.modules))"
     proc = subprocess.run(
         [sys.executable, "-S", "-c", code],
@@ -633,6 +635,26 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     loaded = set(ast.literal_eval(proc.stdout))
     assert "dnccap.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "typing"})
+    assert loaded.isdisjoint({"dnccap.oracle", "dnccap.automaton"})
+
+
+def test_package_serves_the_oracle_on_first_use():
+    code = (
+        "import sys, dnccap\n"
+        "print(sorted(m for m in sys.modules if m in ('dnccap.oracle', 'dnccap.automaton')))\n"
+        "from dnccap import EnumerationResult, enumerate_channel, automaton, oracle\n"
+        "print(enumerate_channel is oracle.enumerate_channel, "
+        "automaton is sys.modules['dnccap.automaton'], "
+        "set(dnccap.__all__) <= set(dir(dnccap)), hasattr(dnccap, 'nothing'))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines() == ["[]", "True True True False"]
 
 
 # argv, and the exit code the command gives with or without numpy.

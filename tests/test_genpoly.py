@@ -215,6 +215,36 @@ class TestArithmetic:
         with pytest.raises(ValueError):
             GeneralizedPolynomial(UNIT, {WeightVector((1,)): 1.5})
 
+    @pytest.mark.parametrize("one", [
+        GeneralizedPolynomial.one(MIXED),
+        # An equal basis that is another object.
+        GeneralizedPolynomial.one(WeightBasis.from_mapping({"unit": 1.0, "pi": math.pi})),
+    ])
+    def test_product_by_one_keeps_the_terms_and_their_order(self, one):
+        p = poly(MIXED, {(2, 0): 3, (0, 0): -1, (1, 1): 2, (0, 3): -5})
+        for product in (p * one, one * p):
+            assert list(product.terms()) == list(p.terms())
+            assert product.float_terms() == p.float_terms()
+        assert list((one * one).terms()) == [(WeightVector((0, 0)), 1)]
+
+    @pytest.mark.parametrize("c", [2, -1])
+    def test_other_constants_multiply_every_term(self, c):
+        p = poly(UNIT, {(2,): 3, (1,): -1})
+        constant = GeneralizedPolynomial.constant(UNIT, c)
+        expected = [(WeightVector((2,)), 3 * c), (WeightVector((1,)), -c)]
+        assert list((p * constant).terms()) == expected
+
+    @pytest.mark.parametrize("other", [
+        GeneralizedPolynomial.one(MIXED),
+        poly(MIXED, {(1, 0): 1}),
+    ])
+    def test_products_across_bases_raise(self, other):
+        one = GeneralizedPolynomial.one(UNIT)
+        with pytest.raises(BasisMismatchError):
+            one * other
+        with pytest.raises(BasisMismatchError):
+            other * one
+
     def test_any_mapping_or_pair_iterable_builds_the_same_polynomial(self):
         terms = {WeightVector((0,)): 1, WeightVector((2,)): -3}
         expected = GeneralizedPolynomial(UNIT, terms)

@@ -7,7 +7,7 @@ import json
 import math
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, event, example, given, settings, strategies as st
 
 from dnccap import (
     ChannelSpec,
@@ -33,19 +33,24 @@ from dnccap import (
     expand_series,
     parse_regex,
     parse_spec,
+    render_regex,
     render_spec,
     smallest_positive_root,
 )
 from dnccap import genpoly
+from dnccap.cli import _analytic_report
 from dnccap.gf_builder import _minors
-from dnccap.solver import bracket_denominator_roots
+from dnccap.solver import DEFAULT_TOL, bracket_denominator_roots
 
 from corpus import (
     load_channel,
+    reference_auto_capacity,
     reference_bracket_denominator_roots,
+    reference_build_gf,
     reference_check_density,
     reference_evaluate,
     reference_expand_series,
+    reference_parse_spec,
     reference_tuple_expand_series,
 )
 
@@ -604,3 +609,182 @@ class TestPoleScan:
         got, _ = bracket_denominator_roots(gf)
         expected, _ = reference_bracket_denominator_roots(gf)
         assert got == expected
+
+
+# --- the warm capacity path against its former code ------------------------------
+
+SPEC_ATOMS = (
+    {"unit": 1.0},
+    {"unit": 1.0, "half": 0.5},
+    {"unit": 1.0, "pi": math.pi},
+    {"u": 0.7, "v": 1.3, "w": 2.9},
+)
+SPEC_NAMES = (("0", "1", "2", "3"), ("a", "b", "c", "d"), ("go", "stop", "x1", "zz"))
+# Values a malformed document puts where a valid one has something else.
+JUNK = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-2, max_value=3),
+    st.just(10**400),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+    st.just([]),
+    st.just({}),
+)
+
+
+def _regex_over(names):
+    leaves = st.sampled_from([Epsilon()] + [Symbol(n) for n in names])
+
+    def extend(children):
+        return st.one_of(
+            st.lists(children, min_size=2, max_size=3).map(lambda ps: Union(tuple(ps))),
+            st.lists(children, min_size=2, max_size=3).map(lambda ps: Concat(tuple(ps))),
+            children.map(Star),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+@st.composite
+def valid_documents(draw):
+    """A spec document: free, one or several forbidden patterns, a prefix
+    code's star, or a random regex, over 1-4 symbols of random weights."""
+    atoms = draw(st.sampled_from(SPEC_ATOMS))
+    names = draw(st.sampled_from(SPEC_NAMES))[: draw(st.integers(1, 4))]
+    sep = "" if all(len(n) == 1 for n in names) else " "
+    weights = st.dictionaries(
+        st.sampled_from(list(atoms)), st.integers(1, 3), min_size=1, max_size=len(atoms)
+    )
+    symbols = [{"name": n, "weight": draw(weights)} for n in names]
+    words = st.lists(st.sampled_from(names), min_size=1, max_size=4).map(sep.join)
+    kind = draw(st.sampled_from(["free", "pattern", "patterns", "prefix-code", "regex"]))
+    event(kind)
+    if kind == "free":
+        constraint = {"type": "free"}
+    elif kind == "pattern":
+        constraint = {"type": "forbidden", "patterns": [draw(words)]}
+    elif kind == "patterns":
+        patterns = draw(st.lists(words, min_size=2, max_size=4))
+        constraint = {"type": "forbidden", "patterns": patterns}
+    else:
+        if kind == "prefix-code":
+            # Splitting a word w of a prefix code into w n, n over the
+            # alphabet, keeps it a prefix code, whose star is unambiguous.
+            code = [(n,) for n in names]
+            for _ in range(draw(st.integers(0, 3))):
+                w = code.pop(draw(st.integers(0, len(code) - 1)))
+                code += [w + (n,) for n in names]
+            expr = "(" + "|".join(sep.join(w) for w in code) + ")*"
+        else:
+            expr = render_regex(draw(_regex_over(names)), single_char_names=not sep)
+        constraint = {"type": "regex", "expr": expr, "unambiguous": True}
+    return {"atoms": dict(atoms), "symbols": symbols, "constraint": constraint}
+
+
+@st.composite
+def malformed_documents(draw):
+    """A valid document with one value replaced, added or removed."""
+    doc = draw(valid_documents())
+    atom = next(iter(doc["atoms"]))
+    entry = doc["symbols"][draw(st.integers(0, len(doc["symbols"]) - 1))]
+    constraint = doc["constraint"]
+    junk, text = draw(JUNK), draw(st.text(alphabet="01abgostp()|*ε \n", max_size=8))
+    change = draw(st.integers(0, 13))
+    event(f"change {change}")
+    if change == 0:
+        doc["atoms"][atom] = junk
+    elif change == 1:
+        doc["atoms"][text] = 1.0
+    elif change == 2:
+        doc[draw(st.sampled_from(["atoms", "symbols", "constraint"]))] = junk
+    elif change == 3:
+        entry["name"] = draw(st.one_of(JUNK, st.just(text)))
+    elif change == 4:
+        entry["weight"][atom] = junk
+    elif change == 5:
+        entry["weight"][text] = 1
+    elif change == 6:
+        entry[text or "extra"] = junk
+    elif change == 7:
+        del entry[draw(st.sampled_from(["name", "weight"]))]
+    elif change == 8:
+        doc["symbols"].append(dict(entry))
+    elif change == 9:
+        entry["weight"] = {atom: 0}
+    elif change == 10:
+        constraint["type"] = draw(st.sampled_from(["free", "forbidden", "regex", "nope"]))
+    elif change == 11:
+        constraint["patterns"] = draw(st.lists(st.one_of(JUNK, st.just(text)), max_size=3))
+    elif change == 12:
+        constraint["expr"] = text
+    else:
+        constraint[draw(st.sampled_from(["unambiguous", "extra"]))] = junk
+    return doc
+
+
+def _spec_outcome(parse, text):
+    try:
+        return parse(text)
+    except SpecError as exc:
+        return f"SpecError: {exc}"
+
+
+def _quotient(build, spec):
+    try:
+        return build(spec)
+    except DncError as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def _terms(gf):
+    """The terms of both parts in order, or the error text."""
+    if isinstance(gf, str):
+        return gf
+    return list(gf.numerator.terms()), list(gf.denominator.terms())
+
+
+def _capacity_outcome(solve):
+    try:
+        r = solve()
+    except DncError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    hexed = [float.hex(x) for x in (r.radius_or_pole, r.capacity_nats, r.error_bound)]
+    return r.method, *hexed, r.iterations, r.note
+
+
+class TestWarmCapacityPath:
+    @given(
+        st.one_of(valid_documents(), malformed_documents()).map(
+            lambda doc: json.dumps(doc, ensure_ascii=False)
+        )
+        | st.text(max_size=40)
+    )
+    @example('{"atoms": {"u\\n": 1.0}, "symbols": [], "constraint": {}}')
+    @example(
+        '{"atoms": {"unit": 1.0}, "symbols": [{"name": "0", "weight": {"unit": 1}}], '
+        '"constraint": {"type": "forbidden", "patterns": ["0", " "]}}'
+    )
+    # A denominator without star form, (1 - y)(1 - y**2), goes to the pole scan.
+    @example(
+        '{"atoms": {"unit": 1.0}, "symbols": [{"name": "0", "weight": {"unit": 1}}, '
+        '{"name": "1", "weight": {"unit": 2}}], '
+        '"constraint": {"type": "regex", "expr": "0*1*", "unambiguous": true}}'
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_answers_match_the_former_code_bit_for_bit(self, text):
+        # Equal specs or the same SpecError text; then the same quotient
+        # terms in the same order, or the same error; then the auto
+        # route's report with float.hex-identical fields, or the same
+        # SolverError text.
+        spec = _spec_outcome(parse_spec, text)
+        assert spec == _spec_outcome(reference_parse_spec, text)
+        if isinstance(spec, str):
+            return
+        gf, expected = _quotient(build_gf, spec), _quotient(reference_build_gf, spec)
+        assert _terms(gf) == _terms(expected)
+        if isinstance(gf, str):
+            return
+        assert _capacity_outcome(lambda: _analytic_report(spec, gf, None, DEFAULT_TOL)) == (
+            _capacity_outcome(lambda: reference_auto_capacity(spec, expected))
+        )
