@@ -163,103 +163,138 @@ _SPECIALS = "()|*"
 _EPSILON = "ε"
 
 
-def _tokenize_regex(expr: str, names: frozenset[str], single: bool):
-    """Yield (kind, text, offset) tokens; kinds are the literal special
-    characters, 'eps', 'name', and a final 'end'."""
-    tokens = []
-    i = 0
+def _word_end(expr: str, i: int, n: int) -> int:
+    """End of the multi-character symbol name starting at offset i."""
+    while i < n and not expr[i].isspace() and expr[i] not in _SPECIALS and expr[i] != _EPSILON:
+        i += 1
+    return i
+
+
+def _check_symbols(expr: str, i: int, names: frozenset[str], single: bool) -> None:
+    """Raise the first undeclared symbol from offset i on, a token start."""
     n = len(expr)
     while i < n:
         ch = expr[i]
-        if ch.isspace():
+        if ch.isspace() or ch in _SPECIALS or ch == _EPSILON:
             i += 1
-            continue
-        if ch in _SPECIALS:
-            tokens.append((ch, ch, i))
+        elif single:
+            if ch not in names:
+                raise SpecError(f"regex offset {i}: undeclared symbol {ch!r}")
             i += 1
-            continue
-        if ch == _EPSILON:
-            tokens.append(("eps", ch, i))
-            i += 1
-            continue
-        if single:
-            if ch in names:
-                tokens.append(("name", ch, i))
-                i += 1
-                continue
-            raise SpecError(f"regex offset {i}: undeclared symbol {ch!r}")
-        j = i
-        while j < n and not expr[j].isspace() and expr[j] not in _SPECIALS and expr[j] != _EPSILON:
-            j += 1
-        word = expr[i:j]
-        if word not in names:
-            raise SpecError(f"regex offset {i}: undeclared symbol {word!r}")
-        tokens.append(("name", word, i))
-        i = j
-    tokens.append(("end", "", n))
-    return tokens
+        else:
+            j = _word_end(expr, i, n)
+            if expr[i:j] not in names:
+                raise SpecError(f"regex offset {i}: undeclared symbol {expr[i:j]!r}")
+            i = j
 
 
 class _RegexParser:
-    def __init__(self, tokens):
-        self.tokens = tokens
-        self.pos = 0
+    """Recursive descent over the expression string, at offset `i`.
 
-    def peek(self) -> str:
-        return self.tokens[self.pos][0]
+    Symbols, ε and stars are read in place in `concat`, with no token list,
+    and each symbol's node is built once and shared (records are
+    immutable). A parenthesized group still descends union -> concat ->
+    postfix -> atom -> union, four calls a level, so an expression nests
+    as deep before the recursion limit stops it. An undeclared symbol anywhere in
+    the expression takes precedence over a syntax error, as it does when
+    the whole expression is checked for symbols before it is parsed.
+    """
 
-    def advance(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
+    __slots__ = ("expr", "n", "names", "single", "i", "symbols")
+
+    def __init__(self, expr: str, names: frozenset[str], single: bool):
+        self.expr = expr
+        self.n = len(expr)
+        self.names = names
+        self.single = single
+        self.i = 0
+        self.symbols: dict[str, Symbol] = {}
+
+    def fail(self, offset: int, message: str):
+        _check_symbols(self.expr, self.i, self.names, self.single)
+        raise SpecError(f"regex offset {offset}: {message}")
 
     def parse(self) -> RegexNode:
         node = self.union()
-        kind, text, off = self.tokens[self.pos]
-        if kind == ")":
-            raise SpecError(f"regex offset {off}: unbalanced ')'")
-        if kind != "end":
-            raise SpecError(f"regex offset {off}: unexpected {text!r}")
+        if self.i < self.n:
+            # union stops only at the end or at a ')'.
+            self.fail(self.i, "unbalanced ')'")
         return node
 
     def union(self) -> RegexNode:
         parts = [self.concat()]
-        while self.peek() == "|":
-            self.advance()
+        # concat leaves i at the end or at a '|' or ')'.
+        while self.i < self.n and self.expr[self.i] == "|":
+            self.i += 1
             parts.append(self.concat())
         return union_of(parts)
 
     def concat(self) -> RegexNode:
+        expr, n = self.expr, self.n
         parts = []
-        while self.peek() in ("(", "eps", "name"):
-            parts.append(self.postfix())
+        i = self.i
+        while True:
+            while i < n and expr[i].isspace():
+                i += 1
+            if i == n:
+                break
+            ch = expr[i]
+            if ch == "(":
+                self.i = i
+                parts.append(self.postfix())
+                i = self.i
+                continue
+            if ch in "|)*":
+                break
+            if ch == _EPSILON:
+                node = Epsilon()
+                i += 1
+            else:
+                j = i + 1 if self.single else _word_end(expr, i, n)
+                name = expr[i:j]
+                node = self.symbols.get(name)
+                if node is None:
+                    if name not in self.names:
+                        raise SpecError(f"regex offset {i}: undeclared symbol {name!r}")
+                    node = self.symbols[name] = Symbol(name)
+                i = j
+            while True:
+                while i < n and expr[i].isspace():
+                    i += 1
+                if i == n or expr[i] != "*":
+                    break
+                node = Star(node)
+                i += 1
+            parts.append(node)
+        self.i = i
         if not parts:
-            kind, text, off = self.tokens[self.pos]
-            what = repr(text) if text else "end of expression"
-            raise SpecError(f"regex offset {off}: expected a term, found {what}")
+            found = repr(expr[i]) if i < n else "end of expression"
+            self.fail(i, f"expected a term, found {found}")
         return concat_of(parts)
 
     def postfix(self) -> RegexNode:
         node = self.atom()
-        while self.peek() == "*":
-            self.advance()
+        expr, n = self.expr, self.n
+        i = self.i
+        while True:
+            while i < n and expr[i].isspace():
+                i += 1
+            if i == n or expr[i] != "*":
+                break
             node = Star(node)
+            i += 1
+        self.i = i
         return node
 
     def atom(self) -> RegexNode:
-        kind, text, off = self.advance()
-        if kind == "(":
-            node = self.union()
-            k2, _, off2 = self.tokens[self.pos]
-            if k2 != ")":
-                raise SpecError(f"regex offset {off}: unbalanced '('")
-            self.advance()
-            return node
-        if kind == "eps":
-            return Epsilon()
-        if kind == "name":
-            return Symbol(text)
-        raise SpecError(f"regex offset {off}: unexpected {text!r}")
+        # Called at a '('.
+        off = self.i
+        self.i += 1
+        node = self.union()
+        if self.i == self.n:
+            self.fail(off, "unbalanced '('")
+        self.i += 1
+        return node
 
 
 def parse_regex(expr: str, symbol_names) -> RegexNode:
@@ -268,10 +303,10 @@ def parse_regex(expr: str, symbol_names) -> RegexNode:
     if not names:
         raise SpecError("regex offset 0: no symbols declared")
     single = all(len(n) == 1 for n in names)
-    tokens = _tokenize_regex(expr, names, single)
     try:
-        return _RegexParser(tokens).parse()
+        return _RegexParser(expr, names, single).parse()
     except RecursionError:
+        _check_symbols(expr, 0, names, single)
         raise SpecError("regex offset 0: expression nests too deeply") from None
 
 

@@ -377,6 +377,31 @@ class GeneralizedPolynomial:
             raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
         return total
 
+    def value_and_slope(self, y: float) -> tuple[float, float]:
+        """(p(y), y * p'(y)) at y >= 0, in one pass over the terms.
+
+        The value is the float `evaluate` returns, and the call raises
+        EvalOverflowError exactly when `evaluate` would. The slope adds
+        e * (c * y**e) in term order; it may be inf or nan where the
+        value is finite.
+        """
+        if y < 0:
+            raise ValueError("evaluation point must be nonnegative")
+        terms = self._float_terms
+        if terms is None:
+            terms = self.float_terms()
+        total = slope = 0.0
+        try:
+            for e, c in terms:
+                t = c * (y ** e)
+                total += t
+                slope += e * t
+        except OverflowError as exc:
+            raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
+        if not math.isfinite(total):
+            raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
+        return total, slope
+
     def __repr__(self) -> str:
         parts = [
             f"{c}*y^{wv.value(self.basis):.6g}" for wv, c in self.sorted_terms()

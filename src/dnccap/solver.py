@@ -21,6 +21,22 @@ Two analytic routes, both with certified enclosures:
                         nondecreasing on y >= 0, every y in [a, b] has
                         P(a) - N(b) <= D(y) <= P(b) - N(a).
 
+Both bisections keep their midpoint sequence, and with it the enclosure and
+the step count, but evaluate only the midpoints whose float sign is not yet
+known. Before the first midpoint, Newton steps locate the root and two
+evaluations certify a window [a, b] around it: every midpoint at or below a
+would evaluate on the low side of the root and every midpoint at or above b
+on the high side, so neither is evaluated. On the characteristic route
+Newton runs on ln E in t = -ln y, where it is convex and decreasing; in a
+pole bracket it starts from the secant point, and the window also needs D
+to be strictly monotone on the bracket. A window end that fails its
+certificate leaves its side to be evaluated as before. The certificates
+rest on the rounding bound documented at SKIP_MARGIN. A report's
+`iterations` counts the doublings and bisection steps on the
+characteristic route, and on the pole route every pass over the terms of
+D, P and N, or of the parts of D that show it monotone, Newton passes
+included, but not the bisection steps the window decided.
+
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
 
@@ -49,18 +65,39 @@ DEFAULT_TOL = 1e-12
 # The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
 Y_MAX = 1.0
 GRID_STEP = 1e-3
-# The pole scan skips a grid run [a, b] only when its bound clears zero by
-# SKIP_MARGIN * (len(D) + 4) times P(b) + N(b). This assumes the C library's
-# pow is within 1 ulp. With u = 2**-53, each term c * y**e of `evaluate` is
-# then within 4u of exact (pow, converting c to float, the product), and
-# summing n = len(D) terms adds (n - 1)u, so evaluating D, P or N at y is off
-# by at most (n + 3)u (P(y) + N(y)). In the lower bound P(a) and N(b) are
-# together off by at most (n + 3)u (P(b) + N(b)), D at a grid point of the
-# run by as much again, and the subtraction and the product round once
-# each: under 2 (n + 4)u (P(b) + N(b)) in all, an eighth of the margin, and
-# likewise for the upper bound. So each skipped grid point would have
-# evaluated to a nonzero float of the run's sign.
+# Every certificate below clears its test by margin = SKIP_MARGIN * (n + 4)
+# relative to the sizes involved, n the number of terms of the polynomial
+# evaluated. This assumes the C library's pow is within 1 ulp. With u =
+# 2**-53, each term c * y**e of `evaluate` is then within 4u of exact (pow,
+# converting c to float, the product), and summing n terms adds (n - 1)u, so
+# evaluating D, P or N at y is off by at most (n + 3)u (P(y) + N(y)), and a
+# polynomial of nonnegative terms by (n + 3)u of its value. The slope of
+# `value_and_slope` has one product more per term: (n + 4)u of the sum of
+# its terms' sizes. Values that underflow into subnormals are left out of
+# this account.
+#   - The pole scan skips a grid run [a, b] only when its bound clears zero
+#     by margin * (P(b) + N(b)). In the lower bound P(a) and N(b) are
+#     together off by at most (n + 3)u (P(b) + N(b)), D at a grid point of
+#     the run by as much again, and the subtraction and the product round
+#     once each: under 2 (n + 4)u (P(b) + N(b)) in all, an eighth of the
+#     margin, and likewise for the upper bound. So each skipped grid point
+#     would have evaluated to a nonzero float of the run's sign.
+#   - On the characteristic route E is increasing, so E(a) (1 + margin) <
+#     d0 makes every x <= a evaluate below d0, and d0 <= E(b) (1 - margin)
+#     makes every x >= b evaluate at or above it: the evaluations at x and
+#     at the window end are each off by (n + 3)u of the value.
+#   - In a pole bracket [lo, hi] with D strictly monotone, a window end
+#     with |D| above margin * (P(hi) + N(hi)) fixes the sign at every point
+#     beyond it: P and N are nondecreasing, so the evaluations there and at
+#     the end are each off by at most (n + 3)u (P(hi) + N(hi)).
+#   - D is strictly increasing on [lo, hi] when the least slope of P there
+#     exceeds the greatest slope of N with the margin on both sides (and
+#     decreasing with P and N swapped), each sum of slopes of one sign off
+#     by at most (n + 6)u of itself.
 SKIP_MARGIN = 8 * 2.0**-52
+# A Newton search for a window that has not settled (`_settled`) after
+# NEWTON_STEPS passes places no window.
+NEWTON_STEPS = 20
 MAX_DOUBLINGS = 200
 REMOVABLE_RTOL = 1e-9
 # check_density counts the weights below each integer n up to the cutoff.
@@ -143,8 +180,14 @@ def smallest_positive_root(
 
     p must be strictly increasing where it matters: all coefficients
     nonnegative, at least one term of positive weight, and p(0) < target.
-    The returned enclosure satisfies p(low) <= target <= p(high) with
-    high - low <= tol.
+    Doubling from 1 brackets the root, then bisection narrows the bracket
+    to high - low <= tol, or to adjacent floats. Every doubling and
+    bisection step counts as one iteration. The float evaluation of p is
+    below target at low (or low is 0) and at or above target at high (or
+    overflows there); the exact values may differ by rounding, so the
+    exact root is not certified to lie in [low, high]. A bisection step
+    whose midpoint the Newton window of `_characteristic_window` already
+    decides is taken without evaluating p.
     """
     _check_tol(tol)
     for wv, c in p.terms():
@@ -158,35 +201,104 @@ def smallest_positive_root(
     if all(wv.is_zero() for wv, _ in p.terms()):
         raise SolverError("polynomial is constant; it never reaches the target")
 
-    # One call per evaluation; a value that overflows counts as inf.
-    at = p.evaluate
+    # One call per evaluation; a value that overflows counts as inf. The
+    # doubling passes also take the slope, where Newton starts.
     iterations = 0
     lo, hi = 0.0, 1.0
     while True:
         try:
-            below = at(hi) < target
+            v, s = p.value_and_slope(hi)
         except EvalOverflowError:
-            below = False
-        if not below:
+            v = s = math.inf
+        if not v < target:
             break
         lo, hi = hi, hi * 2.0
         iterations += 1
         if iterations > MAX_DOUBLINGS:
             raise SolverError(f"no root found below {hi:.3g}")
+    at = p.evaluate
+    if hi - lo > tol:
+        a, b = _characteristic_window(p, target, hi, v, s)
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
         iterations += 1
-        try:
-            below = at(mid) < target
-        except EvalOverflowError:
-            below = False
-        if below:
+        if mid <= a:
             lo = mid
-        else:
+        elif mid >= b:
             hi = mid
+        else:
+            try:
+                below = at(mid) < target
+            except EvalOverflowError:
+                below = False
+            if below:
+                lo = mid
+            else:
+                hi = mid
     return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
+def _settled(step: float, last: float, width: float) -> bool:
+    """Has a Newton search come within a quarter of the window's half
+    width of the root: this step, or the next one, which quadratic
+    convergence puts at about step**3 / last**2, the last step before?"""
+    return abs(step) <= 0.25 * width or abs(step) ** 3 <= 0.25 * width * last * last
+
+
+def _characteristic_window(
+    p: GeneralizedPolynomial, target: float, y: float, v: float, s: float
+) -> tuple[float, float]:
+    """Window ends (a, b) around the root of p(y) = target: every x <= a
+    evaluates below target and every x >= b at or above it (see
+    SKIP_MARGIN), wherever `_characteristic_ends` put them. A side whose
+    certificate fails gets 0 or inf.
+    """
+    margin = SKIP_MARGIN * (len(p) + 4)
+    placed = _characteristic_ends(p, target, y, v, s, margin)
+    if placed is None:
+        return 0.0, math.inf
+    a, b = placed
+    try:
+        if not p.evaluate(a) * (1.0 + margin) < target:
+            a = 0.0
+    except EvalOverflowError:
+        a = 0.0
+    try:
+        if not target <= p.evaluate(b) * (1.0 - margin):
+            b = math.inf
+    except EvalOverflowError:
+        b = math.inf
+    return a, b
+
+
+def _characteristic_ends(
+    p: GeneralizedPolynomial, target: float, y: float, v: float, s: float, margin: float
+) -> tuple[float, float] | None:
+    """Where the window ends go, or None when Newton does not settle.
+
+    Newton starts from y, where p(y) = v >= target and y p'(y) = s. In t =
+    -ln y, ln p is a log-sum-exp of affine functions of t, so it is convex
+    and decreasing, and the steps approach the root from above. The ends
+    sit where the last tangent puts ln p at ln target -+ 2 * margin.
+    """
+    last = 0.0
+    for _ in range(NEWTON_STEPS):
+        if not (0.0 < v < math.inf and 0.0 < s < math.inf):
+            return None
+        # The Newton step in t, t growing as y shrinks.
+        step = math.log(v / target) * v / s
+        width = 2.0 * margin * v / s
+        if _settled(step, last, width):
+            return y * math.exp(-step - width), y * math.exp(-step + width)
+        last = step
+        y *= math.exp(-step)
+        try:
+            v, s = p.value_and_slope(y)
+        except EvalOverflowError:
+            return None
+    return None
 
 
 def _log_enclosure_width(low: float, high: float) -> float:
@@ -218,18 +330,23 @@ def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | N
         return den._characteristic
     except AttributeError:
         pass
-    terms = {}
-    for wv, c in den.terms():
-        if not any(wv):
-            continue
-        if c > 0:
-            terms = None
-            break
-        terms[wv] = -c
-    # The terms of den are valid terms, and so are their negations.
-    growth = None if terms is None else GeneralizedPolynomial._from_terms(den.basis, terms)
+    growth = None
+    if all(c < 0 for wv, c in den.terms() if any(wv)):
+        # The zero vector alone has the exponent 0.
+        terms = zip(den._terms, den.float_terms())
+        growth = _poly_of(den.basis, [(wv, e, -c) for wv, (e, c) in terms if e])
     den._characteristic = growth
     return growth
+
+
+def _poly_of(basis, terms) -> GeneralizedPolynomial:
+    """The polynomial of (weight vector, float exponent, coefficient)
+    triples taken from the terms of a polynomial over basis, each with its
+    coefficient or the negated one. The exponents are carried over, not
+    computed again."""
+    poly = GeneralizedPolynomial._from_terms(basis, {wv: c for wv, _, c in terms})
+    poly._float_terms = tuple((e, c) for _, e, c in terms)
+    return poly
 
 
 def capacity_from_characteristic(
@@ -279,10 +396,22 @@ def _left_sum(terms) -> float:
 
 
 def _is_removable(gf: RationalGF, y0: float) -> bool:
-    """Does the numerator vanish at y0, relative to its term magnitudes?"""
-    num = gf.numerator
-    scale = _left_sum(abs(c) * y0 ** e for e, c in num.float_terms())
-    return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
+    """Does the numerator vanish at y0, relative to its term magnitudes?
+
+    One pass adds each term c * y0**e into the value, as `evaluate` does,
+    and its size into the scale; an overflow raises as in `evaluate`.
+    """
+    total = scale = 0.0
+    try:
+        for e, c in gf.numerator.float_terms():
+            t = c * (y0 ** e)
+            total += t
+            scale += abs(t)
+    except OverflowError as exc:
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y0!r}") from exc
+    if not math.isfinite(total):
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y0!r}")
+    return abs(total) <= REMOVABLE_RTOL * scale
 
 
 class _PoleScan:
@@ -290,7 +419,8 @@ class _PoleScan:
 
     Roots come in increasing order, each a certified enclosure: the
     denominator takes opposite signs (or an exact zero) at its endpoints.
-    `evaluations` counts the `evaluate` calls made so far on D, P and N.
+    `evaluations` counts the `evaluate` and `value_and_slope` calls made so
+    far, on D, P and N and on the parts of D that certify its monotonicity.
     """
 
     def __init__(self, den: GeneralizedPolynomial, tol: float):
@@ -298,56 +428,65 @@ class _PoleScan:
         self.den = den
         self.tol = tol
         self.evaluations = 0
+        self.margin = SKIP_MARGIN * (len(den) + 4)
+        # D splits into P and N; their terms are D's, or negated.
+        terms = list(zip(den._terms, den.float_terms()))
+        self.pos = _poly_of(den.basis, [(wv, e, c) for wv, (e, c) in terms if c > 0])
+        self.neg = _poly_of(den.basis, [(wv, e, -c) for wv, (e, c) in terms if c < 0])
+        self._parts = {}
+
+    def _bounds(self, y: float) -> tuple[float, float, float, float]:
+        """P(y), N(y), y P'(y) and y N'(y). An overflowing P or N makes the
+        skip test fail, not the scan."""
+        self.evaluations += 2
+        try:
+            p_y, dp_y = self.pos.value_and_slope(y)
+        except EvalOverflowError:
+            p_y = dp_y = math.inf
+        try:
+            n_y, dn_y = self.neg.value_and_slope(y)
+        except EvalOverflowError:
+            n_y = dn_y = math.inf
+        return p_y, n_y, dp_y, dn_y
 
     def __iter__(self) -> Iterator[RootResult]:
-        den = self.den
-        # The terms of D split into valid terms of P and N.
-        pos = GeneralizedPolynomial._from_terms(
-            den.basis, {wv: c for wv, c in den.terms() if c > 0}
-        )
-        neg = GeneralizedPolynomial._from_terms(
-            den.basis, {wv: -c for wv, c in den.terms() if c < 0}
-        )
-        margin = SKIP_MARGIN * (len(den) + 4)
+        margin = self.margin
         n_grid = int(math.ceil(Y_MAX / GRID_STEP))
-        # D, P and N are evaluated through their bound evaluate methods;
-        # self.evaluations counts every evaluation.
-        d_at, p_at, n_at = den.evaluate, pos.evaluate, neg.evaluate
+        # Every call is counted in self.evaluations.
+        d_at, bounds = self.den.evaluate, self._bounds
 
-        def bounds(y: float) -> tuple[float, float]:
-            # An overflowing P or N makes the skip test fail, not the scan.
-            self.evaluations += 2
-            try:
-                p_y = p_at(y)
-            except EvalOverflowError:
-                p_y = math.inf
-            try:
-                return p_y, n_at(y)
-            except EvalOverflowError:
-                return p_y, math.inf
-
-        # The walk stands at prev_y, the last point whose float sign is
-        # known; p_prev and n_prev are P and N there. It tries to skip the
-        # next k grid points, doubling k on success and halving it on
-        # failure, and evaluates D at the next grid point once k = 1 fails.
+        # The walk stands at grid index j, at prev_y, the last point whose
+        # float sign is known; `here` holds P and N there with their slopes.
+        # Each attempt tries to skip the next k grid points, k aimed by
+        # `_aim` at the last one the bound still covers. A failed attempt
+        # over more than one point becomes the nearest failed end, `fail`
+        # (its index, y and bounds): later attempts stop short of it and
+        # aim with its values too. An attempt over one point that fails
+        # evaluates D there, and so does the walk's arrival next to the
+        # failed end, whose bounds it already has.
         # Denominator normalization makes the value at 0 positive.
         self.evaluations += 1
         prev_y, prev_v = 0.0, d_at(0.0)
-        p_prev, n_prev = bounds(0.0)
-        j, k = 0, 1
+        here = bounds(0.0)
+        j = 0
+        fail = None
         while j < n_grid:
-            k = min(k, n_grid - j)
-            y = min((j + k) * GRID_STEP, Y_MAX)
-            p_y, n_y = bounds(y)
-            slack = margin * (p_y + n_y)
-            if (p_y - n_prev < -slack) if prev_v < 0.0 else (p_prev - n_y > slack):
-                j += k
-                prev_y, p_prev, n_prev = y, p_y, n_y
-                k *= 2
-                continue
-            if k > 1:
-                k //= 2
-                continue
+            if fail is not None and fail[0] == j + 1:
+                _, y, ahead = fail
+                fail = None
+            else:
+                k = self._aim(j, n_grid, prev_y, prev_v, here, fail)
+                y = min((j + k) * GRID_STEP, Y_MAX)
+                ahead = bounds(y)
+                p_y, n_y = ahead[0], ahead[1]
+                slack = margin * (p_y + n_y)
+                if (p_y - here[1] < -slack) if prev_v < 0.0 else (here[0] - n_y > slack):
+                    j += k
+                    prev_y, here = y, ahead
+                    continue
+                if k > 1:
+                    fail = (j + k, y, ahead)
+                    continue
             j += 1
             self.evaluations += 1
             v = d_at(y)
@@ -360,20 +499,75 @@ class _PoleScan:
                     return
                 self.evaluations += 1
                 prev_y, prev_v = probe, d_at(probe)
-                p_prev, n_prev = bounds(probe)
+                here, fail = bounds(probe), None
                 continue
             if (v < 0.0) != (prev_v < 0.0):
-                yield self._bisect(prev_y, y, prev_v)
-            prev_y, prev_v, p_prev, n_prev = y, v, p_y, n_y
+                yield self._bisect(prev_y, y, prev_v, v, (here, ahead))
+                fail = None
+            prev_y, prev_v, here = y, v, ahead
 
-    def _bisect(self, lo: float, hi: float, flo: float) -> RootResult:
+    def _aim(self, j, n_grid, prev_y, prev_v, here, fail) -> int:
+        """Grid points the next attempt tries to skip, at least 1.
+
+        The bound of a positive run stays above zero while N rises by less
+        than the room P - N at the walk's point (of a negative run, while
+        P rises by less than N - P). A sum of powers of y with nonnegative
+        coefficients has a logarithm convex in ln y, so the rise of the
+        closing side is modelled in ln y: by its tangent at the walk's
+        point, or with a failed end ahead, by the parabola that also meets
+        the closing side's value there. The attempt aims at the last grid
+        point before the model uses up the room, and stops short of the
+        failed end.
+        """
+        p, n, dp, dn = here
+        if prev_v < 0.0:
+            room, side, slope, closing = n - p, p, dp, 0
+        else:
+            room, side, slope, closing = p - n, n, dn, 1
+        limit = n_grid - j if fail is None else fail[0] - j - 1
+        if fail is not None:
+            room -= self.margin * (fail[2][0] + fail[2][1])
+        if not (room > 0.0 and prev_y > 0.0):
+            return 1
+        if side == 0.0:
+            # Nothing closes the room, unless the closing side underflows.
+            return limit
+        if not (side > 0.0 and 0.0 <= slope < math.inf):
+            return 1
+        exponent = slope / side
+        need = math.log1p(room / side)
+        if fail is None:
+            reach = need / exponent if exponent > 0.0 else math.inf
+        else:
+            span = math.log(fail[1] / prev_y)
+            curve = (math.log(fail[2][closing] / side) - exponent * span) / (span * span)
+            disc = exponent * exponent + 4.0 * curve * need
+            root = math.sqrt(disc) if disc >= 0.0 else 0.0
+            reach = 2.0 * need / (exponent + root) if exponent + root > 0.0 else math.inf
+        if not reach > 0.0:
+            return 1
+        k = prev_y * math.exp(min(reach, 700.0)) / GRID_STEP - j
+        return max(1, int(k)) if k < limit else max(1, limit)
+
+    def _bisect(self, lo: float, hi: float, flo: float, fhi: float, ends) -> RootResult:
+        """Bisect [lo, hi], where D evaluated to flo and fhi of opposite
+        signs, down to the tolerance; `ends` holds the bounds at lo and hi.
+        Only the midpoints inside the window of `_window` are evaluated."""
         at = self.den.evaluate
         iterations = 0
+        if hi - lo > self.tol:
+            a, b = self._window(lo, hi, flo < 0.0, fhi, ends)
         while hi - lo > self.tol:
             mid = (lo + hi) / 2.0
             if mid == lo or mid == hi:
                 break
             iterations += 1
+            if mid <= a:
+                lo = mid
+                continue
+            if mid >= b:
+                hi = mid
+                continue
             self.evaluations += 1
             fmid = at(mid)
             if fmid == 0.0:
@@ -385,16 +579,130 @@ class _PoleScan:
                 hi = mid
         return RootResult((lo + hi) / 2.0, lo, hi, iterations)
 
+    def _window(self, lo: float, hi: float, rising: bool, fhi: float, ends):
+        """Window ends (a, b) in [lo, hi]: D evaluates to a nonzero float of
+        its sign at lo at every point of (lo, a], and of fhi's sign at every
+        point of [b, hi) (see SKIP_MARGIN), wherever `_newton_ends` put
+        them. D must be strictly monotone on [lo, hi], rising or falling.
+        A side whose certificate fails, or both when lo is 0, gets lo or hi.
+        """
+        at_lo, at_hi = ends
+        bound = at_hi[0] + at_hi[1]
+        if not (lo > 0.0 and bound < math.inf and self._is_monotone(lo, hi, rising, ends)):
+            return lo, hi
+        threshold = self.margin * bound
+        placed = self._newton_ends(lo, hi, at_lo[0] - at_lo[1], fhi, threshold)
+        if placed is None:
+            return lo, hi
+        a, b = placed
+        # The certified side of a has D's sign at lo: negative when rising.
+        if not (lo < a and self._clears(a, rising, threshold)):
+            a = lo
+        if not (b < hi and self._clears(b, fhi < 0.0, threshold)):
+            b = hi
+        return a, b
+
+    def _newton_ends(self, lo: float, hi: float, d_lo: float, fhi: float, threshold: float):
+        """Where the window ends go, or None when Newton leaves the bracket
+        or does not settle. Newton starts from the secant point of d_lo,
+        P - N at lo, and D(hi) = fhi, and the ends sit where the last
+        tangent puts |D| at twice the threshold."""
+        gap = d_lo - fhi
+        y = lo + (hi - lo) * (min(max(d_lo / gap, 0.0), 1.0) if gap else 0.5)
+        last = 0.0
+        for _ in range(NEWTON_STEPS):
+            self.evaluations += 1
+            try:
+                v, s = self.den.value_and_slope(y)
+            except EvalOverflowError:
+                return None
+            if not (s != 0.0 and math.isfinite(s)):
+                return None
+            step = v * y / s
+            width = 2.0 * threshold * y / abs(s)
+            if _settled(step, last, width):
+                return y - step - width, y - step + width
+            last = step
+            y -= step
+            if not lo < y < hi:
+                return None
+        return None
+
+    def _clears(self, y: float, negative: bool, threshold: float) -> bool:
+        """Does D evaluate at y beyond the threshold, on the given side?"""
+        self.evaluations += 1
+        try:
+            v = self.den.evaluate(y)
+        except EvalOverflowError:
+            return False
+        return (v < -threshold) if negative else (v > threshold)
+
+    def _is_monotone(self, lo: float, hi: float, rising: bool, ends) -> bool:
+        """Is D strictly increasing (rising) or decreasing on [lo, hi]?
+
+        The derivative e c y**(e - 1) of a term is nondecreasing in y when
+        e >= 1 and nonincreasing when 0 < e < 1, so over [lo, hi] it is
+        least and greatest at the ends. P's slope is therefore at least
+        that of its terms with e >= 1 at lo plus that of the others at hi,
+        and at most the reverse; likewise for N. D rises when the least
+        slope of P clears the greatest of N, and falls when the least slope
+        of N clears the greatest of P. Where a side has terms of one kind
+        only, its slopes in `ends` serve, and no part is evaluated.
+        """
+
+        def extreme(side: int, least: bool) -> float:
+            # The least or greatest slope of P (side 0) or N (side 1).
+            convex, concave = self._slope_parts(side)
+            at_convex, at_concave = (0, 1) if least else (1, 0)
+            if concave is None or convex is None:
+                end = at_convex if concave is None else at_concave
+                return ends[end][2 + side] / (lo, hi)[end]
+            total = 0.0
+            for part, end in ((convex, at_convex), (concave, at_concave)):
+                self.evaluations += 1
+                total += part.value_and_slope((lo, hi)[end])[1] / (lo, hi)[end]
+            return total
+
+        up, down = (0, 1) if rising else (1, 0)
+        try:
+            least, most = extreme(up, True), extreme(down, False)
+        except EvalOverflowError:
+            return False
+        return least * (1.0 - self.margin) > most * (1.0 + self.margin)
+
+    def _slope_parts(self, side: int):
+        """The terms of P (side 0) or N (side 1) of weight >= 1 and those of
+        weight in (0, 1), each None when there are none. A side of one kind
+        is its own part; a side of both is split once and cached."""
+        try:
+            return self._parts[side]
+        except KeyError:
+            pass
+        poly = (self.pos, self.neg)[side]
+        terms = [(wv, e, c) for wv, (e, c) in zip(poly._terms, poly.float_terms()) if e]
+        convex = [term for term in terms if term[1] >= 1]
+        if len(convex) == len(terms):
+            parts = (poly if terms else None), None
+        elif not convex:
+            parts = None, poly
+        else:
+            parts = _poly_of(poly.basis, convex), _poly_of(
+                poly.basis, [term for term in terms if term[1] < 1]
+            )
+        self._parts[side] = parts
+        return parts
+
 
 def bracket_denominator_roots(
     gf: RationalGF, *, tol: float = DEFAULT_TOL
 ) -> tuple[list[RootResult], int]:
     """All denominator roots in (0, Y_MAX] visible at the grid resolution.
 
-    Returns (roots in increasing order, number of evaluations), draining
-    the pole scan. Roots closer together than the grid step may be missed;
-    that is the documented resolution limit, and skipping grid runs whose
-    sign is proved does not change it.
+    Returns (roots in increasing order, number of passes over the terms of
+    D, P, N or the parts of D), draining the pole scan. Roots closer
+    together than the grid step may be missed; that is the documented
+    resolution limit, and skipping grid runs whose sign is proved does not
+    change it.
     """
     scan = _PoleScan(gf.denominator, tol)
     found = list(scan)
@@ -411,8 +719,12 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     surviving root is the radius of convergence, and the scan stops there.
     The grid runs it skips are those whose sign the monotone bound on
     D = P - N proves (see SKIP_MARGIN), so it brackets exactly the roots a
-    scan evaluating every grid point would. `iterations` is the number of
-    `evaluate` calls the scan made on D, P and N. A constant denominator
+    scan evaluating every grid point would, and the bisection evaluates
+    only the midpoints outside its certified Newton window. `iterations`
+    is the number of passes the scan made over the terms of D, P and N,
+    and of the parts of D that show it monotone, by `evaluate` or
+    `value_and_slope`: Newton passes count, and the bisection steps the
+    window decided do not. A constant denominator
     has no pole to scan for: the language is finite and the capacity 0.
     Otherwise raises SolverError when no surviving root is bracketed: a
     root of even multiplicity touches zero without changing sign, so an

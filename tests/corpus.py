@@ -45,6 +45,20 @@ by its multiplicity tuple, and the enumeration runs a series walk from
 the initial state beside that state's loop walk. They are kept as the
 reference for the packed int keys and for the series walk that is the
 initial state's loop walk.
+`reference_bisection_root` and `reference_bisect_bracket` are the former
+bisection loops of `smallest_positive_root` and of a pole bracket, verbatim
+apart from their names and the bracket's evaluation counter: each evaluates
+every midpoint. They are kept as the reference for the bisections that skip
+the midpoints a Newton window decides.
+`reference_is_removable` is the former removability check, which summed
+the numerator's term sizes and then evaluated it, two passes; it is kept as
+the reference for the check that takes both sums in one, and the reference
+solvers below call it.
+`reference_parse_regex` is the former regex parser, verbatim apart from its
+names: it builds a token list of (kind, text, offset) tuples first and then
+walks it through peek and advance calls. It is kept as the reference for
+the one-pass descent over the expression string, and the reference spec
+parser below reads regexes through it.
 `reference_parse_spec`, `reference_build_gf` (with `reference_mul`) and
 `reference_auto_capacity` are the former warm capacity path: a parser
 that checked every value again in the public constructors, builders that
@@ -90,8 +104,9 @@ from dnccap.chanspec import (
     Union,
     _require_object,
     _total_weight,
-    parse_regex,
+    concat_of,
     tokenize_pattern,
+    union_of,
 )
 from dnccap.errors import (
     BasisMismatchError,
@@ -116,6 +131,7 @@ from dnccap.solver import (
     DEFAULT_TOL,
     GRID_STEP,
     MAX_DOUBLINGS,
+    REMOVABLE_RTOL,
     SKIP_MARGIN,
     Y_MAX,
     CapacityReport,
@@ -123,7 +139,7 @@ from dnccap.solver import (
     RootResult,
     _check_tol,
     _finite_language_report,
-    _is_removable,
+    _left_sum,
     _log_enclosure_width,
 )
 
@@ -534,6 +550,93 @@ def reference_bracket_denominator_roots(
             found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
         prev_y, prev_v = y, v
     return found, evaluations
+
+
+# --- reference bisection loops ------------------------------------------------
+
+
+def reference_is_removable(gf: RationalGF, y0: float) -> bool:
+    """Does the numerator vanish at y0, relative to its term magnitudes?"""
+    num = gf.numerator
+    scale = _left_sum(abs(c) * y0 ** e for e, c in num.float_terms())
+    return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
+
+
+def reference_bisection_root(
+    p: GeneralizedPolynomial,
+    target: float = 1.0,
+    *,
+    tol: float = DEFAULT_TOL,
+) -> RootResult:
+    """Unique y > 0 with p(y) = target, for p with nonnegative coefficients.
+
+    p must be strictly increasing where it matters: all coefficients
+    nonnegative, at least one term of positive weight, and p(0) < target.
+    The returned enclosure satisfies p(low) <= target <= p(high) with
+    high - low <= tol.
+    """
+    _check_tol(tol)
+    for wv, c in p.terms():
+        if c < 0:
+            raise SolverError("polynomial has a negative coefficient; not monotone")
+    p0 = p.evaluate(0.0)
+    if not p0 < target:
+        raise SolverError(
+            f"no positive root: value at 0 is {p0:.6g}, already at or above {target:.6g}"
+        )
+    if all(wv.is_zero() for wv, _ in p.terms()):
+        raise SolverError("polynomial is constant; it never reaches the target")
+
+    # One call per evaluation; a value that overflows counts as inf.
+    at = p.evaluate
+    iterations = 0
+    lo, hi = 0.0, 1.0
+    while True:
+        try:
+            below = at(hi) < target
+        except EvalOverflowError:
+            below = False
+        if not below:
+            break
+        lo, hi = hi, hi * 2.0
+        iterations += 1
+        if iterations > MAX_DOUBLINGS:
+            raise SolverError(f"no root found below {hi:.3g}")
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        iterations += 1
+        try:
+            below = at(mid) < target
+        except EvalOverflowError:
+            below = False
+        if below:
+            lo = mid
+        else:
+            hi = mid
+    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
+def reference_bisect_bracket(
+    den: GeneralizedPolynomial, lo: float, hi: float, flo: float, tol: float
+) -> RootResult:
+    at = den.evaluate
+    iterations = 0
+    while hi - lo > tol:
+        mid = (lo + hi) / 2.0
+        if mid == lo or mid == hi:
+            break
+        iterations += 1
+        fmid = at(mid)
+        if fmid == 0.0:
+            lo = hi = mid
+            break
+        if (fmid < 0.0) == (flo < 0.0):
+            lo, flo = mid, fmid
+        else:
+            hi = mid
+    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
 
 
 # --- reference enumeration walk ---------------------------------------------------
@@ -1055,6 +1158,123 @@ def _reference_parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[Symbo
     return tuple(symbols)
 
 
+_SPECIALS = "()|*"
+_EPSILON = "ε"
+
+
+def _reference_tokenize_regex(expr: str, names: frozenset[str], single: bool):
+    """Yield (kind, text, offset) tokens; kinds are the literal special
+    characters, 'eps', 'name', and a final 'end'."""
+    tokens = []
+    i = 0
+    n = len(expr)
+    while i < n:
+        ch = expr[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _SPECIALS:
+            tokens.append((ch, ch, i))
+            i += 1
+            continue
+        if ch == _EPSILON:
+            tokens.append(("eps", ch, i))
+            i += 1
+            continue
+        if single:
+            if ch in names:
+                tokens.append(("name", ch, i))
+                i += 1
+                continue
+            raise SpecError(f"regex offset {i}: undeclared symbol {ch!r}")
+        j = i
+        while j < n and not expr[j].isspace() and expr[j] not in _SPECIALS and expr[j] != _EPSILON:
+            j += 1
+        word = expr[i:j]
+        if word not in names:
+            raise SpecError(f"regex offset {i}: undeclared symbol {word!r}")
+        tokens.append(("name", word, i))
+        i = j
+    tokens.append(("end", "", n))
+    return tokens
+
+
+class _ReferenceRegexParser:
+    def __init__(self, tokens):
+        self.tokens = tokens
+        self.pos = 0
+
+    def peek(self) -> str:
+        return self.tokens[self.pos][0]
+
+    def advance(self):
+        tok = self.tokens[self.pos]
+        self.pos += 1
+        return tok
+
+    def parse(self) -> RegexNode:
+        node = self.union()
+        kind, text, off = self.tokens[self.pos]
+        if kind == ")":
+            raise SpecError(f"regex offset {off}: unbalanced ')'")
+        if kind != "end":
+            raise SpecError(f"regex offset {off}: unexpected {text!r}")
+        return node
+
+    def union(self) -> RegexNode:
+        parts = [self.concat()]
+        while self.peek() == "|":
+            self.advance()
+            parts.append(self.concat())
+        return union_of(parts)
+
+    def concat(self) -> RegexNode:
+        parts = []
+        while self.peek() in ("(", "eps", "name"):
+            parts.append(self.postfix())
+        if not parts:
+            kind, text, off = self.tokens[self.pos]
+            what = repr(text) if text else "end of expression"
+            raise SpecError(f"regex offset {off}: expected a term, found {what}")
+        return concat_of(parts)
+
+    def postfix(self) -> RegexNode:
+        node = self.atom()
+        while self.peek() == "*":
+            self.advance()
+            node = Star(node)
+        return node
+
+    def atom(self) -> RegexNode:
+        kind, text, off = self.advance()
+        if kind == "(":
+            node = self.union()
+            k2, _, off2 = self.tokens[self.pos]
+            if k2 != ")":
+                raise SpecError(f"regex offset {off}: unbalanced '('")
+            self.advance()
+            return node
+        if kind == "eps":
+            return Epsilon()
+        if kind == "name":
+            return Symbol(text)
+        raise SpecError(f"regex offset {off}: unexpected {text!r}")
+
+
+def reference_parse_regex(expr: str, symbol_names) -> RegexNode:
+    """The former parse_regex: a token list first, then a parser over it."""
+    names = frozenset(symbol_names)
+    if not names:
+        raise SpecError("regex offset 0: no symbols declared")
+    single = all(len(n) == 1 for n in names)
+    tokens = _reference_tokenize_regex(expr, names, single)
+    try:
+        return _ReferenceRegexParser(tokens).parse()
+    except RecursionError:
+        raise SpecError("regex offset 0: expression nests too deeply") from None
+
+
+
 def _reference_parse_constraint(doc, names, where: str):
     if not isinstance(doc, dict):
         raise SpecError(f"{where}: expected an object")
@@ -1085,7 +1305,7 @@ def _reference_parse_constraint(doc, names, where: str):
         expr = doc["expr"]
         if not isinstance(expr, str):
             raise SpecError(f"{where}.expr: expected a string")
-        return Regex(parse_regex(expr, names))
+        return Regex(reference_parse_regex(expr, names))
     raise SpecError(f"{where}.type: expected 'free', 'forbidden', or 'regex', got {kind!r}")
 
 
@@ -1299,7 +1519,7 @@ def reference_capacity_from_characteristic(gf: RationalGF, *, tol: float = DEFAU
     if not growth:
         return _finite_language_report("characteristic-root")
     result = reference_smallest_positive_root(growth, float(d0), tol=tol)
-    if _is_removable(gf, result.root):
+    if reference_is_removable(gf, result.root):
         raise SolverError(
             f"numerator vanishes at the characteristic root y = {result.root:.12g}; "
             "the singularity is removable there, use the pole scan instead"
@@ -1390,7 +1610,7 @@ def reference_smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL
         return _finite_language_report("smallest-pole")
     skipped = 0
     for cand in scan:
-        if _is_removable(gf, cand.root):
+        if reference_is_removable(gf, cand.root):
             skipped += 1
             continue
         note = None

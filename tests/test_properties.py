@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 import json
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import assume, event, example, given, settings, strategies as st
@@ -37,19 +39,31 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
-from dnccap import genpoly
+from dnccap import genpoly, solver
 from dnccap.cli import _analytic_report
 from dnccap.gf_builder import _minors
-from dnccap.solver import DEFAULT_TOL, bracket_denominator_roots
+from dnccap.solver import (
+    DEFAULT_TOL,
+    GRID_STEP,
+    Y_MAX,
+    _PoleScan,
+    bracket_denominator_roots,
+    characteristic_part,
+)
 
 from corpus import (
+    CHANNELS_DIR,
     load_channel,
     reference_auto_capacity,
+    reference_bisect_bracket,
+    reference_bisection_root,
     reference_bracket_denominator_roots,
     reference_build_gf,
     reference_check_density,
     reference_evaluate,
     reference_expand_series,
+    reference_is_removable,
+    reference_parse_regex,
     reference_parse_spec,
     reference_tuple_expand_series,
 )
@@ -233,6 +247,39 @@ class TestParserRobustness:
             parse_spec(json.dumps(doc))
         except SpecError:
             pass
+
+
+def _parsed(parse, expr, names):
+    """The syntax tree, or the SpecError text."""
+    try:
+        return parse(expr, names)
+    except SpecError as exc:
+        return str(exc)
+
+
+class TestOnePassRegexParser:
+    @given(
+        st.sampled_from([("0", "1"), ("a",), ("go", "stop", "x1"), ("ab", "a", "b")]).flatmap(
+            lambda names: st.tuples(
+                st.lists(
+                    st.sampled_from(
+                        ["(", ")", "|", "*", "ε", " ", "\t", "q", "op", "x"] + list(names)
+                    ),
+                    max_size=16,
+                ).map("".join),
+                st.just(names),
+            )
+        )
+    )
+    @example(("(" * 400 + "0" + ")" * 400, ("0", "1")))
+    @example(("(" * 400 + "q", ("0", "1")))
+    @settings(max_examples=500)
+    def test_same_tree_or_error_as_the_former_parser(self, expr_names):
+        # The tree, or the SpecError text with its offset, of the former
+        # parser that tokenized the whole expression first: an undeclared
+        # symbol anywhere outranks a syntax error.
+        expr, names = expr_names
+        assert _parsed(parse_regex, expr, names) == _parsed(reference_parse_regex, expr, names)
 
 
 def growth_polynomials():
@@ -611,6 +658,344 @@ class TestPoleScan:
         assert got == expected
 
 
+# --- Newton windows against the former bisection loops ---------------------------
+
+TOLERANCES = (1e-300, 1e-12, 1e-3, 10.0)
+
+
+@st.composite
+def growth_targets(draw):
+    """A polynomial of 1-20 nonnegative terms over a random basis of 1-3
+    atoms and a target d0 of 1-4: every term of positive weight but,
+    sometimes, a constant below d0. Small atoms give weights so small that
+    the polynomial barely grows over a unit in the last place of y."""
+    size = draw(st.integers(min_value=1, max_value=3))
+    values = draw(
+        st.lists(
+            st.sampled_from([0.5, 1.0, 2.0])
+            | st.floats(min_value=0.05, max_value=4.0)
+            | st.floats(min_value=0.01, max_value=0.1),
+            min_size=size,
+            max_size=size,
+        )
+    )
+    basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+    d0 = draw(st.integers(min_value=1, max_value=4))
+    terms = draw(
+        st.dictionaries(
+            st.tuples(*[st.integers(min_value=0, max_value=6)] * size)
+            .map(WeightVector)
+            .filter(lambda wv: not wv.is_zero()),
+            st.integers(min_value=1, max_value=9) | st.integers(min_value=1, max_value=10**9),
+            min_size=1,
+            max_size=20,
+        )
+    )
+    terms[WeightVector((0,) * size)] = draw(st.integers(min_value=0, max_value=d0 - 1))
+    return GeneralizedPolynomial(basis, terms), float(d0)
+
+
+@st.composite
+def factored_denominators(draw):
+    """A product of 2-4 factors c - d * y**k over one atom: several roots
+    in (0, 1) that a wide bracket holds together, and with large c and d
+    roots so close or so ill-conditioned that rounding decides the sign of
+    D over many units in the last place around them."""
+    basis = WeightBasis.from_mapping(
+        {"u": draw(st.sampled_from([0.5, 1.0, 2.0]) | st.floats(min_value=0.3, max_value=3.0))}
+    )
+    zero = WeightVector((0,))
+    den = GeneralizedPolynomial.one(basis)
+    for _ in range(draw(st.integers(min_value=2, max_value=4))):
+        c = draw(st.integers(1, 50) | st.integers(1, 10**4))
+        d = draw(st.integers(1, 60) | st.integers(1, 10**4))
+        k = draw(st.integers(min_value=1, max_value=3))
+        den = den * GeneralizedPolynomial(basis, {zero: c, WeightVector((k,)): -d})
+    return den
+
+
+def placements():
+    """Where a test puts a window end: (share, ulps). A share in [0, 1]
+    places it that far across the bracket; a share of None places it the
+    given number of units in the last place from the root, mostly within
+    the few dozen where rounding can decide the sign."""
+    near = st.builds(
+        lambda k, shift: (None, k << shift),
+        st.integers(-64, 64),
+        st.sampled_from([0, 0, 0, 0, 6, 12, 24, 40]),
+    )
+    return near | st.tuples(st.floats(min_value=0.0, max_value=1.0), st.just(0))
+
+
+def _placed(pick, root, lo, hi):
+    share, ulps = pick
+    if share is None:
+        return root * (1.0 + ulps * 2.0**-52)
+    return lo + share * (hi - lo)
+
+
+def _rough_pow(y, e):
+    """y ** e moved to a neighbouring float for two inputs in three, chosen
+    by a hash of the inputs: within 1.5 ulp of the exact power, and not
+    monotone in y."""
+    x = y**e
+    turn = hash((y, e)) % 3
+    return x if turn == 0 or not x else math.nextafter(x, math.inf if turn == 1 else 0.0)
+
+
+def _rough_value_and_slope(self, y):
+    """`value_and_slope` through `_rough_pow`."""
+    total = slope = 0.0
+    try:
+        for e, c in self.float_terms():
+            t = c * _rough_pow(y, e)
+            total += t
+            slope += e * t
+    except OverflowError as exc:
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
+    if not math.isfinite(total):
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
+    return total, slope
+
+
+def _rough_evaluate(self, y):
+    return _rough_value_and_slope(self, y)[0]
+
+
+def _root_outcome(solve):
+    """root, low, high as float.hex and the step count, or the error text."""
+    try:
+        r = solve()
+    except DncError as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return r.root.hex(), r.low.hex(), r.high.hex(), r.iterations
+
+
+class TestNewtonWindows:
+    @given(growth_targets(), st.sampled_from(TOLERANCES))
+    # y + y**2 + y**3 = 1, ex3's radius, and E = 2y, whose root 1/2 is the
+    # first midpoint.
+    @example((_unit_poly((1, 1), (2, 1), (3, 1)), 1.0), 1e-300)
+    @example((_unit_poly((1, 2)), 1.0), 1e-300)
+    @settings(max_examples=500, deadline=None)
+    def test_characteristic_window_matches_bisection(self, growth_target, tol):
+        # Root, enclosure and step count float.hex-identical to the former
+        # loop, which evaluates every midpoint.
+        p, target = growth_target
+        assert _root_outcome(lambda: smallest_positive_root(p, target, tol=tol)) == (
+            _root_outcome(lambda: reference_bisection_root(p, target, tol=tol))
+        )
+
+    @given(denominators() | factored_denominators(), st.sampled_from(TOLERANCES), st.data())
+    @example(_unit_poly((0, 1), (1, -1), (2, -1), (3, -1)), 1e-300, None)
+    @settings(max_examples=300, deadline=None)
+    def test_pole_window_matches_bisection(self, den, tol, data):
+        # The drained scan equals the full grid at every tolerance; then
+        # each root is bisected again from a random wider bracket, which may
+        # hold further roots, against the former loop.
+        gf = RationalGF(GeneralizedPolynomial.one(den.basis), den)
+        expected, _ = reference_bracket_denominator_roots(gf, tol=tol)
+        got, _ = bracket_denominator_roots(gf, tol=tol)
+        assert [_root_outcome(lambda: r) for r in got] == [
+            _root_outcome(lambda: r) for r in expected
+        ]
+        scan = _PoleScan(den, tol)
+        for cand in expected:
+            if data is None:
+                lo, hi = 0.5 * cand.low, 0.5 * (cand.high + 1.0)
+            else:
+                lo = data.draw(st.floats(min_value=0.0, max_value=cand.low))
+                hi = data.draw(st.floats(min_value=cand.high, max_value=1.0))
+            try:
+                flo, fhi = den.evaluate(lo), den.evaluate(hi)
+            except EvalOverflowError:
+                continue
+            if flo == 0.0 or fhi == 0.0 or (flo < 0.0) == (fhi < 0.0):
+                continue
+            ends = (scan._bounds(lo), scan._bounds(hi))
+            assert _root_outcome(lambda: scan._bisect(lo, hi, flo, fhi, ends)) == (
+                _root_outcome(lambda: reference_bisect_bracket(den, lo, hi, flo, tol))
+            )
+
+    @given(
+        growth_targets(),
+        st.sampled_from(TOLERANCES),
+        placements(),
+        placements(),
+        st.booleans(),
+    )
+    # y**0.0732 = 1 at the root 1, where the rough pow steps back and forth
+    # across the target; ends put 1 unit above the root.
+    @example(
+        (
+            GeneralizedPolynomial(
+                WeightBasis.from_mapping({"a0": 0.03659973472953002, "a1": 2.0}),
+                {WeightVector((2, 0)): 1},
+            ),
+            1.0,
+        ),
+        1e-300,
+        (None, 1),
+        (None, 1),
+        True,
+    )
+    # Three terms near y = 0.5: ends put 1 unit below the root.
+    @example(
+        (
+            GeneralizedPolynomial(
+                WeightBasis.from_mapping({"a0": 0.5, "a1": 1.977033793270383}),
+                {WeightVector((0, 3)): 5, WeightVector((1, 0)): 6, WeightVector((3, 1)): 7},
+            ),
+            4.0,
+        ),
+        1e-300,
+        (None, -1),
+        (None, -1),
+        True,
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_characteristic_certificate_wherever_the_ends_go(
+        self, growth_target, tol, pa, pb, rough
+    ):
+        # The certificate alone must keep the former answer: window ends
+        # put anywhere, on either side of the root or right at it, are
+        # accepted only where every midpoint beyond them would evaluate
+        # as the former loop saw it. A correctly rounded pow makes the
+        # float value of a nonnegative polynomial nondecreasing, so the
+        # rough pow below, off by up to 1.5 ulp and not monotone, is what
+        # shows the certificate's margin at work.
+        p, target = growth_target
+        with contextlib.ExitStack() as stack:
+            if rough:
+                for name, method in (
+                    ("evaluate", _rough_evaluate),
+                    ("value_and_slope", _rough_value_and_slope),
+                ):
+                    stack.enter_context(mock.patch.object(GeneralizedPolynomial, name, method))
+            expected = _root_outcome(lambda: reference_bisection_root(p, target, tol=tol))
+            assume(not isinstance(expected, str))
+            root = float.fromhex(expected[0])
+            ends = (_placed(pa, root, 0.0, 2.0 * root), _placed(pb, root, 0.0, 2.0 * root))
+            with mock.patch.object(solver, "_characteristic_ends", lambda *args: ends):
+                got = _root_outcome(lambda: smallest_positive_root(p, target, tol=tol))
+        assert got == expected
+
+    @given(
+        denominators() | factored_denominators(),
+        st.sampled_from(TOLERANCES),
+        st.data(),
+        st.just(None),
+    )
+    # Roots 0.3, 0.6 and 0.8: bisecting [0.1, 0.9] meets D < 0 at 0.5 and
+    # heads for 0.3, while D > 0 at 0.7, where the example puts the ends.
+    @example(
+        _unit_poly((0, 3), (1, -10)) * _unit_poly((0, 6), (1, -10)) * _unit_poly((0, 8), (1, -10)),
+        1e-300,
+        None,
+        ((0.1, 0.9), (0.75, 0)),
+    )
+    # An ill-conditioned root near 0.63: D's sign there flips with rounding
+    # over units in the last place, so both ends put 2 units above the
+    # root clear zero on one side, but not by the rounding bound.
+    @example(
+        GeneralizedPolynomial(
+            WeightBasis.from_mapping({"u": 0.5}),
+            {
+                WeightVector((0,)): 6293100,
+                WeightVector((1,)): -17899200,
+                WeightVector((3,)): -55169510,
+                WeightVector((4,)): 156916320,
+                WeightVector((6,)): 134084984,
+                WeightVector((7,)): -381372288,
+                WeightVector((9,)): -97836728,
+                WeightVector((10,)): 278272896,
+            },
+        ),
+        1e-300,
+        None,
+        (None, (None, 2)),
+    )
+    @settings(max_examples=400, deadline=None)
+    def test_pole_certificates_wherever_the_ends_go(self, den, tol, data, fixed):
+        # As above for pole brackets, each root's grid bracket and a wider
+        # one that may hold further roots, three placements each: a window
+        # end counts only where D is monotone on the bracket and clears
+        # the rounding bound. An explicit example fixes the wider bracket
+        # and the placement of both ends.
+        gf = RationalGF(GeneralizedPolynomial.one(den.basis), den)
+        expected, _ = reference_bracket_denominator_roots(gf, tol=tol)
+        scan = _PoleScan(den, tol)
+        for cand in expected:
+            j = math.ceil(cand.high / GRID_STEP)
+            brackets = [((j - 1) * GRID_STEP, min(j * GRID_STEP, Y_MAX))]
+            if fixed is not None:
+                brackets.append(fixed[0] or brackets[0])
+            else:
+                brackets.append(
+                    (
+                        data.draw(st.floats(min_value=0.0, max_value=cand.low)),
+                        data.draw(st.floats(min_value=cand.high, max_value=1.0)),
+                    )
+                )
+            for lo, hi in brackets:
+                try:
+                    flo, fhi = den.evaluate(lo), den.evaluate(hi)
+                except EvalOverflowError:
+                    continue
+                if flo == 0.0 or fhi == 0.0 or (flo < 0.0) == (fhi < 0.0):
+                    continue
+                ref = reference_bisect_bracket(den, lo, hi, flo, tol)
+                bounds = (scan._bounds(lo), scan._bounds(hi))
+                for _ in range(3):
+                    if fixed is not None:
+                        picks = (fixed[1], fixed[1])
+                    else:
+                        picks = (data.draw(placements()), data.draw(placements()))
+                    ends = tuple(_placed(pick, ref.root, lo, hi) for pick in picks)
+                    with mock.patch.object(_PoleScan, "_newton_ends", lambda *args: ends):
+                        got = _root_outcome(lambda: scan._bisect(lo, hi, flo, fhi, bounds))
+                    assert got == _root_outcome(lambda: ref)
+
+    @pytest.mark.parametrize("tol", TOLERANCES)
+    @pytest.mark.parametrize(
+        "name",
+        sorted(p.name for p in CHANNELS_DIR.glob("*.json") if p.name != "dense-weights.json"),
+    )
+    def test_shipped_channels(self, name, tol):
+        gf = build_gf(load_channel(name))
+        growth = characteristic_part(gf.denominator)
+        if growth:
+            d0 = float(gf.denominator.constant_coefficient)
+            assert _root_outcome(lambda: smallest_positive_root(growth, d0, tol=tol)) == (
+                _root_outcome(lambda: reference_bisection_root(growth, d0, tol=tol))
+            )
+        got, _ = bracket_denominator_roots(gf, tol=tol)
+        expected, _ = reference_bracket_denominator_roots(gf, tol=tol)
+        assert got == expected
+
+
+class TestRemovability:
+    @given(
+        denominators().map(lambda num: RationalGF(num, GeneralizedPolynomial.one(num.basis))),
+        st.floats(min_value=0.0, max_value=2.0) | st.sampled_from([0.5, 1.0, 1e300]),
+    )
+    @example(RationalGF(_unit_poly((0, 1), (1, -1)), _unit_poly((0, 1))), 1.0)
+    # A coefficient too large for a float.
+    @example(RationalGF(_unit_poly((0, 1), (1, -(10**400))), _unit_poly((0, 1))), 0.5)
+    @settings(max_examples=300)
+    def test_one_pass_verdict_equals_the_former_two(self, gf, y0):
+        # The same verdict from the same floats. Where the former check let
+        # a bare OverflowError out of its first sum, the one pass raises
+        # EvalOverflowError, as `evaluate` does.
+        try:
+            expected = reference_is_removable(gf, y0)
+        except (OverflowError, EvalOverflowError):
+            with pytest.raises(EvalOverflowError):
+                solver._is_removable(gf, y0)
+            return
+        assert solver._is_removable(gf, y0) == expected
+
+
 # --- the warm capacity path against its former code ------------------------------
 
 SPEC_ATOMS = (
@@ -745,12 +1130,16 @@ def _terms(gf):
 
 
 def _capacity_outcome(solve):
+    """The report's fields, floats as float.hex, or the error text. The
+    pole route's iterations count passes, which the Newton windows and the
+    aimed scan cut, so they are left out of the comparison."""
     try:
         r = solve()
     except DncError as exc:
         return f"{type(exc).__name__}: {exc}"
     hexed = [float.hex(x) for x in (r.radius_or_pole, r.capacity_nats, r.error_bound)]
-    return r.method, *hexed, r.iterations, r.note
+    iterations = None if r.method == "smallest-pole" else r.iterations
+    return r.method, *hexed, iterations, r.note
 
 
 class TestWarmCapacityPath:

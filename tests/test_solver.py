@@ -4,7 +4,10 @@ from __future__ import annotations
 
 import json
 import math
+import random
+import sys
 import time
+from decimal import Decimal, localcontext
 
 import pytest
 
@@ -47,6 +50,22 @@ def unit_poly(*coeff_by_power):
     return GeneralizedPolynomial(
         UNIT, {WeightVector((p,)): c for p, c in coeff_by_power}
     )
+
+
+def count_passes(monkeypatch, skip=None):
+    """The points of every evaluate and value_and_slope call from now on,
+    except those on `skip`."""
+    calls = []
+    for name in ("evaluate", "value_and_slope"):
+        original = getattr(GeneralizedPolynomial, name)
+
+        def counting(self, y, original=original):
+            if self is not skip:
+                calls.append(y)
+            return original(self, y)
+
+        monkeypatch.setattr(GeneralizedPolynomial, name, counting)
+    return calls
 
 
 def assert_certified(result, p, target):
@@ -250,40 +269,78 @@ class TestBracketing:
 
     def test_every_evaluation_goes_through_evaluate(self, monkeypatch):
         # The scan evaluates D, its positive part P and its negated
-        # negative part N; every call is counted and made through
-        # GeneralizedPolynomial.evaluate. The grid runs whose sign the
-        # bound proves go unevaluated.
-        calls = []
-        original = GeneralizedPolynomial.evaluate
-
-        def counting(self, y):
-            calls.append(y)
-            return original(self, y)
-
-        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+        # negative part N, and the parts of D that certify its
+        # monotonicity; every call is counted and made through
+        # GeneralizedPolynomial.evaluate or value_and_slope. The grid runs
+        # whose sign the bound proves go unevaluated, and so do the
+        # bisection midpoints outside the Newton window: fewer passes
+        # than the bracket's 30 bisection steps.
+        calls = count_passes(monkeypatch)
         candidates, evaluations = bracket_denominator_roots(
             build_gf(load_channel("ex3.json"))
         )
-        assert evaluations == len(calls)
-        assert sum(c.iterations for c in candidates) < evaluations < 1001
+        assert evaluations == len(calls) < sum(c.iterations for c in candidates) == 30
 
     @pytest.mark.parametrize("name", ["ex3.json", "avoid101.json", "binary.json", "unary.json"])
     def test_pole_iterations_are_scan_evaluations(self, monkeypatch, name):
-        # Every evaluate call on D, P and N up to the first surviving pole,
-        # and no more: the numerator's removability check is not counted.
-        # A scan that fell back to the full 1001-point grid would exceed 150.
+        # Every pass over D, P, N or a part of D up to the first surviving
+        # pole, and no more: the numerator's removability check is not
+        # counted. A scan that fell back to the full 1001-point grid, or a
+        # bisection that evaluated each of its 30 midpoints, would exceed
+        # 40.
         gf = build_gf(load_channel(name))
-        calls = []
-        original = GeneralizedPolynomial.evaluate
-
-        def counting(self, y):
-            if self is not gf.numerator:
-                calls.append(y)
-            return original(self, y)
-
-        monkeypatch.setattr(GeneralizedPolynomial, "evaluate", counting)
+        calls = count_passes(monkeypatch, skip=gf.numerator)
         report = smallest_positive_pole(gf)
-        assert report.iterations == len(calls) <= 150
+        assert report.iterations == len(calls) <= 40
+
+    @pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-3, 10.0])
+    def test_characteristic_passes(self, monkeypatch, tol):
+        # The value at 0, one doubling pass, a few Newton passes and the
+        # two window ends, however many bisection steps the tolerance asks
+        # for; a tolerance wider than the bracket needs no window at all.
+        calls = count_passes(monkeypatch)
+        result = smallest_positive_root(unit_poly((1, 1), (2, 1), (3, 1)), 1.0, tol=tol)
+        assert result.iterations == {1e-300: 53, 1e-12: 40, 1e-3: 10, 10.0: 0}[tol]
+        assert len(calls) <= (2 if tol == 10.0 else 20)
+
+
+def _pow_samples():
+    """(y, e) pairs: y in (0, 2], uniform and log-uniform, with e drawn in
+    (0, 64] or taken from the quotient of a shipped channel."""
+    rng = random.Random(20081)
+
+    def some_y():
+        if rng.random() < 0.5:
+            return 2.0 - rng.uniform(0.0, 2.0)
+        return 2.0 ** rng.uniform(-60.0, 1.0)
+
+    for _ in range(2000):
+        yield some_y(), 64.0 - rng.uniform(0.0, 64.0)
+    for path in sorted(CHANNELS_DIR.glob("*.json")):
+        if path.name == "dense-weights.json":
+            continue
+        gf = build_gf(load_channel(path.name))
+        exponents = {e for part in (gf.numerator, gf.denominator) for e, _ in part.float_terms()}
+        for e in sorted(exponents - {0}):
+            for _ in range(20):
+                yield some_y(), e
+
+
+def test_pow_is_within_one_ulp():
+    # The rounding bound at solver.SKIP_MARGIN, and with it every skipped
+    # grid run and every Newton window, assumes the C library's pow is
+    # within 1 ulp of the exact power. Results below the normal range are
+    # left out, as they are in that bound.
+    smallest_normal = Decimal(sys.float_info.min)
+    with localcontext() as ctx:
+        ctx.prec = 60
+        for y, e in _pow_samples():
+            got = y**e
+            exact = Decimal(y) ** Decimal(e)
+            if exact < smallest_normal:
+                continue
+            error = abs(Decimal(got) - exact) / Decimal(math.ulp(got))
+            assert error <= 1, f"{y!r} ** {e!r} = {got!r} is {error:.3g} ulp from {exact}"
 
 
 class TestCheckDensity:
