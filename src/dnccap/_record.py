@@ -19,8 +19,10 @@ it must check, normalise or cache: `WeightAtom`, `WeightBasis`,
 Either way each slot is written once, by the constructor; assigning or
 deleting an attribute afterwards raises AttributeError. A parser that has
 checked every value itself, with the value's position for its error
-message, builds `WeightAtom` and `ChannelSpec` through `_unchecked`, past
-their checks.
+message, builds its records past their checks: `ChannelSpec`, the
+constraint and the regex nodes through `_unchecked`, `WeightBasis` through
+`WeightBasis._distinct`, and each `WeightAtom` and `SymbolDef` of its
+loops by writing the two slots itself, as `_unchecked` does.
 """
 
 from __future__ import annotations

@@ -31,6 +31,7 @@ from __future__ import annotations
 import json
 import math
 import re
+from operator import mul
 
 from ._record import Record, set_slot as _set
 from .errors import SpecError
@@ -70,13 +71,19 @@ RegexNode = Epsilon | Symbol | Union | Concat | Star
 def union_of(parts: list[RegexNode]) -> RegexNode:
     if not parts:
         raise ValueError("union of nothing")
-    return parts[0] if len(parts) == 1 else Union(tuple(parts))
+    return parts[0] if len(parts) == 1 else Union._unchecked(tuple(parts))
 
 
 def concat_of(parts: list[RegexNode]) -> RegexNode:
     if not parts:
         raise ValueError("concatenation of nothing")
-    return parts[0] if len(parts) == 1 else Concat(tuple(parts))
+    return parts[0] if len(parts) == 1 else Concat._unchecked(tuple(parts))
+
+
+# The parser builds its nodes past Record.__init__, which checks nothing
+# for them. One Epsilon node serves every occurrence.
+_symbol, _star = Symbol._unchecked, Star._unchecked
+_EPSILON_NODE = Epsilon._unchecked()
 
 
 # --- constraint kinds and the spec itself ------------------------------------
@@ -247,7 +254,7 @@ class _RegexParser:
             if ch in "|)*":
                 break
             if ch == _EPSILON:
-                node = Epsilon()
+                node = _EPSILON_NODE
                 i += 1
             else:
                 j = i + 1 if self.single else _word_end(expr, i, n)
@@ -256,14 +263,14 @@ class _RegexParser:
                 if node is None:
                     if name not in self.names:
                         raise SpecError(f"regex offset {i}: undeclared symbol {name!r}")
-                    node = self.symbols[name] = Symbol(name)
+                    node = self.symbols[name] = _symbol(name)
                 i = j
             while True:
                 while i < n and expr[i].isspace():
                     i += 1
                 if i == n or expr[i] != "*":
                     break
-                node = Star(node)
+                node = _star(node)
                 i += 1
             parts.append(node)
         self.i = i
@@ -281,7 +288,7 @@ class _RegexParser:
                 i += 1
             if i == n or expr[i] != "*":
                 break
-            node = Star(node)
+            node = _star(node)
             i += 1
         self.i = i
         return node
@@ -339,6 +346,9 @@ def tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
     """Split a pattern string into declared symbol names."""
     names = frozenset(symbol_names)
     single = all(len(n) == 1 for n in names)
+    if single and text and names.issuperset(text):
+        # Every character is a name, and no name is whitespace.
+        return tuple(text)
     out = []
     i = 0
     n = len(text)
@@ -368,10 +378,14 @@ def tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
 
 # --- JSON document parsing ----------------------------------------------------
 
-_ATOM_NAME = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 # What a symbol name may not contain: a character for which str.isspace()
 # is true, a regex special character or the empty-string sign.
 _SYMBOL_FORBIDDEN = re.compile(r"[\s()|*" + _EPSILON + "]")
+
+_SYMBOL_KEYS = {"name", "weight"}
+
+# json.loads builds exactly dict, list, str, int, float, bool and None, so
+# the parser tests a value's type with `type(x) is`; bool is not int there.
 
 
 def _require_object(value, where: str, required: tuple[str, ...], optional: tuple[str, ...] = ()):
@@ -387,41 +401,59 @@ def _require_object(value, where: str, required: tuple[str, ...], optional: tupl
 
 
 def _parse_atoms(doc, where: str) -> WeightBasis:
-    if not isinstance(doc, dict):
+    if type(doc) is not dict:
         raise SpecError(f"{where}: expected an object of atom values")
+    new = object.__new__
+    inf = math.inf
     atoms = []
+    index = {}
     for name, raw in doc.items():
-        if not _ATOM_NAME.fullmatch(name):
+        # An ASCII Python identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
+        if not (name.isascii() and name.isidentifier()):
             raise SpecError(f"{where}.{name}: atom names must be identifiers")
-        if isinstance(raw, bool) or not isinstance(raw, (int, float)):
+        kind = type(raw)
+        if kind is float:
+            value = raw
+        elif kind is int:
+            try:
+                value = float(raw)
+            except OverflowError:
+                value = inf
+        else:
             raise SpecError(f"{where}.{name}: atom value must be a number")
-        try:
-            value = float(raw)
-        except OverflowError:
-            value = math.inf
-        if not value > 0.0 or math.isinf(value):
+        if not value > 0.0 or value == inf:
             raise SpecError(f"{where}.{name}: atom value must be positive and finite")
         # The name and value are checked above, and the keys of one
-        # object are distinct names.
-        atoms.append(WeightAtom._unchecked(name, value))
-    return WeightBasis(tuple(atoms))
+        # object are distinct names: the record is built past its
+        # constructor, as WeightAtom._unchecked would, without the call.
+        atom = new(WeightAtom)
+        _set(atom, "name", name)
+        _set(atom, "value", value)
+        index[name] = len(atoms)
+        atoms.append(atom)
+    return WeightBasis._distinct(tuple(atoms), index)
 
 
 def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]:
-    if not isinstance(doc, list) or not doc:
+    if type(doc) is not list or not doc:
         raise SpecError(f"{where}: expected a nonempty array of symbols")
     symbols = []
     seen = set()
     index = basis._index
-    size = basis.size
+    values = basis._values
+    size = len(values)
+    forbidden = _SYMBOL_FORBIDDEN.search
+    new = object.__new__
+    vector = tuple.__new__
+    inf = math.inf
     # An entry's position, f"{where}[{i}]", is spelt out only in an error.
     for i, entry in enumerate(doc):
-        if not isinstance(entry, dict) or entry.keys() != {"name", "weight"}:
+        if type(entry) is not dict or entry.keys() != _SYMBOL_KEYS:
             _require_object(entry, f"{where}[{i}]", ("name", "weight"))  # raises
         name = entry["name"]
-        if not isinstance(name, str) or not name:
+        if type(name) is not str or not name:
             raise SpecError(f"{where}[{i}].name: symbol names must be nonempty strings")
-        if _SYMBOL_FORBIDDEN.search(name):
+        if forbidden(name):
             raise SpecError(
                 f"{where}[{i}].name: symbol name {name!r} may not contain whitespace "
                 f"or ()|*{_EPSILON}"
@@ -430,11 +462,11 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
             raise SpecError(f"{where}[{i}].name: duplicate symbol {name!r}")
         seen.add(name)
         weight_doc = entry["weight"]
-        if not isinstance(weight_doc, dict):
+        if type(weight_doc) is not dict:
             raise SpecError(f"{where}[{i}].weight: expected an object of atom multiplicities")
         mults = [0] * size
         for atom, mult in weight_doc.items():
-            if isinstance(mult, bool) or not isinstance(mult, int):
+            if type(mult) is not int:
                 raise SpecError(f"{where}[{i}].weight.{atom}: multiplicity must be an integer")
             if mult < 0:
                 raise SpecError(f"{where}[{i}].weight.{atom}: multiplicity must be nonnegative")
@@ -442,38 +474,47 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
             if slot is None:
                 raise SpecError(f"{where}[{i}].weight.{atom}: undeclared atom {atom!r}")
             mults[slot] = mult
-        # Each multiplicity was checked above, with its position.
-        wv = WeightVector._unchecked(mults)
-        total = _total_weight(wv, basis)
+        # Each multiplicity was checked above, with its position. The
+        # total is WeightVector.value's, inf when a multiplicity is too
+        # large to become a float.
+        wv = vector(WeightVector, mults)
+        try:
+            total = sum(map(mul, wv, values))
+        except OverflowError:
+            total = inf
         if total <= 0.0:
             raise SpecError(
                 f"{where}[{i}].weight: symbol {name!r} must have positive total weight"
             )
-        if math.isinf(total):
+        if total == inf:
             raise SpecError(f"{where}[{i}].weight: symbol {name!r} must have finite total weight")
-        symbols.append(SymbolDef(name, wv))
+        # Built past the constructor, as SymbolDef._unchecked would.
+        symbol = new(SymbolDef)
+        _set(symbol, "name", name)
+        _set(symbol, "weight", wv)
+        symbols.append(symbol)
     return tuple(symbols)
 
 
-def _parse_constraint(doc, names, where: str) -> ConstraintKind:
-    if not isinstance(doc, dict):
+def _parse_constraint(doc, names: frozenset[str], where: str) -> ConstraintKind:
+    if type(doc) is not dict:
         raise SpecError(f"{where}: expected an object")
     kind = doc.get("type")
     if kind == "free":
         _require_object(doc, where, ("type",))
-        return Free()
+        return Free._unchecked()
     if kind == "forbidden":
         _require_object(doc, where, ("type", "patterns"))
         raw = doc["patterns"]
-        if not isinstance(raw, list) or not raw:
+        if type(raw) is not list or not raw:
             raise SpecError(f"{where}.patterns: expected a nonempty array of patterns")
         patterns = []
         for i, pat in enumerate(raw):
             here = f"{where}.patterns[{i}]"
-            if not isinstance(pat, str):
+            if type(pat) is not str:
                 raise SpecError(f"{here}: patterns must be strings")
             patterns.append(tokenize_pattern(pat, names, here))
-        return ForbiddenPatterns(tuple(patterns))
+        return ForbiddenPatterns._unchecked(tuple(patterns))
     if kind == "regex":
         _require_object(doc, where, ("type", "expr", "unambiguous"))
         if doc["unambiguous"] is not True:
@@ -483,9 +524,9 @@ def _parse_constraint(doc, names, where: str) -> ConstraintKind:
                 "expressions and the claim is cross-checked empirically"
             )
         expr = doc["expr"]
-        if not isinstance(expr, str):
+        if type(expr) is not str:
             raise SpecError(f"{where}.expr: expected a string")
-        return Regex(parse_regex(expr, names))
+        return Regex._unchecked(parse_regex(expr, names))
     raise SpecError(f"{where}.type: expected 'free', 'forbidden', or 'regex', got {kind!r}")
 
 
@@ -507,7 +548,8 @@ def parse_spec(text) -> ChannelSpec:
     _require_object(doc, "document root", ("atoms", "symbols", "constraint"))
     basis = _parse_atoms(doc["atoms"], "atoms")
     symbols = _parse_symbols(doc["symbols"], basis, "symbols")
-    names = tuple(s.name for s in symbols)
+    # A frozenset, which parse_regex and tokenize_pattern take as it is.
+    names = frozenset([s.name for s in symbols])
     constraint = _parse_constraint(doc["constraint"], names, "constraint")
     # _parse_symbols checked what ChannelSpec checks: at least one symbol,
     # distinct nonempty names, each weight positive and finite.

@@ -19,11 +19,16 @@ plain tuple of its entries. A sum of two valid vectors is valid, so `+`
 and the loops below build their sums without checking them again.
 
 Concatenating strings adds their weights, so a product of terms adds weight
-vectors component-wise. `expand_series` turns a RationalGF into the exact
-counting series of the language it enumerates, up to a weight cutoff, in a
-single pass in weight order: with denominator d0 - sum_j e_j * y**u_j, the
-count at weight w is (num[w] + sum_j e_j * c[w - u_j]) / d0, so each weight
-class costs one heap operation and one product per denominator term.
+vectors component-wise. One kernel, `term_product` and `term_sum`, does
+the arithmetic on term dicts {WeightVector: int}; the operators `*`, `+`
+and `-` of GeneralizedPolynomial wrap it, and the quotient builders of
+gf_builder call it directly, so both share one multiplication.
+
+`expand_series` turns a RationalGF into the exact counting series of the
+language it enumerates, up to a weight cutoff, in a single pass in weight
+order: with denominator d0 - sum_j e_j * y**u_j, the count at weight w is
+(num[w] + sum_j e_j * c[w - u_j]) / d0, so each weight class costs one
+heap operation and one product per denominator term.
 
 The pass keys each weight class by one int, its multiplicities packed in
 mixed radix with the first atom as the most significant digit, so a
@@ -96,12 +101,24 @@ class WeightBasis(Record):
 
     def __init__(self, atoms: tuple[WeightAtom, ...]) -> None:
         atoms = tuple(atoms)
-        names = [a.name for a in atoms]
-        if len(set(names)) != len(names):
+        index = {a.name: i for i, a in enumerate(atoms)}
+        if len(index) != len(atoms):
             raise ValueError("duplicate atom names in basis")
+        self._fill(atoms, index)
+
+    @classmethod
+    def _distinct(cls, atoms: tuple[WeightAtom, ...], index: dict[str, int]) -> "WeightBasis":
+        """The basis of atoms with distinct names, such as the keys of one
+        JSON object, and `index`, each name's position in `atoms`; built
+        past the constructor's duplicate-name check."""
+        basis = object.__new__(cls)
+        basis._fill(atoms, index)
+        return basis
+
+    def _fill(self, atoms: tuple[WeightAtom, ...], index: dict[str, int]) -> None:
         _set(self, "atoms", atoms)
         _set(self, "_values", tuple(a.value for a in atoms))
-        _set(self, "_index", {a.name: i for i, a in enumerate(atoms)})
+        _set(self, "_index", index)
 
     @classmethod
     def from_mapping(cls, values: Mapping[str, float]) -> "WeightBasis":
@@ -218,6 +235,49 @@ def weight_sort_key(basis: WeightBasis):
     return key
 
 
+def term_product(a: dict[WeightVector, int], b: dict[WeightVector, int]) -> dict:
+    """The terms of a * b, for term dicts over one basis with nonzero
+    coefficients: each term of a times each of b, in that nested order,
+    merged by exponent in order of first appearance, zeros dropped.
+
+    A factor that is the constant 1 returns the other dict itself, which
+    holds the product's terms in their order; no caller changes a dict
+    once built. A one-term factor shifts the other's exponents, distinct
+    sums that need no merging.
+    """
+    new = tuple.__new__
+    if len(a) == 1:
+        ((shift, k),) = a.items()
+        if k == 1 and not any(shift):
+            return b
+        # A sum of two valid vectors of one basis is valid.
+        return {new(WeightVector, map(add, shift, wv)): k * c for wv, c in b.items()}
+    if len(b) == 1:
+        ((shift, k),) = b.items()
+        if k == 1 and not any(shift):
+            return a
+        return {new(WeightVector, map(add, wv, shift)): c * k for wv, c in a.items()}
+    out: dict[WeightVector, int] = {}
+    get = out.get
+    for wv1, c1 in a.items():
+        for wv2, c2 in b.items():
+            wv = new(WeightVector, map(add, wv1, wv2))
+            out[wv] = get(wv, 0) + c1 * c2
+    return {wv: c for wv, c in out.items() if c} if 0 in out.values() else out
+
+
+def term_sum(parts: Iterable[tuple[dict[WeightVector, int], int]]) -> dict:
+    """The terms of the sum of sign * terms over the (terms, sign) pairs,
+    merged by exponent in order of first appearance. Zeros are dropped at
+    the end, so an exponent that cancels and comes back keeps its place."""
+    out: dict[WeightVector, int] = {}
+    get = out.get
+    for terms, sign in parts:
+        for wv, c in terms.items():
+            out[wv] = get(wv, 0) + sign * c
+    return {wv: c for wv, c in out.items() if c} if 0 in out.values() else out
+
+
 class GeneralizedPolynomial:
     """Finite integer-coefficient sum of y**(weight value) terms. Immutable.
 
@@ -312,52 +372,42 @@ class GeneralizedPolynomial:
     def _from_terms(
         cls, basis: WeightBasis, terms: dict[WeightVector, int]
     ) -> "GeneralizedPolynomial":
-        """The polynomial of `terms`, exponents over `basis` and integer
-        coefficients already, as the arithmetic below builds them; only
-        the zero coefficients are dropped."""
+        """The polynomial of `terms`, exponents over `basis` and nonzero
+        integer coefficients already, as the term kernel builds them. The
+        polynomial keeps the dict, which no one may change afterwards."""
         poly = object.__new__(cls)
         poly.basis = basis
-        poly._terms = {wv: c for wv, c in terms.items() if c}
+        poly._terms = terms
         poly._float_terms = None
         return poly
 
     def __add__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         self._check_same_basis(other)
-        merged = dict(self._terms)
-        for wv, c in other._terms.items():
-            merged[wv] = merged.get(wv, 0) + c
-        return self._from_terms(self.basis, merged)
+        return self._from_terms(self.basis, term_sum(((self._terms, 1), (other._terms, 1))))
 
     def __neg__(self) -> "GeneralizedPolynomial":
         return self._from_terms(self.basis, {wv: -c for wv, c in self._terms.items()})
 
     def __sub__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
-        return self + (-other)
-
-    def _is_one(self) -> bool:
-        terms = self._terms
-        return len(terms) == 1 and terms.get((0,) * len(self.basis.atoms)) == 1
+        self._check_same_basis(other)
+        return self._from_terms(self.basis, term_sum(((self._terms, 1), (other._terms, -1))))
 
     def __mul__(self, other: "GeneralizedPolynomial") -> "GeneralizedPolynomial":
         self._check_same_basis(other)
-        # A product by the constant 1 has the other factor's terms in its
-        # order; polynomials are immutable, so that factor itself serves.
-        if self._is_one():
+        terms = term_product(self._terms, other._terms)
+        # A product by the constant 1 is the other factor's own dict;
+        # polynomials are immutable, so that factor itself serves.
+        if terms is other._terms:
             return other
-        if other._is_one():
+        if terms is self._terms:
             return self
-        out: dict[WeightVector, int] = {}
-        new = tuple.__new__
-        for wv1, c1 in self._terms.items():
-            for wv2, c2 in other._terms.items():
-                # A sum of two valid vectors of one basis is valid.
-                wv = new(WeightVector, map(add, wv1, wv2))
-                out[wv] = out.get(wv, 0) + c1 * c2
-        return self._from_terms(self.basis, out)
+        return self._from_terms(self.basis, terms)
 
     def __rmul__(self, scalar: int) -> "GeneralizedPolynomial":
         if not isinstance(scalar, int) or isinstance(scalar, bool):
             return NotImplemented
+        if not scalar:
+            return self._from_terms(self.basis, {})
         return self._from_terms(self.basis, {wv: scalar * c for wv, c in self._terms.items()})
 
     def evaluate(self, y: float) -> float:

@@ -19,7 +19,10 @@ Two analytic routes, both with certified enclosures:
                         whose sign a bound proves: with D = P - N split into
                         its positive and negated negative terms, both
                         nondecreasing on y >= 0, every y in [a, b] has
-                        P(a) - N(b) <= D(y) <= P(b) - N(a).
+                        P(a) - N(b) <= D(y) <= P(b) - N(a). Where D is
+                        monotone toward zero on [a, b], D(b) = P(b) - N(b)
+                        bounds it instead, which also proves a run that
+                        ends close to a root.
 
 Both bisections keep their midpoint sequence, and with it the enclosure and
 the step count, but evaluate only the midpoints whose float sign is not yet
@@ -81,7 +84,11 @@ GRID_STEP = 1e-3
 #     the run by as much again, and the subtraction and the product round
 #     once each: under 2 (n + 4)u (P(b) + N(b)) in all, an eighth of the
 #     margin, and likewise for the upper bound. So each skipped grid point
-#     would have evaluated to a nonzero float of the run's sign.
+#     would have evaluated to a nonzero float of the run's sign. The same
+#     account covers a run on which D is strictly monotone toward zero
+#     (`_is_monotone`), skipped when P(b) - N(b) clears zero by the margin
+#     with the run's sign: there D(b) bounds D at every point of the run,
+#     and P(b) takes the place of P(a), or N(b) that of N(a).
 #   - On the characteristic route E is increasing, so E(a) (1 + margin) <
 #     d0 makes every x <= a evaluate below d0, and d0 <= E(b) (1 - margin)
 #     makes every x >= b evaluate at or above it: the evaluations at x and
@@ -458,12 +465,17 @@ class _PoleScan:
         # The walk stands at grid index j, at prev_y, the last point whose
         # float sign is known; `here` holds P and N there with their slopes.
         # Each attempt tries to skip the next k grid points, k aimed by
-        # `_aim` at the last one the bound still covers. A failed attempt
-        # over more than one point becomes the nearest failed end, `fail`
-        # (its index, y and bounds): later attempts stop short of it and
-        # aim with its values too. An attempt over one point that fails
-        # evaluates D there, and so does the walk's arrival next to the
-        # failed end, whose bounds it already has.
+        # `_aim` at the last one the bound still covers. Where the bound
+        # fails over more than one point, the end value P - N at the
+        # attempt's far end b may still clear the margin with the run's
+        # sign; with D strictly monotone toward zero on the run, D(b) then
+        # bounds D on the whole run, and the run is proved without an
+        # evaluation of D (see SKIP_MARGIN). A failed attempt over more
+        # than one point that this does not prove becomes the nearest
+        # failed end, `fail` (its index, y and bounds): later attempts stop
+        # short of it and aim with its values too. An attempt over one
+        # point that fails evaluates D there, and so does the walk's
+        # arrival next to the failed end, whose bounds it already has.
         # Denominator normalization makes the value at 0 positive.
         self.evaluations += 1
         prev_y, prev_v = 0.0, d_at(0.0)
@@ -480,12 +492,21 @@ class _PoleScan:
                 ahead = bounds(y)
                 p_y, n_y = ahead[0], ahead[1]
                 slack = margin * (p_y + n_y)
-                if (p_y - here[1] < -slack) if prev_v < 0.0 else (here[0] - n_y > slack):
+                negative = prev_v < 0.0
+                if (p_y - here[1] < -slack) if negative else (here[0] - n_y > slack):
                     j += k
                     prev_y, here = y, ahead
                     continue
                 if k > 1:
-                    fail = (j + k, y, ahead)
+                    if (
+                        ((p_y - n_y < -slack) if negative else (p_y - n_y > slack))
+                        and prev_y > 0.0
+                        and self._is_monotone(prev_y, y, negative, (here, ahead))
+                    ):
+                        j += k
+                        prev_y, here = y, ahead
+                    else:
+                        fail = (j + k, y, ahead)
                     continue
             j += 1
             self.evaluations += 1
@@ -718,7 +739,8 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     real axis carries a singularity of minimal modulus, so the first
     surviving root is the radius of convergence, and the scan stops there.
     The grid runs it skips are those whose sign the monotone bound on
-    D = P - N proves (see SKIP_MARGIN), so it brackets exactly the roots a
+    D = P - N, or D's own monotonicity and its value at the run's end,
+    proves (see SKIP_MARGIN), so it brackets exactly the roots a
     scan evaluating every grid point would, and the bisection evaluates
     only the midpoints outside its certified Newton window. `iterations`
     is the number of passes the scan made over the terms of D, P and N,
@@ -795,12 +817,17 @@ def check_density(
     if not (math.isfinite(margin) and margin >= 0):
         raise ValueError(f"margin must be finite and nonnegative, got {margin!r}")
     try:
-        distinct = sorted(set(float(w) for w in weights))
+        distinct = sorted(set(map(float, weights)))
     except OverflowError as exc:
         raise ValueError(f"weights must be finite and nonnegative: {exc}") from exc
-    for w in distinct:
-        if not (math.isfinite(w) and w >= 0):
-            raise ValueError(f"weights must be finite and nonnegative, got {w!r}")
+    # Without NaN, which compares false with everything, the sorted weights
+    # are all finite and nonnegative when the ends are. A NaN makes the sum
+    # NaN. Otherwise the loop names the first bad weight in sorted order.
+    total = sum(distinct)
+    if total != total or distinct and not (distinct[0] >= 0 and distinct[-1] < math.inf):
+        for w in distinct:
+            if not (math.isfinite(w) and w >= 0):
+                raise ValueError(f"weights must be finite and nonnegative, got {w!r}")
     if cutoff is None:
         if not distinct:
             raise InsufficientDataError("no weights to analyze")

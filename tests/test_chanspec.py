@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 import sys
 
 import pytest
@@ -171,6 +172,28 @@ def test_symbol_name_class_rejects_exactly_whitespace_and_regex_characters():
         != (chr(code).isspace() or chr(code) in "()|*ε")
     ]
     assert differ == []
+
+
+def test_atom_names_are_exactly_the_ascii_identifiers():
+    # The parser's `isascii() and isidentifier()` stands for a full match of
+    # [A-Za-z_][A-Za-z0-9_]*: every one- and two-character string over
+    # ASCII and a few other characters agrees.
+    pattern = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+    chars = [chr(code) for code in range(128)] + ["é", "ß", "π", "٣", "ε", "\u2028"]
+    names = chars + [a + b for a in chars for b in chars]
+    differ = [
+        name
+        for name in names
+        if (name.isascii() and name.isidentifier()) != bool(pattern.fullmatch(name))
+    ]
+    assert differ == []
+    for name in ("é", "a٣", "_1"):
+        text = doc(atoms={name: 1.0}, symbols=[{"name": "0", "weight": {name: 1}}])
+        if pattern.fullmatch(name):
+            parse_spec(text)
+        else:
+            with pytest.raises(SpecError, match="atom names must be identifiers"):
+                parse_spec(text)
 
 
 def test_invalid_utf8_is_a_spec_error():

@@ -63,6 +63,7 @@ from corpus import (
     reference_evaluate,
     reference_expand_series,
     reference_is_removable,
+    reference_mul,
     reference_parse_regex,
     reference_parse_spec,
     reference_tuple_expand_series,
@@ -125,6 +126,96 @@ class TestPolynomialAlgebra:
         )
 
 
+@st.composite
+def kernel_operands(draw, sizes=st.integers(1, 4)):
+    """Two polynomials over one basis of 1-4 atoms. Small exponents and
+    coefficients of either sign make terms merge and cancel to zero; q is
+    at times p with some terms negated, so that p + q and p - q cancel
+    whole terms; either side may be the constant 1."""
+    size = draw(sizes)
+    basis = WeightBasis.from_mapping({f"a{i}": 1.0 + i / 3 for i in range(size)})
+    vector = st.lists(st.integers(0, 2), min_size=size, max_size=size).map(WeightVector)
+    terms = st.dictionaries(vector, st.integers(-3, 3), max_size=6)
+    one = GeneralizedPolynomial.one(basis)
+    p = draw(terms.map(lambda t: GeneralizedPolynomial(basis, t)))
+    if draw(st.booleans()):
+        flips = draw(st.lists(st.booleans(), min_size=len(p), max_size=len(p)))
+        q = GeneralizedPolynomial(
+            basis, [(wv, -c if flip else c) for (wv, c), flip in zip(p.terms(), flips)]
+        )
+    else:
+        q = draw(terms.map(lambda t: GeneralizedPolynomial(basis, t)))
+    p, q = draw(st.sampled_from([(p, q), (one, q), (p, one), (one, one)]))
+    return p, q
+
+
+def _poly_in_y(coeff_by_power):
+    basis = WeightBasis.from_mapping({"a0": 1.0})
+    return GeneralizedPolynomial(basis, {WeightVector((e,)): c for e, c in coeff_by_power.items()})
+
+
+def _former_sum(p, q, sign):
+    """The former `p + q` (sign 1) and `p - q` (sign -1): p's terms, then
+    q's merged in, in order, the zeros dropped; the checking constructor
+    merges the same way."""
+    return GeneralizedPolynomial(p.basis, [*p.terms(), *((wv, sign * c) for wv, c in q.terms())])
+
+
+class TestTermKernel:
+    """`term_product` and `term_sum` against the former product and sum,
+    term order included, through the operators and on raw term dicts."""
+
+    @given(kernel_operands())
+    @example((GeneralizedPolynomial.one(BASIS), GeneralizedPolynomial.one(BASIS)))
+    @settings(max_examples=300, deadline=None)
+    def test_product_equals_the_former_product(self, operands):
+        p, q = operands
+        expected = list(reference_mul(p, q).terms())
+        assert list((p * q).terms()) == expected
+        assert list(genpoly.term_product(p._terms, q._terms).items()) == expected
+
+    @given(kernel_operands())
+    @settings(max_examples=300, deadline=None)
+    def test_sum_equals_the_former_sum(self, operands):
+        p, q = operands
+        for sign in (1, -1):
+            expected = list(_former_sum(p, q, sign).terms())
+            assert list((p + q if sign == 1 else p - q).terms()) == expected
+            parts = ((p._terms, 1), (q._terms, sign))
+            assert list(genpoly.term_sum(parts).items()) == expected
+
+    @given(
+        st.integers(1, 4).flatmap(
+            lambda n: st.lists(
+                st.tuples(kernel_operands(st.just(n)), st.sampled_from([1, -1])),
+                min_size=1,
+                max_size=4,
+            )
+        )
+    )
+    # y cancels in the second part and comes back in the third, behind y**2.
+    @example(
+        [
+            ((_poly_in_y({1: 1}), _poly_in_y({0: 1})), 1),
+            ((_poly_in_y({1: -1, 2: 1}), _poly_in_y({0: 1})), 1),
+            ((_poly_in_y({1: 1}), _poly_in_y({0: 1})), 1),
+        ]
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_signed_sum_of_products_keeps_first_places(self, draws):
+        # The Laplace expansion's sum: a term that cancels midway and comes
+        # back keeps the place it first took, as the former loop left it.
+        products = [reference_mul(p, q) for (p, q), _ in draws]
+        signs = [sign for _, sign in draws]
+        merged: dict = {}
+        for product, sign in zip(products, signs):
+            for wv, c in product.terms():
+                merged[wv] = merged.get(wv, 0) + sign * c
+        expected = [(wv, c) for wv, c in merged.items() if c]
+        got = genpoly.term_sum((p._terms, sign) for p, sign in zip(products, signs))
+        assert list(got.items()) == expected
+
+
 def leibniz_determinant(rows):
     """Sum over all n! permutations, each signed by its inversion count."""
     total = GeneralizedPolynomial.zero(BASIS)
@@ -147,7 +238,9 @@ class TestDeterminant:
     )
     @settings(max_examples=100, deadline=None)
     def test_memoised_laplace_equals_leibniz(self, rows):
-        assert _minors(rows, BASIS)(tuple(range(len(rows)))) == leibniz_determinant(rows)
+        # _minors expands term dicts, as the cluster quotient builds them.
+        det = _minors([[p._terms for p in row] for row in rows])(tuple(range(len(rows))))
+        assert GeneralizedPolynomial._from_terms(BASIS, det) == leibniz_determinant(rows)
 
 
 def regex_nodes():
@@ -1159,6 +1252,20 @@ class TestWarmCapacityPath:
         '{"atoms": {"unit": 1.0}, "symbols": [{"name": "0", "weight": {"unit": 1}}, '
         '{"name": "1", "weight": {"unit": 2}}], '
         '"constraint": {"type": "regex", "expr": "0*1*", "unambiguous": true}}'
+    )
+    # Four overlapping forbidden patterns: a cluster quotient of a 5 x 5
+    # determinant whose products merge and cancel terms.
+    @example(
+        '{"atoms": {"unit": 1.0, "pi": 3.141592653589793}, '
+        '"symbols": [{"name": "0", "weight": {"unit": 1}}, {"name": "1", "weight": {"pi": 1}}], '
+        '"constraint": {"type": "forbidden", "patterns": ["101", "0110", "1001", "000"]}}'
+    )
+    # Nested stars and unions, over three symbols of mixed weights.
+    @example(
+        '{"atoms": {"unit": 1.0, "r2": 1.4142135623730951}, '
+        '"symbols": [{"name": "0", "weight": {"unit": 1}}, {"name": "1", "weight": {"r2": 1}}, '
+        '{"name": "2", "weight": {"unit": 1, "r2": 1}}], '
+        '"constraint": {"type": "regex", "expr": "(0(1|20*)*|2(1|0)*)*1*", "unambiguous": true}}'
     )
     @settings(max_examples=400, deadline=None)
     def test_answers_match_the_former_code_bit_for_bit(self, text):

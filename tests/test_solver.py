@@ -406,6 +406,20 @@ class TestCheckDensity:
         with pytest.raises(ValueError, match="weights must be finite and nonnegative"):
             check_density([1.0, 2.0, 3.0, 4.0, 5.0, bad])
 
+    @pytest.mark.parametrize(
+        "weights,named",
+        [
+            ([3.0, -2.0, -1.0, math.inf], "-2.0"),
+            ([1.0, math.inf, 2.0], "inf"),
+            ([-math.inf, 1.0, math.inf], "-inf"),
+        ],
+    )
+    def test_rejection_names_the_least_bad_weight(self, weights, named):
+        # The ends of the sorted weights show that one is bad; the message
+        # names the first bad one in sorted order.
+        with pytest.raises(ValueError, match=f"finite and nonnegative, got {named}$"):
+            check_density(weights)
+
     def test_zero_weight_allowed(self):
         # A channel's series starts with the empty string at weight 0.
         weights = enumerate_by_weight(load_channel("ex3.json"), 12.0).values()
