@@ -16,6 +16,10 @@ output, and writes a non-finite number (such as the infinite radius of a
 finite language) as null. Warnings (for example, distinct exact weights
 merged in a printed row because their numeric values collide) go to stderr.
 
+`check-density` proves a spec's answer from its alphabet: below weight n lie
+at most C(floor(n / w) + k, k) distinct weights for k symbols of least weight
+w, as a string has at most floor(n / w) symbols and its counts fix its weight.
+
 The enumeration oracle is imported by the commands that enumerate, when
 they do, so an analytic answer never loads it or its automaton.
 """
@@ -36,7 +40,6 @@ from .solver import (
     capacity_from_characteristic,
     characteristic_part,
     check_density,
-    density_thresholds,
     smallest_positive_pole,
 )
 
@@ -157,12 +160,11 @@ def _warn(message: str) -> None:
 def cmd_capacity(args) -> int:
     spec = load_spec(args.spec)
     oracle = args.method == "oracle"
-    enum = None
+    if args.cutoff is None and (oracle or args.verify):
+        raise DncError(f"{'--method oracle' if oracle else '--verify'} requires --cutoff")
     if oracle or args.verify:
         from .oracle import enumerate_channel, estimate_capacity
     if oracle:
-        if args.cutoff is None:
-            raise DncError("--method oracle requires --cutoff")
         enum = enumerate_channel(spec, args.cutoff)
         report = estimate_capacity(enum)
     else:
@@ -180,8 +182,6 @@ def cmd_capacity(args) -> int:
         lines.append(f"note: {report.note}")
     code = 0
     if args.verify:
-        if args.cutoff is None:
-            raise DncError("--verify requires --cutoff")
         series = expand_series(build_gf(spec) if oracle else gf, args.cutoff)
         if oracle:
             estimate = report
@@ -278,8 +278,24 @@ def cmd_coefficients(args) -> int:
 def cmd_check_density(args) -> int:
     with open(args.spec, "rb") as fh:
         raw = fh.read()
-    weights, cutoff = _density_inputs(raw, args.cutoff)
-    report = check_density(weights, cutoff=cutoff, margin=args.margin)
+    weights = _weight_list(raw)
+    if weights is None:
+        spec = parse_spec(raw)
+        k = len(spec.symbols)
+        w_min = min(s.weight.value(spec.basis) for s in spec.symbols)
+        payload = {
+            "command": "check-density",
+            "exponential_flag": False,
+            "symbols": k,
+            "min_weight": w_min,
+        }
+        lines = [
+            f"distinct weights below n: at most C(floor(n / {_fmt(w_min)}) + {k}, {k})",
+            "exponential growth: no",
+        ]
+        _emit(payload, lines, args.json)
+        return 0
+    report = check_density(weights, cutoff=args.cutoff, margin=args.margin)
     payload = {"command": "check-density", **report.to_dict()}
     lines = [
         f"cutoff: {_fmt(report.cutoff)}",
@@ -298,8 +314,8 @@ def cmd_check_density(args) -> int:
     return 4 if report.exponential_flag else 0
 
 
-def _density_inputs(raw: bytes, cutoff):
-    """A density input is either a channel spec or {"weights": [...]}."""
+def _weight_list(raw: bytes) -> list[float] | None:
+    """The checked weights of a {"weights": [...]} document; None for a spec."""
     try:
         doc = json.loads(raw.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -321,15 +337,8 @@ def _density_inputs(raw: bytes, cutoff):
                     f"weights[{i}]: expected a finite nonnegative number, got {x!r}"
                 )
             values.append(x)
-        return values, cutoff
-    spec = parse_spec(raw)
-    if cutoff is None:
-        raise DncError("--cutoff is required to enumerate a channel's weights")
-    density_thresholds(float(cutoff))
-    from .oracle import enumerate_by_weight
-
-    series = enumerate_by_weight(spec, cutoff)
-    return series.values(), float(cutoff)
+        return values
+    return None
 
 
 def cmd_gf(args) -> int:
@@ -395,15 +404,14 @@ def _build_parser() -> argparse.ArgumentParser:
     dens.add_argument(
         "--cutoff",
         type=_nonnegative,
-        help="weight cutoff (required for channel specs; defaults to the "
-        "largest weight for raw weight lists)",
+        help="weight cutoff for a weight list (default: its largest weight); specs ignore it",
     )
     dens.add_argument(
         "--margin",
         type=_nonnegative,
         default=1.0,
-        help="flag when the exponential fit residual is below margin times "
-        "the polynomial one",
+        help="for a weight list, flag when the exponential fit residual is below "
+        "margin times the polynomial one; specs ignore it",
     )
     dens.add_argument("--json", action="store_true", help="machine readable output")
     dens.set_defaults(func=cmd_check_density)

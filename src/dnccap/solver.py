@@ -43,10 +43,10 @@ included, but not the bisection steps the window decided.
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
 
-`check_density` is the guard for channels whose weights are so dense that
-capacity is not well defined: it compares polynomial against exponential
-fits of the count of distinct weights below n. Both fits are ordinary
-least-squares lines, computed in closed form from centred sums.
+`check_density` is the guard for weight lists so dense that capacity is
+not well defined: it compares polynomial against exponential fits of the
+count of distinct weights below n. Both fits are ordinary least-squares
+lines, computed in closed form from centred sums.
 """
 
 from __future__ import annotations
@@ -476,10 +476,12 @@ class _PoleScan:
         # short of it and aim with its values too. An attempt over one
         # point that fails evaluates D there, and so does the walk's
         # arrival next to the failed end, whose bounds it already has.
-        # Denominator normalization makes the value at 0 positive.
-        self.evaluations += 1
-        prev_y, prev_v = 0.0, d_at(0.0)
-        here = bounds(0.0)
+        # No pass at 0: D(0) = P(0) = d0 > 0 (normalized), N(0) = 0, slopes 0.
+        try:
+            prev_y, prev_v = 0.0, float(self.den.constant_coefficient)
+        except OverflowError as exc:
+            raise EvalOverflowError("overflow evaluating polynomial at y=0.0") from exc
+        here = prev_v, 0.0, 0.0, 0.0
         j = 0
         fail = None
         while j < n_grid:
@@ -779,24 +781,6 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     )
 
 
-def density_thresholds(cutoff: float) -> int:
-    """The number of integer thresholds check_density counts up to cutoff.
-
-    Raises ValueError for a non-finite cutoff and ResourceLimitError when
-    the count exceeds MAX_DENSITY_THRESHOLDS, so a caller can refuse a
-    cutoff before enumerating weights up to it.
-    """
-    if not math.isfinite(cutoff):
-        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
-    top = int(math.floor(cutoff))
-    if top > MAX_DENSITY_THRESHOLDS:
-        raise ResourceLimitError(
-            f"cutoff {cutoff:.6g} needs {top} integer thresholds; "
-            f"the limit is {MAX_DENSITY_THRESHOLDS}"
-        )
-    return top
-
-
 def check_density(
     weights,
     *,
@@ -833,7 +817,14 @@ def check_density(
             raise InsufficientDataError("no weights to analyze")
         cutoff = distinct[-1]
     cutoff = float(cutoff)
-    top = density_thresholds(cutoff)
+    if not math.isfinite(cutoff):
+        raise ValueError(f"cutoff must be finite, got {cutoff!r}")
+    top = int(math.floor(cutoff))
+    if top > MAX_DENSITY_THRESHOLDS:
+        raise ResourceLimitError(
+            f"cutoff {cutoff:.6g} needs {top} integer thresholds; "
+            f"the limit is {MAX_DENSITY_THRESHOLDS}"
+        )
     if top < 1:
         raise InsufficientDataError("cutoff below 1; no integer thresholds to count")
     counts = [(n, bisect_left(distinct, n)) for n in range(1, top + 1)]

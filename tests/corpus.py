@@ -65,7 +65,8 @@ that checked every value again in the public constructors, builders that
 multiplied by 1 term by term and built every polynomial through the
 checking constructor, and solvers that made each evaluation through
 helper calls. They are the former code apart from their names, products
-through `reference_mul`, evaluations through `reference_evaluate`, and
+through `reference_mul`, the regex builder's sums and differences through
+the checking constructor, evaluations through `reference_evaluate`, and
 atom names matched in full. They are kept as the reference for the
 parser that checks each value once, the product that skips a factor 1
 and the solvers that call `evaluate` directly.
@@ -1399,6 +1400,13 @@ def reference_gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
     basis = spec.basis
     one = GeneralizedPolynomial.one(basis)
 
+    def combine(p, q, sign):
+        # p + sign * q through the checking constructor, which merges
+        # equal exponents and drops zeros, not through the term kernel.
+        return GeneralizedPolynomial(
+            basis, [*p.terms(), *((wv, sign * c) for wv, c in q.terms())]
+        )
+
     def walk(node):
         if isinstance(node, Epsilon):
             return one, one
@@ -1408,7 +1416,7 @@ def reference_gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
             num, den = walk(node.parts[0])
             for part in node.parts[1:]:
                 n2, d2 = walk(part)
-                num = reference_mul(num, d2) + reference_mul(n2, den)
+                num = combine(reference_mul(num, d2), reference_mul(n2, den), 1)
                 den = reference_mul(den, d2)
             return num, den
         if isinstance(node, Concat):
@@ -1425,7 +1433,7 @@ def reference_gf_from_regex(expr: RegexNode, spec: ChannelSpec) -> RationalGF:
                     "star of an expression that matches the empty string; "
                     "rewrite the regex so the starred part is not nullable"
                 )
-            return d2, d2 - n2
+            return d2, combine(d2, n2, -1)
         raise TypeError(f"not a regex node: {node!r}")
 
     num, den = walk(expr)

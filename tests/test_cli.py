@@ -53,6 +53,17 @@ DOUBLE_POLE_DOC = {
 }
 
 
+IRRATIONAL_FREE_DOC = {
+    "atoms": {"unit": 1.0, "pi": math.pi, "e": math.e},
+    "symbols": [
+        {"name": "0", "weight": {"unit": 1}},
+        {"name": "1", "weight": {"pi": 1}},
+        {"name": "2", "weight": {"e": 1}},
+    ],
+    "constraint": {"type": "free"},
+}
+
+
 def strict_json(text: str):
     """json.loads that refuses NaN, Infinity and -Infinity."""
 
@@ -334,6 +345,36 @@ class TestCapacity:
         assert code == 2
         assert "--cutoff" in err
 
+    @pytest.mark.parametrize(
+        "argv, option",
+        [
+            (["--verify"], "--verify"),
+            (["--method", "oracle"], "--method oracle"),
+            (["--method", "oracle", "--verify"], "--method oracle"),
+        ],
+        ids=["verify", "oracle", "oracle-verify"],
+    )
+    def test_missing_cutoff_stops_before_any_work(
+        self, capsys, monkeypatch, tmp_path, argv, option
+    ):
+        # Checked right after the spec is read: no quotient is built and
+        # the oracle is not imported. The double pole's solve would fail
+        # with an error of its own.
+        def no_quotient(spec):
+            raise AssertionError("build_gf called")
+
+        monkeypatch.setattr("dnccap.cli.build_gf", no_quotient)
+        monkeypatch.setitem(sys.modules, "dnccap.oracle", None)
+        path = tmp_path / "double-pole.json"
+        path.write_text(json.dumps(DOUBLE_POLE_DOC))
+        assert run(capsys, "capacity", str(path), *argv) == (
+            2, "", f"error: {option} requires --cutoff\n"
+        )
+        path.write_text("{")
+        code, _, err = run(capsys, "capacity", str(path), *argv)
+        assert code == 1
+        assert "--cutoff" not in err
+
     def test_verify_catches_ambiguous_regex(self, capsys, tmp_path):
         path = tmp_path / "ambiguous.json"
         path.write_text(json.dumps(AMBIGUOUS_DOC))
@@ -410,10 +451,39 @@ class TestCheckDensity:
         assert code == 0
         assert "exponential growth: no" in out
 
-    def test_channel_spec_requires_cutoff(self, capsys):
-        code, _, err = run(capsys, "check-density", channel("ex3.json"))
-        assert code == 2
-        assert "--cutoff" in err
+    def test_channel_spec_needs_no_cutoff(self, capsys):
+        # A spec is answered from its alphabet: 2 symbols of least weight 1.
+        code, out, err = run(capsys, "check-density", channel("ex3.json"))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "distinct weights below n: at most C(floor(n / 1) + 2, 2)",
+            "exponential growth: no",
+        ]
+
+    def test_irrational_free_channel_is_not_dense(self, capsys, tmp_path):
+        # 15 distinct weights below 6 over 1, pi and e fit an exponential
+        # better than a polynomial, but counts below n are at most
+        # C(n + 3, 3): the fit's "yes" at this cutoff was wrong.
+        path = tmp_path / "free.json"
+        path.write_text(json.dumps(IRRATIONAL_FREE_DOC))
+        code, out, _ = run(capsys, "check-density", str(path), "--cutoff", "6", "--json")
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "check-density",
+            "exponential_flag": False,
+            "min_weight": 1.0,
+            "symbols": 3,
+        }
+
+    def test_spec_far_cutoff_answers_at_once(self, capsys):
+        # --cutoff and --margin stay accepted for a spec, and enumerate nothing.
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys, "check-density", channel("ex3.json"), "--cutoff", "2e6", "--margin", "0"
+        )
+        assert time.perf_counter() - start < 0.5
+        assert code == 0
+        assert "exponential growth: no" in out
 
     def test_zero_margin_disables_flag(self, capsys):
         code, _, _ = run(
@@ -454,10 +524,8 @@ class TestCheckDensity:
         [
             ("dense-weights.json", ["--cutoff", "1e9"]),
             ([1.0, 2.0, 3.0, 4.0, 1e12], []),
-            # A spec is refused before its weights are enumerated.
-            ("ex3.json", ["--cutoff", "2e6"]),
         ],
-        ids=["cutoff", "largest-weight", "spec-cutoff"],
+        ids=["cutoff", "largest-weight"],
     )
     def test_threshold_budget_fails_at_once(self, capsys, tmp_path, source, argv):
         if isinstance(source, str):
@@ -636,6 +704,23 @@ def test_cli_import_loads_no_heavy_stdlib_module():
     assert "dnccap.cli" in loaded
     assert loaded.isdisjoint({"dataclasses", "inspect", "fractions", "decimal", "typing"})
     assert loaded.isdisjoint({"dnccap.oracle", "dnccap.automaton"})
+
+
+def test_spec_density_loads_no_oracle():
+    code = (
+        "import sys\n"
+        "from dnccap.cli import main\n"
+        "code = main(['check-density', sys.argv[1], '--cutoff', '30'])\n"
+        "print(code, sorted(m for m in sys.modules if m in ('dnccap.oracle', 'dnccap.automaton')))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", code, channel("ex3.json")],
+        env={**os.environ, "PYTHONPATH": str(SRC_DIR)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_package_serves_the_oracle_on_first_use():

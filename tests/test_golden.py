@@ -7,7 +7,8 @@ golden/cli.json records the other subcommands: for each run its argv, run
 from the repository root, its exit code and its stderr. The run's stdout is
 golden/cli/<run>.json. Every channel spec has a `coefficients --cutoff 15`
 run with and without `--oracle` and a `gf` run, all with `--json`; two
-`check-density` runs cover a flagged weight list and an enumerated spec.
+`check-density` runs cover a flagged weight list and a spec answered
+from its alphabet.
 
 A faster or simpler program must give the very same answers, so any
 difference here is a change in behaviour. Regenerate a record only when

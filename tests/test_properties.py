@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import io
 import itertools
 import json
 import math
@@ -32,7 +33,9 @@ from dnccap import (
     WeightVector,
     build_gf,
     check_density,
+    enumerate_by_weight,
     expand_series,
+    load_spec,
     parse_regex,
     parse_spec,
     render_regex,
@@ -40,7 +43,7 @@ from dnccap import (
     smallest_positive_root,
 )
 from dnccap import genpoly, solver
-from dnccap.cli import _analytic_report
+from dnccap.cli import _analytic_report, main
 from dnccap.gf_builder import _minors
 from dnccap.solver import (
     DEFAULT_TOL,
@@ -1233,6 +1236,29 @@ def _capacity_outcome(solve):
     hexed = [float.hex(x) for x in (r.radius_or_pole, r.capacity_nats, r.error_bound)]
     iterations = None if r.method == "smallest-pole" else r.iterations
     return r.method, *hexed, iterations, r.note
+
+
+class TestSpecDensityBound:
+    @given(valid_documents(), st.floats(min_value=1.0, max_value=6.0))
+    @settings(max_examples=100, deadline=None)
+    def test_enumerated_weights_stay_under_the_reported_bound(
+        self, tmp_path_factory, doc, cutoff
+    ):
+        # check-density reports k symbols of least weight w for a spec;
+        # the exact weight classes below n that the enumeration finds
+        # number at most C(floor(n / w) + k, k).
+        path = tmp_path_factory.getbasetemp() / "density-spec.json"
+        path.write_text(json.dumps(doc))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["check-density", str(path), "--json"]) == 0
+        report = json.loads(out.getvalue())
+        assert report["exponential_flag"] is False
+        k, w_min = report["symbols"], report["min_weight"]
+        values = enumerate_by_weight(load_spec(path), cutoff).values()
+        for n in [*range(1, math.floor(cutoff) + 1), cutoff]:
+            below = sum(1 for v in values if v < n)
+            assert below <= math.comb(math.floor(n / w_min) + k, k)
 
 
 class TestWarmCapacityPath:

@@ -12,6 +12,7 @@ from decimal import Decimal, localcontext
 import pytest
 
 from dnccap import (
+    EvalOverflowError,
     GeneralizedPolynomial,
     InsufficientDataError,
     RationalGF,
@@ -274,12 +275,14 @@ class TestBracketing:
         # GeneralizedPolynomial.evaluate or value_and_slope. The grid runs
         # whose sign the bound proves go unevaluated, and so do the
         # bisection midpoints outside the Newton window: fewer passes
-        # than the bracket's 30 bisection steps.
+        # than the bracket's 30 bisection steps. The values at y = 0 are
+        # known without a pass.
         calls = count_passes(monkeypatch)
         candidates, evaluations = bracket_denominator_roots(
             build_gf(load_channel("ex3.json"))
         )
         assert evaluations == len(calls) < sum(c.iterations for c in candidates) == 30
+        assert 0.0 not in calls
 
     @pytest.mark.parametrize("name", ["ex3.json", "avoid101.json", "binary.json", "unary.json"])
     def test_pole_iterations_are_scan_evaluations(self, monkeypatch, name):
@@ -292,6 +295,15 @@ class TestBracketing:
         calls = count_passes(monkeypatch, skip=gf.numerator)
         report = smallest_positive_pole(gf)
         assert report.iterations == len(calls) <= 40
+
+    def test_constant_term_beyond_floats_overflows_as_at_zero(self):
+        # The same error evaluate(0.0) raises, before any pass.
+        gf = RationalGF(unit_poly((0, 1)), unit_poly((0, 10**400), (1, -1)))
+        with pytest.raises(EvalOverflowError) as expected:
+            gf.denominator.evaluate(0.0)
+        with pytest.raises(EvalOverflowError) as got:
+            smallest_positive_pole(gf)
+        assert str(got.value) == str(expected.value)
 
     @pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-3, 10.0])
     def test_characteristic_passes(self, monkeypatch, tol):
