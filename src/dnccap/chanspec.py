@@ -35,7 +35,7 @@ from operator import mul
 
 from ._record import Record, set_slot as _set
 from .errors import SpecError
-from .genpoly import WeightAtom, WeightBasis, WeightVector
+from .genpoly import WeightAtom, WeightBasis, WeightVector, left_sum
 
 
 # --- regex abstract syntax ---------------------------------------------------
@@ -129,7 +129,7 @@ class ChannelSpec(Record):
         for s in symbols:
             if not s.name:
                 raise ValueError("symbol names must be nonempty")
-            total = _total_weight(s.weight, basis)
+            total = s.weight.value(basis)
             if total <= 0.0:
                 raise ValueError(f"symbol {s.name!r} must have positive weight")
             if math.isinf(total):
@@ -153,15 +153,6 @@ class ChannelSpec(Record):
     @property
     def single_char_names(self) -> bool:
         return all(len(s.name) == 1 for s in self.symbols)
-
-
-def _total_weight(wv: WeightVector, basis: WeightBasis) -> float:
-    """The vector's weight value, inf when it overflows a float."""
-    try:
-        return wv.value(basis)
-    except OverflowError:
-        # A multiplicity too large to become a float.
-        return math.inf
 
 
 # --- regex parsing ------------------------------------------------------------
@@ -475,13 +466,9 @@ def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]
                 raise SpecError(f"{where}[{i}].weight.{atom}: undeclared atom {atom!r}")
             mults[slot] = mult
         # Each multiplicity was checked above, with its position. The
-        # total is WeightVector.value's, inf when a multiplicity is too
-        # large to become a float.
+        # total is WeightVector.value's, inf past the float range.
         wv = vector(WeightVector, mults)
-        try:
-            total = sum(map(mul, wv, values))
-        except OverflowError:
-            total = inf
+        total = left_sum(map(mul, wv, values))
         if total <= 0.0:
             raise SpecError(
                 f"{where}[{i}].weight: symbol {name!r} must have positive total weight"

@@ -37,11 +37,16 @@ exceeds twice the largest digit a queued class or a step can carry, a
 bound taken from the cutoff and from TERM_LIMIT (see `_places`), so the
 addition never carries: distinct vectors get distinct keys, and on a tie
 in weight int order is tuple order. The pass builds a class's
-multiplicity tuple and float only when the class is new, and a
-WeightVector only for the entries it returns.
+WeightVector and float once, when it queues the class.
 
-Each weight's float is computed once per stage, by the same expression as
-`WeightVector.value` (the int 0 for the zero vector):
+A weight's float is one left-to-right sum of its products m_i * v_i,
+`left_sum`, which gives the same bits on every Python version (the builtin
+`sum()` adds floats with compensation since Python 3.12, which would move
+the printed digits of a weight of three or more atoms with the version).
+`WeightVector.value`, the series constructor, the spec parser and the
+density fit call it; the two hot loops spell out its expression inline.
+Each weight's float is computed once per stage (the int 0 for the zero
+vector):
   - `GeneralizedPolynomial.float_terms()`, the hot loop of the capacity
     solvers, is a tuple of (float exponent, coefficient) pairs in term
     order, built on first use and cached on the (immutable) polynomial. A
@@ -49,10 +54,10 @@ Each weight's float is computed once per stage, by the same expression as
     once, not once per point, and every caller sees the very same floats.
   - `expand_series` and the enumeration walk compute the float of every
     class they queue and hand those floats to the CoefficientSeries they
-    build. The series checks its order on them and caches them for
+    build. The series checks its entries with them and caches them for
     `values`, `pairs`, `evaluate` and every later reader. A series built
-    through its public constructor computes and caches its floats the same
-    way, in the same check.
+    through its public constructor computes its floats by `left_sum` and
+    runs the same check on them.
 """
 
 from __future__ import annotations
@@ -60,6 +65,7 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Iterable, Iterator, Mapping
+from functools import reduce
 from operator import add, itemgetter, lt, mul
 
 from ._record import Record, set_slot as _set
@@ -72,6 +78,16 @@ from .errors import (
 
 # expand_series generates at most this many weight classes.
 TERM_LIMIT = 1_000_000
+
+
+def left_sum(terms: Iterable[float]) -> float:
+    """The float sum of `terms`, added one by one from the left, starting
+    at 0.0; inf when a term overflows, such as a multiplicity too large to
+    become a float."""
+    try:
+        return reduce(add, terms, 0.0)
+    except OverflowError:
+        return math.inf
 
 
 class WeightAtom(Record):
@@ -212,7 +228,8 @@ class WeightVector(tuple):
         return not any(self)
 
     def value(self, basis: WeightBasis) -> float:
-        """Sum of multiplicity times atom value; the int 0 for the zero vector.
+        """Sum of multiplicity times atom value, by `left_sum`; the int 0
+        for the zero vector, inf past the float range.
 
         Summing every product, zeros included, gives the same float as
         summing only the nonzero ones, because adding 0.0 is exact.
@@ -220,7 +237,7 @@ class WeightVector(tuple):
         values = basis.values()
         if len(values) != len(self):
             raise BasisMismatchError("weight vector does not match basis size")
-        return sum(map(mul, self, values)) or 0
+        return left_sum(map(mul, self, values)) or 0
 
     def as_mapping(self, basis: WeightBasis) -> dict[str, int]:
         return {a.name: m for a, m in zip(basis.atoms, self) if m}
@@ -345,7 +362,7 @@ class GeneralizedPolynomial:
             # basis's length, as the constructor checked.
             values = self.basis.values()
             self._float_terms = tuple(
-                (sum(map(mul, wv, values)) or 0, c) for wv, c in self._terms.items()
+                (left_sum(map(mul, wv, values)) or 0, c) for wv, c in self._terms.items()
             )
         return self._float_terms
 
@@ -498,7 +515,7 @@ class CoefficientSeries(Record):
     """Exact counts per weight, sorted by (numeric value, exponent vector).
 
     The float weight of every entry is computed once, by whoever builds
-    the series, checked for order and cached; `values`, `pairs` and
+    the series, checked with the entries and cached; `values`, `pairs` and
     `evaluate` read the cache.
     """
 
@@ -514,11 +531,11 @@ class CoefficientSeries(Record):
         cutoff: float,
     ) -> None:
         entries = tuple((wv, c) for wv, c in entries)
-        values = self._checked(entries, (wv.value(basis) for wv, _ in entries))
-        _set(self, "basis", basis)
-        _set(self, "entries", entries)
-        _set(self, "cutoff", float(cutoff))
-        _set(self, "_values", values)
+        values = basis.values()
+        # WeightVector.value's floats; the check refuses a vector of
+        # another length, which map() would cut short here.
+        weights = [left_sum(map(mul, wv, values)) or 0 for wv, _ in entries]
+        self._fill(basis, entries, weights, cutoff)
 
     @classmethod
     def _from_values(
@@ -528,42 +545,46 @@ class CoefficientSeries(Record):
         computed, exactly as WeightVector.value does; the public
         constructor's check runs on these floats."""
         series = object.__new__(cls)
-        entries = tuple(entries)
-        # The same check as _checked, run in C: counts of type int and
-        # nonnegative, (value, vector) keys strictly increasing. On failure
-        # the per-entry loop runs, for its error message.
-        keys = list(zip(values, map(itemgetter(0), entries)))
+        series._fill(basis, tuple(entries), values, cutoff)
+        return series
+
+    def _fill(self, basis: WeightBasis, entries: tuple, values: list, cutoff: float) -> None:
+        """Set the fields after checking, in C, that every count is a
+        nonnegative int, every vector has the basis's length and the
+        (value, vector) keys strictly increase. On failure the per-entry
+        loop of `_check_each` runs, for its error message."""
+        vectors = list(map(itemgetter(0), entries))
         counts = list(map(itemgetter(1), entries))
-        if (
+        keys = list(zip(values, vectors))
+        if not (
             len(values) == len(entries)
             and set(map(type, counts)) <= {int}
             and min(counts, default=0) >= 0
+            and set(map(len, vectors)) <= {basis.size}
             and all(map(lt, keys, keys[1:]))
         ):
-            checked = tuple(values)
-        else:
-            checked = cls._checked(entries, iter(values))
-        _set(series, "basis", basis)
-        _set(series, "entries", entries)
-        _set(series, "cutoff", float(cutoff))
-        _set(series, "_values", checked)
-        return series
+            self._check_each(basis, entries, values)
+        _set(self, "basis", basis)
+        _set(self, "entries", entries)
+        _set(self, "cutoff", float(cutoff))
+        _set(self, "_values", tuple(values))
 
     @staticmethod
-    def _checked(entries: tuple, values: Iterator) -> tuple:
-        """The entries' float weights, drawn from `values` one per entry,
-        after checking each count and the strict (value, vector) order."""
-        checked = []
+    def _check_each(basis: WeightBasis, entries: tuple, values: list) -> None:
+        """The check of `_fill` entry by entry: raise for the first entry
+        at fault, checking its count, then its vector's length, then its
+        order. Counts of an int subclass fail only the C check, and pass
+        here."""
         prev = None
-        for wv, c in entries:
+        for (wv, c), value in zip(entries, values, strict=True):
             if not isinstance(c, int) or isinstance(c, bool) or c < 0:
                 raise ValueError(f"counts must be nonnegative integers, got {c!r}")
-            key = (next(values), wv)
+            if len(wv) != basis.size:
+                raise BasisMismatchError("weight vector does not match basis size")
+            key = (value, wv)
             if prev is not None and not prev < key:
                 raise ValueError("series entries must be strictly increasing by weight")
-            checked.append(key[0])
             prev = key
-        return tuple(checked)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -601,12 +622,11 @@ def _places(values, cutoff: float, start, steps, budget: int) -> list[int]:
 
     D_i is the smaller of two bounds, both exact ints:
       - cutoff: a class is queued when its computed value is <= cutoff.
-        Each product m_j * v_j and the sum of these nonnegative products
-        (plain, or compensated since Python 3.12) lie within a relative
-        (atoms + 2) * 2**-52 of the exact values, so m_i * v_i <= 2 *
-        cutoff * (1 - 2**-53) and m_i <= float(2 * cutoff / v_i). An
-        infinite quotient gives no bound and is skipped, never turned
-        into an int.
+        Each product m_j * v_j and the left-to-right sum of these
+        nonnegative products lie within a relative (atoms + 2) * 2**-52
+        of the exact values, so m_i * v_i <= 2 * cutoff * (1 - 2**-53)
+        and m_i <= float(2 * cutoff / v_i). An infinite quotient gives no
+        bound and is skipped, never turned into an int.
       - budget: a class is a start term plus the steps of a chain of
         popped classes. A pop passes the budget check only while at most
         `budget` classes were queued, so at most `budget` pops pass it,
@@ -667,7 +687,7 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     )
     steps = [(sum(map(mul, step, places)), step, e) for step, e in growth]
     pending: dict[int, int] = {}
-    heap: list[tuple[float, int, tuple[int, ...]]] = []
+    heap: list[tuple[float, int, WeightVector]] = []
     for value, mults, c in start:
         key = sum(map(mul, mults, places))
         pending[key] = c
@@ -699,15 +719,17 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             )
         if not count:
             continue
-        entries.append((new(WeightVector, mults), count))
+        entries.append((mults, count))
         weights.append(value)
         for step_key, step, e in steps:
             nkey = key + step_key
             if nkey in pending:
                 pending[nkey] += e * count
                 continue
-            nmults = tuple(map(add, mults, step))
-            nvalue = sum(map(mul, nmults, values))
+            # A sum of valid vectors is valid; its float is left_sum's,
+            # spelt out to save the call.
+            nmults = new(WeightVector, map(add, mults, step))
+            nvalue = reduce(add, map(mul, nmults, values), 0.0)
             if nvalue <= cutoff:
                 pending[nkey] = e * count
                 heapq.heappush(heap, (nvalue, nkey, nmults))

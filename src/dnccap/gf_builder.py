@@ -202,12 +202,8 @@ def build_gf(spec: ChannelSpec) -> RationalGF:
     else:
         raise TypeError(f"not a constraint: {constraint!r}")
     for part, poly in (("numerator", gf.numerator), ("denominator", gf.denominator)):
-        try:
-            finite = all(math.isfinite(e) for e, _ in poly.float_terms())
-        except OverflowError:
-            # A multiplicity too large to become a float.
-            finite = False
-        if not finite:
+        # A weight past the float range is inf.
+        if not all(math.isfinite(e) for e, _ in poly.float_terms()):
             raise SpecError(
                 f"constraint: a word weight in the quotient's {part} is too large "
                 "for a float"

@@ -48,7 +48,9 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Mapping
-from operator import add, mul
+from functools import reduce
+from itertools import accumulate, islice
+from operator import add, itemgetter, mul
 
 from . import automaton as automaton_mod
 from ._record import Record
@@ -109,12 +111,11 @@ def _places(values, cutoff: float, steps, budget: int) -> list[int]:
 
     D_i is the smaller of two bounds, both exact ints:
       - cutoff: a class is queued when its computed value is <= cutoff.
-        Each product m_j * v_j and the sum of these nonnegative products
-        (plain, or compensated since Python 3.12) lie within a relative
-        (atoms + 2) * 2**-52 of the exact values, so m_i * v_i <= 2 *
-        cutoff * (1 - 2**-53) and m_i <= float(2 * cutoff / v_i). An
-        infinite quotient gives no bound and is skipped, never turned
-        into an int.
+        Each product m_j * v_j and the left-to-right sum of these
+        nonnegative products lie within a relative (atoms + 2) * 2**-52
+        of the exact values, so m_i * v_i <= 2 * cutoff * (1 - 2**-53)
+        and m_i <= float(2 * cutoff / v_i). An infinite quotient gives no
+        bound and is skipped, never turned into an int.
       - budget: a class is the sum of the steps of a chain of popped
         classes from weight zero, each pop counts at least one
         configuration, and at most `budget` configurations pass the
@@ -151,10 +152,10 @@ def _walk(
     keyed by walk * n_states + state. Every contribution to a class comes
     from a strictly lighter one, so a popped class is final. Per popped
     class the walk computes one successor key per distinct symbol weight;
-    a new successor's multiplicities and numeric weight are computed once,
-    and it is queued only within the cutoff and only if some arc reaches
-    it. Then the walk makes one dict update per (walk, state, arc). The
-    pop order is the order of weight_sort_key, so each walk's records come
+    a new successor's WeightVector and numeric weight are built once, and
+    it is queued only within the cutoff and only if some arc reaches it.
+    Then the walk makes one dict update per (walk, state, arc). The pop
+    order is the order of weight_sort_key, so each walk's records come
     out in series order. Every recorded count is at least 1. The budget
     counts the (walk, state) entries of each popped class; past
     MAX_CONFIGS the ResourceLimitError's `partial` holds the series'
@@ -191,18 +192,17 @@ def _walk(
     record.update((q * n + q, q) for q in range(n_loops))
     if n_loops and 0 in machine.accepting:
         record[0] = -2
-    zero = (0,) * len(values)
+    # Every class is a sum of symbol weights, so a valid vector.
+    new = tuple.__new__
     pending: dict[int, dict[int, int]] = {0: {q * n + q: 1 for q in range(n_walks)}}
     # Weight zero is the int 0, as WeightVector.value gives it to the
     # series; the zero vector's key is 0 too.
-    heap = [(0, 0, zero)]
+    heap = [(0, 0, new(WeightVector, (0,) * len(values)))]
     series: list[tuple[WeightVector, int]] = []
     weights: list[float] = []
     loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
     loop_bound = 0.0
     log = math.log
-    # Every class is a sum of symbol weights, so a valid vector.
-    new = tuple.__new__
     configurations = classes = 0
     while heap:
         value, key, mults = heappop(heap)
@@ -221,23 +221,21 @@ def _walk(
             nkey = key + step_key
             target = pending.get(nkey)
             if target is None:
-                nmults = tuple(map(add, mults, step))
-                nvalue = sum(map(mul, nmults, values))
+                # The float is WeightVector.value's left-to-right sum.
+                nmults = new(WeightVector, map(add, mults, step))
+                nvalue = reduce(add, map(mul, nmults, values), 0.0)
                 if nvalue <= cutoff:
                     target = {}
                     fresh.append((nvalue, nkey, nmults, target))
             targets.append(target)
         accepted = 0
-        wv = None
         for config, count in configs.items():
             slot = record.get(config)
             if slot is not None:
                 if slot < 0:
                     accepted += count
                 if slot != -1:
-                    if wv is None:
-                        wv = new(WeightVector, mults)
-                    loops[slot if slot >= 0 else 0].append((wv, count))
+                    loops[slot if slot >= 0 else 0].append((mults, count))
                     # A count of 1 bounds nothing, and every return at weight 0 is 1.
                     if count > 1:
                         bound = log(count) / value
@@ -249,9 +247,7 @@ def _walk(
                     nconfig = config + offset
                     target[nconfig] = target.get(nconfig, 0) + count
         if accepted:
-            if wv is None:
-                wv = new(WeightVector, mults)
-            series.append((wv, accepted))
+            series.append((mults, accepted))
             weights.append(value)
         for nvalue, nkey, nmults, target in fresh:
             if target:
@@ -337,15 +333,14 @@ def estimate_capacity(enum: EnumerationResult) -> CapacityReport:
             "raise the cutoff"
         )
     estimate = enum.loop_bound
-    cumulative: list[tuple[float, int]] = []
-    running = 0
-    for value, c in series.pairs():
-        running += c
-        if value:
-            cumulative.append((value, running))
-    if cumulative:
-        upper_half = cumulative[len(cumulative) // 2 :]
-        proxy = min(math.log(c) / w for w, c in upper_half)
+    # The weights strictly increase, so only the first can be 0; the
+    # proxy takes the heavier half of the positive ones.
+    values = series._values
+    first = 0 if values[0] else 1
+    start = first + (len(values) - first) // 2
+    if len(values) > first:
+        running = islice(accumulate(map(itemgetter(1), series.entries)), start, None)
+        proxy = min(math.log(c) / w for w, c in zip(values[start:], running))
     else:
         proxy = 0.0
     gap = max(0.0, proxy - estimate)

@@ -62,7 +62,7 @@ from .errors import (
     ResourceLimitError,
     SolverError,
 )
-from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector
+from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector, left_sum
 
 DEFAULT_TOL = 1e-12
 # The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
@@ -390,16 +390,6 @@ def capacity_from_characteristic(
         error_bound=_log_enclosure_width(result.low, result.high),
         iterations=result.iterations,
     )
-
-
-def _left_sum(terms) -> float:
-    """Float sum in plain left-to-right order. Python 3.12's sum() adds
-    floats with compensation, which would change reported digits with the
-    Python version."""
-    total = 0.0
-    for t in terms:
-        total += t
-    return total
 
 
 def _is_removable(gf: RationalGF, y0: float) -> bool:
@@ -845,15 +835,15 @@ def check_density(
     upper = usable[len(usable) // 2 :]
     # Shifting by the first value before averaging centres a flat tail to exact zeros.
     log_c = [math.log(c) for _, c in upper]
-    shift = _left_sum(y - log_c[0] for y in log_c) / len(log_c)
+    shift = left_sum(y - log_c[0] for y in log_c) / len(log_c)
     cy = [y - log_c[0] - shift for y in log_c]
 
     def fit(xs: list[float]) -> tuple[float, float]:
         """Least-squares slope of log_c on xs and its residual sum of squares."""
-        mean_x = _left_sum(xs) / len(xs)
+        mean_x = left_sum(xs) / len(xs)
         cx = [x - mean_x for x in xs]
-        slope = _left_sum(a * b for a, b in zip(cx, cy)) / _left_sum(a * a for a in cx)
-        return slope, _left_sum((b - slope * a) ** 2 for a, b in zip(cx, cy))
+        slope = left_sum(a * b for a, b in zip(cx, cy)) / left_sum(a * a for a in cx)
+        return slope, left_sum((b - slope * a) ** 2 for a, b in zip(cx, cy))
 
     slope_poly, sse_poly = fit([math.log(n) for n, _ in upper])
     _, sse_exp = fit([float(n) for n, _ in upper])

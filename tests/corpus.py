@@ -21,7 +21,8 @@ evaluated the denominator at every grid point, kept as the reference for
 the scan that skips the grid runs whose sign a bound proves.
 `reference_correlation_quotient` is the former single-pattern quotient
 from the pattern's autocorrelation (Guibas & Odlyzko), kept as the
-reference for the one-pattern case of the cluster quotient.
+reference for the one-pattern case of the cluster quotient; it multiplies
+by a dict convolution of its own, not by the term kernel under test.
 `reference_count_paths` is the former enumeration walk, one heap of
 (weight, state) configurations per start state, and
 `reference_enumerate_channel` its composition into the series walk and
@@ -32,6 +33,9 @@ reference for the topological sort of `ConstraintAutomaton.is_acyclic`.
 `reference_weight_value` is the former `WeightVector.value`, a sum over
 the nonzero terms only, kept as the reference for the weight expression
 that sums every term.
+Where the former code added floats with the builtin sum(), the references
+here add them with `reference_sum`, a plain left-to-right loop: the sum()
+of Python 3.11, which later versions replace with a compensated one.
 `ReferenceWeightVector` is the former `WeightVector`, a frozen dataclass
 around a tuple of multiplicities, kept as the reference for the tuple
 subclass that replaced it, and `reference_estimate_capacity` the former
@@ -104,7 +108,6 @@ from dnccap.chanspec import (
     SymbolDef,
     Union,
     _require_object,
-    _total_weight,
     concat_of,
     tokenize_pattern,
     union_of,
@@ -140,13 +143,23 @@ from dnccap.solver import (
     RootResult,
     _check_tol,
     _finite_language_report,
-    _left_sum,
     _log_enclosure_width,
 )
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
 SRC_DIR = Path(__file__).resolve().parent.parent / "src"
 GOLDEN_DIR = Path(__file__).resolve().parent / "golden" / "capacity"
+
+
+def reference_sum(terms):
+    """The builtin sum() as Python 3.11 adds floats: one term at a time
+    from the left, the int 0 for no terms. The references add weights and
+    term sizes with it, in this explicit loop, so they give the package's
+    left-to-right floats on every Python version without calling its code."""
+    total = 0
+    for t in terms:
+        total += t
+    return total
 
 
 def cli_env() -> dict[str, str]:
@@ -295,7 +308,7 @@ def naive_enumerate(spec: ChannelSpec, cutoff: float) -> dict[tuple, int]:
     values = basis.values()
 
     def value(mults: tuple) -> float:
-        return sum(m * v for m, v in zip(mults, values) if m)
+        return reference_sum(m * v for m, v in zip(mults, values) if m)
 
     counts: dict[tuple, int] = {}
     stack = [((), tuple(0 for _ in values))]
@@ -493,14 +506,20 @@ def reference_correlation_quotient(spec: ChannelSpec) -> RationalGF:
     u = spec.symbols[0].weight
     assert len(spec.symbols) == 2 and spec.symbols[1].weight == u
     k = len(pattern)
-    basis = spec.basis
-    corr = GeneralizedPolynomial(
-        basis, {u.scaled(i): 1 for i in range(k) if pattern[i:] == pattern[: k - i]}
-    )
-    x = GeneralizedPolynomial.monomial(basis, u)
-    one = GeneralizedPolynomial.one(basis)
-    den = GeneralizedPolynomial.monomial(basis, u.scaled(k)) + (one - 2 * x) * corr
-    return RationalGF(corr, den)
+    # Polynomials in x as {power of x: coefficient}, multiplied by a plain
+    # convolution, so that no polynomial arithmetic of the package is used.
+    corr = {i: 1 for i in range(k) if pattern[i:] == pattern[: k - i]}
+    den = {k: 1}
+    for i, c in corr.items():
+        for j, f in ((0, 1), (1, -2)):
+            den[i + j] = den.get(i + j, 0) + f * c
+
+    def poly(coeffs: dict[int, int]) -> GeneralizedPolynomial:
+        return GeneralizedPolynomial(
+            spec.basis, {u.scaled(i): c for i, c in coeffs.items() if c}
+        )
+
+    return RationalGF(poly(corr), poly(den))
 
 
 # --- reference pole scan --------------------------------------------------------
@@ -559,7 +578,7 @@ def reference_bracket_denominator_roots(
 def reference_is_removable(gf: RationalGF, y0: float) -> bool:
     """Does the numerator vanish at y0, relative to its term magnitudes?"""
     num = gf.numerator
-    scale = _left_sum(abs(c) * y0 ** e for e, c in num.float_terms())
+    scale = reference_sum(abs(c) * y0 ** e for e, c in num.float_terms())
     return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
 
 
@@ -697,7 +716,7 @@ def reference_count_paths(
             if nkey in pending:
                 pending[nkey] += count
                 continue
-            nvalue = sum(m * v for m, v in zip(nmults, values) if m)
+            nvalue = reference_sum(m * v for m, v in zip(nmults, values) if m)
             if nvalue <= cutoff:
                 pending[nkey] = count
                 heapq.heappush(heap, (nvalue, nmults, nxt))
@@ -756,7 +775,7 @@ def reference_is_acyclic(machine: ConstraintAutomaton) -> bool:
 
 def reference_weight_value(wv: WeightVector, basis: WeightBasis) -> float:
     """The former WeightVector.value: a generator over the nonzero terms."""
-    return sum(m * v for m, v in zip(wv.mults, basis.values()) if m)
+    return reference_sum(m * v for m, v in zip(wv.mults, basis.values()) if m)
 
 
 # --- reference weight vector and capacity estimate ---------------------------------
@@ -794,7 +813,7 @@ class ReferenceWeightVector:
         values = basis.values()
         if len(values) != len(self.mults):
             raise BasisMismatchError("weight vector does not match basis size")
-        return sum(map(mul, self.mults, values)) or 0
+        return reference_sum(map(mul, self.mults, values)) or 0
 
     def as_mapping(self, basis: WeightBasis) -> dict[str, int]:
         return {a.name: m for a, m in zip(basis.atoms, self.mults) if m}
@@ -925,7 +944,7 @@ def reference_tuple_expand_series(gf: RationalGF, cutoff: float) -> CoefficientS
             if nmults in pending:
                 pending[nmults] += e * count
                 continue
-            nvalue = sum(map(mul, nmults, values))
+            nvalue = reference_sum(map(mul, nmults, values))
             if nvalue <= cutoff:
                 pending[nmults] = e * count
                 heapq.heappush(heap, (nvalue, nmults))
@@ -1011,7 +1030,7 @@ def reference_tuple_walk(
             nmults = tuple(map(add, mults, step))
             target = pending.get(nmults)
             if target is None:
-                nvalue = sum(map(mul, nmults, values))
+                nvalue = reference_sum(map(mul, nmults, values))
                 if nvalue <= cutoff:
                     target = {}
                     fresh.append((nvalue, nmults, target))
@@ -1150,7 +1169,11 @@ def _reference_parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[Symbo
             except KeyError:
                 raise SpecError(f"{here}.weight.{atom}: undeclared atom {atom!r}") from None
         wv = WeightVector._unchecked(mults)
-        total = _total_weight(wv, basis)
+        try:
+            total = reference_sum(map(mul, wv, basis.values()))
+        except OverflowError:
+            # A multiplicity too large to become a float.
+            total = math.inf
         if total <= 0.0:
             raise SpecError(f"{here}.weight: symbol {name!r} must have positive total weight")
         if math.isinf(total):

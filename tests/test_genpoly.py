@@ -499,13 +499,39 @@ class TestCoefficientSeries:
                 [0, 1.0],
                 "counts must be nonnegative integers, got True",
             ),
+            (
+                ((WeightVector((0,)), 1), (WeightVector((1,)), False)),
+                [0, 1.0],
+                "counts must be nonnegative integers, got False",
+            ),
+            (((WeightVector((0,)), 1.0),), [0], "counts must be nonnegative integers, got 1.0"),
+            (((WeightVector((0,)), None),), [0], "counts must be nonnegative integers, got None"),
+            (((WeightVector((0, 1)), 1),), [0], "weight vector does not match basis size"),
+            (
+                ((WeightVector((0,)), 1), (WeightVector((1, 0)), 1)),
+                [0, 1.0],
+                "weight vector does not match basis size",
+            ),
+            # Each entry's count is checked before its vector and its order.
+            (
+                ((WeightVector((0,)), -1), (WeightVector((0, 1)), 1)),
+                [0, 0],
+                "counts must be nonnegative integers, got -1",
+            ),
+            (
+                ((WeightVector((1,)), 1), (WeightVector((0, 1)), 1)),
+                [1.0, 0],
+                "weight vector does not match basis size",
+            ),
         ],
     )
     def test_from_values_refuses_with_the_constructors_message(self, entries, values, message):
-        with pytest.raises(ValueError) as info:
+        # One table for both constructors: the same check, the same error.
+        error = BasisMismatchError if "basis size" in message else ValueError
+        with pytest.raises(error) as info:
             CoefficientSeries._from_values(UNIT, list(entries), values, 2.0)
         assert str(info.value) == message
-        with pytest.raises(ValueError) as info:
+        with pytest.raises(error) as info:
             CoefficientSeries(UNIT, entries, 2.0)
         assert str(info.value) == message
 
@@ -544,7 +570,7 @@ class TestCoefficientSeries:
         assert str(info.value) == message
 
     def test_a_bad_count_is_reported_before_a_later_entry_is_weighed(self):
-        # Each entry's count is checked before its weight is computed.
+        # An entry's bad count is reported before a later entry's bad vector.
         entries = ((WeightVector((0,)), -1), (WeightVector((0, 1)), 1))
         with pytest.raises(ValueError, match="nonnegative integers"):
             CoefficientSeries(UNIT, entries, 2.0)

@@ -14,6 +14,7 @@ from hypothesis import assume, event, example, given, settings, strategies as st
 
 from dnccap import (
     ChannelSpec,
+    CoefficientSeries,
     Concat,
     DncError,
     Epsilon,
@@ -34,6 +35,7 @@ from dnccap import (
     build_gf,
     check_density,
     enumerate_by_weight,
+    enumerate_channel,
     expand_series,
     load_spec,
     parse_regex,
@@ -42,7 +44,7 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
-from dnccap import genpoly, solver
+from dnccap import chanspec, genpoly, solver
 from dnccap.cli import _analytic_report, main
 from dnccap.gf_builder import _minors
 from dnccap.solver import (
@@ -604,6 +606,88 @@ class TestCachedExponents:
         expected = _evaluation(reference_evaluate, p, y)
         for _ in range(2):
             assert _evaluation(GeneralizedPolynomial.evaluate, p, y) == expected
+
+
+def _left_to_right(mults, values):
+    """A weight's float as the package defines it: each product m * v
+    added in atom order, one at a time, to a running float; the int 0 for
+    the zero vector."""
+    total = 0.0
+    for m, v in zip(mults, values):
+        total += m * v
+    return total or 0
+
+
+@st.composite
+def free_channels_on_random_atoms(draw):
+    """A free channel document of 1-3 symbols over 1-6 atoms of random
+    value, each symbol weighing digits 0-9 of every atom."""
+    values = draw(
+        st.lists(st.floats(min_value=0.05, max_value=20.0), min_size=1, max_size=6)
+    )
+    digits = st.lists(st.integers(0, 9), min_size=len(values), max_size=len(values))
+    weights = draw(st.lists(digits.filter(any), min_size=1, max_size=3))
+    names = [f"a{i}" for i in range(len(values))]
+    return {
+        "atoms": dict(zip(names, values)),
+        "symbols": [
+            {"name": "xyz"[j], "weight": dict(zip(names, w))} for j, w in enumerate(weights)
+        ],
+        "constraint": {"type": "free"},
+    }
+
+
+class TestLeftToRightWeights:
+    @given(free_channels_on_random_atoms())
+    # Atoms where Python 3.12's compensated sum() rounds differently.
+    @example({
+        "atoms": {
+            "u": 1.0, "pi": 3.141592653589793, "r2": 1.4142135623730951,
+            "e": 2.718281828459045,
+        },
+        "symbols": [
+            {"name": "a", "weight": {"u": 1, "pi": 1, "r2": 1}},
+            {"name": "b", "weight": {"r2": 1, "e": 1}},
+            {"name": "c", "weight": {"u": 2, "pi": 1, "e": 1}},
+        ],
+        "constraint": {"type": "free"},
+    })
+    @settings(max_examples=150, deadline=None)
+    def test_every_float_site_adds_left_to_right(self, doc):
+        # Bit for bit, type included: WeightVector.value, the cached
+        # exponents, the parser's totals, the floats the series expansion
+        # and the enumeration hand to their series, and those the public
+        # series constructor computes.
+        totals = []
+
+        def recorded(terms):
+            totals.append(genpoly.left_sum(terms))
+            return totals[-1]
+
+        with mock.patch.object(chanspec, "left_sum", recorded):
+            spec = parse_spec(json.dumps(doc))
+        basis = spec.basis
+        values = basis.values()
+
+        def bits(mults):
+            expected = _left_to_right(mults, values)
+            return type(expected), expected.hex() if type(expected) is float else expected
+
+        def got(value):
+            return type(value), value.hex() if type(value) is float else value
+
+        assert [got(t) for t in totals] == [bits(s.weight) for s in spec.symbols]
+        for s in spec.symbols:
+            assert got(s.weight.value(basis)) == bits(s.weight)
+        gf = build_gf(spec)
+        for wv, (e, _) in zip(gf.denominator._terms, gf.denominator.float_terms()):
+            assert got(e) == bits(wv)
+        cutoff = 5 * min(s.weight.value(basis) for s in spec.symbols)
+        for series in (expand_series(gf, cutoff), enumerate_channel(spec, cutoff).series):
+            expected = [bits(wv) for wv, _ in series.entries]
+            assert [got(v) for v in series.values()] == expected
+            rebuilt = CoefficientSeries(basis, series.entries, cutoff)
+            assert [got(v) for v in rebuilt.values()] == expected
 
 
 @st.composite
