@@ -18,10 +18,12 @@ the analytic routes it checks.
 capacity. The walk runs one loop walk per automaton state q (up to
 STATE_CAP), all in the same heap, counting the strings whose run starts
 and ends at q (with q reachable and useful, which trim automata
-guarantee). The initial state is state 0, and its loop walk also records
-the series: the strings that run from it to an accepting state. The
-return string sets are closed under concatenation, so for any weight w
-with R_q[w] >= 1,
+guarantee). The loop walks travel together, each in its own slot of one
+int per (weight class, state), so following an arc is one int addition
+for all of them (see `_walk`). The initial state is state 0, and its
+loop walk also records the series: the strings that run from it to an
+accepting state. The return string sets are closed under concatenation,
+so for any weight w with R_q[w] >= 1,
 
     capacity >= ln(R_q[w]) / w.
 
@@ -64,14 +66,20 @@ from .solver import CapacityReport
 # (walk, state, weight) configurations.
 MAX_CONFIGS = 1_000_000
 STATE_CAP = 64
+# Starting width in bits of one walk's slot in a packed count (see `_walk`).
+# It only sets how many times a walk doubles the width; narrow slots make
+# the additions of shallow walks cheap.
+SLOT_BITS = 16
 
 
 class EnumerationResult(Record):
     """Exact counts by weight, plus per-state return counts for estimation.
 
-    `configurations` is what the budget counted, the (walk, state) entries
-    of every popped weight class, the series walk being the initial
-    state's loop walk; `classes` is the number of heap pops.
+    `configurations` is what the budget counted, the (walk, state) pairs
+    with a positive count in every popped weight class, the series walk
+    being the initial state's loop walk; the walks share one packed int per
+    (class, state), and the count is the same as when each pair had a dict
+    entry of its own. `classes` is the number of heap pops.
     `loop_bound` is the best ln(count) / weight over the return counts in
     `loop_counts`, 0.0 when there are none. `finite` is True when the
     channel's automaton has no cycle, so the channel has finitely many
@@ -135,6 +143,25 @@ def _places(values, cutoff: float, steps, budget: int) -> list[int]:
     return places
 
 
+def _slot_masks(n_slots: int, width: int, guard: int) -> tuple[int, int, int, int]:
+    """Masks of n_slots slots of `width` bits: one slot's mask, then over
+    every slot 2**(width - 1) - 1, the high bit, and the top `guard` bits."""
+    mask = (1 << width) - 1
+    unit = sum(1 << w * width for w in range(n_slots))
+    top = mask >> width - guard << width - guard
+    return mask, unit * (mask >> 1), unit << width - 1, unit * top
+
+
+def _widen(packed: int, n_slots: int, nbytes: int) -> int:
+    """`packed` with each of its n_slots slots, nbytes bytes each, moved
+    into a slot twice as wide, order and values kept."""
+    raw = packed.to_bytes(n_slots * nbytes, "little")
+    pad = bytes(nbytes)
+    return int.from_bytes(
+        b"".join([raw[i : i + nbytes] + pad for i in range(0, len(raw), nbytes)]), "little"
+    )
+
+
 def _walk(
     spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
 ) -> tuple[list, list, list, float, int, int]:
@@ -148,18 +175,39 @@ def _walk(
     weight classes in (numeric weight, multiplicities) order: each class
     is keyed by one int that packs its multiplicities (see `_places`), so
     a successor's key is one int addition and ties in weight pop in
-    multiplicity order. `pending` holds each queued class's path counts,
-    keyed by walk * n_states + state. Every contribution to a class comes
-    from a strictly lighter one, so a popped class is final. Per popped
-    class the walk computes one successor key per distinct symbol weight;
-    a new successor's WeightVector and numeric weight are built once, and
-    it is queued only within the cutoff and only if some arc reaches it.
-    Then the walk makes one dict update per (walk, state, arc). The pop
-    order is the order of weight_sort_key, so each walk's records come
-    out in series order. Every recorded count is at least 1. The budget
-    counts the (walk, state) entries of each popped class; past
-    MAX_CONFIGS the ResourceLimitError's `partial` holds the series'
-    weight classes completed before that class.
+    multiplicity order. Every contribution to a class comes from a
+    strictly lighter one, so a popped class is final. Per popped class the
+    walk computes one successor key per distinct symbol weight; a new
+    successor's WeightVector and numeric weight are built once, and it is
+    queued only within the cutoff and only if some arc reaches it. The pop
+    order is the order of weight_sort_key, so each walk's records come out
+    in series order. Every recorded count is at least 1.
+
+    The walks travel together. `pending` maps each queued class to one int
+    per automaton state, whose slot w, `width` bits wide, holds walk w's
+    path count, so following an arc is one int addition for every walk at
+    once. The series is slot 0 summed over the accepting states; the
+    return to state q is slot q at state q.
+
+    No slot ever carries into the next. With the largest in-degree below
+    2**h, the top `guard` = 2h bits of every slot are its guard bits. Once
+    a popped class's arcs are followed, a guard bit set in any of its
+    entries doubles `width` and repacks every queued int, so every entry
+    added so far is below 2**(width - guard). A popped entry is the sum of
+    at most in-degree of these, so it is below 2**(width - h), and the
+    entries it is added to stay below 2**width. A doubling keeps every
+    entry added so far below 2**(width - guard) as long as width >= h; the
+    width starts at SLOT_BITS, doubled until it exceeds the guard. Slots
+    grow with the counts the walk reaches, never with the cutoff. A single
+    walk has one unbounded slot, with no guard and no repacking.
+
+    The budget counts the (walk, state) pairs of each popped class with a
+    positive count. For a single walk these are the class's entries; with
+    several, the nonzero slots, found by adding 2**(width - 1) - 1 to every
+    slot: a popped slot is below 2**(width - 1), so its high bit is then
+    set exactly when it is not 0. The budget is checked once the class's
+    arcs are followed; past MAX_CONFIGS the ResourceLimitError's `partial`
+    holds the series' weight classes completed before that class.
 
     Returns (series pairs, per-walk return pairs, series weights, loop
     bound, configurations, classes). The pairs are (WeightVector, count),
@@ -180,21 +228,34 @@ def _walk(
     }
     places = _places(values, cutoff, list(step_index), max_configs)
     steps = [(sum(map(mul, step, places)), step) for step in step_index]
-    n_walks = max(n_loops, 1)
-    # One arc list per config, shared by every walk: (step index, config offset).
+    # One arc list per state: (step index, next state).
     arcs = [
-        tuple((step_of[name], nxt - state) for name, nxt in row.items())
-        for state, row in enumerate(machine.transitions)
-    ] * n_walks
-    # What a config records: -1 the series, q >= 0 the return to q, and -2
-    # both, for state 0 when it accepts and has a loop walk.
-    record = {a: -1 for a in machine.accepting}
-    record.update((q * n + q, q) for q in range(n_loops))
-    if n_loops and 0 in machine.accepting:
-        record[0] = -2
+        tuple((step_of[name], nxt) for name, nxt in row.items()) for row in machine.transitions
+    ]
+    # What a state records: bit 1 the series, bit 2 the return of its own walk.
+    record = [0] * n
+    for a in machine.accepting:
+        record[a] = 1
+    for q in range(n_loops):
+        record[q] |= 2
+    n_walks = max(n_loops, 1)
+    many = n_walks > 1
+    if many:
+        indegree = [0] * n
+        for row in machine.transitions:
+            for nxt in row.values():
+                indegree[nxt] += 1
+        guard = 2 * max(indegree).bit_length()
+        # Doubling from SLOT_BITS keeps the width a whole number of bytes.
+        width = SLOT_BITS
+        while width <= guard:
+            width *= 2
+        mask, below_high, high, guard_bits = _slot_masks(n_walks, width, guard)
+    else:
+        width = guard_bits = 0
+    pending: dict[int, dict[int, int]] = {0: {q: 1 << q * width for q in range(n_walks)}}
     # Every class is a sum of symbol weights, so a valid vector.
     new = tuple.__new__
-    pending: dict[int, dict[int, int]] = {0: {q * n + q: 1 for q in range(n_walks)}}
     # Weight zero is the int 0, as WeightVector.value gives it to the
     # series; the zero vector's key is 0 too.
     heap = [(0, 0, new(WeightVector, (0,) * len(values)))]
@@ -208,13 +269,8 @@ def _walk(
         value, key, mults = heappop(heap)
         configs = pending.pop(key)
         classes += 1
-        configurations += len(configs)
-        if configurations > max_configs:
-            raise ResourceLimitError(
-                f"enumeration exceeded {max_configs} configurations "
-                f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
-                partial=dict(series),
-            )
+        if not many:
+            configurations += len(configs)
         targets = []
         fresh = []
         for step_key, step in steps:
@@ -228,24 +284,34 @@ def _walk(
                     target = {}
                     fresh.append((nvalue, nkey, nmults, target))
             targets.append(target)
-        accepted = 0
-        for config, count in configs.items():
-            slot = record.get(config)
-            if slot is not None:
-                if slot < 0:
-                    accepted += count
-                if slot != -1:
-                    loops[slot if slot >= 0 else 0].append((mults, count))
-                    # A count of 1 bounds nothing, and every return at weight 0 is 1.
-                    if count > 1:
-                        bound = log(count) / value
-                        if bound > loop_bound:
-                            loop_bound = bound
-            for i, offset in arcs[config]:
+        accepted = seen = 0
+        for state, packed in configs.items():
+            if many:
+                seen |= packed
+                configurations += (packed + below_high & high).bit_count()
+            kind = record[state]
+            if kind:
+                if kind & 1:
+                    accepted += packed & mask if many else packed
+                if kind & 2:
+                    count = packed >> state * width & mask if many else packed
+                    if count:
+                        loops[state].append((mults, count))
+                        # A count of 1 bounds nothing, and every return at weight 0 is 1.
+                        if count > 1:
+                            bound = log(count) / value
+                            if bound > loop_bound:
+                                loop_bound = bound
+            for i, nxt in arcs[state]:
                 target = targets[i]
                 if target is not None:
-                    nconfig = config + offset
-                    target[nconfig] = target.get(nconfig, 0) + count
+                    target[nxt] = target.get(nxt, 0) + packed
+        if configurations > max_configs:
+            raise ResourceLimitError(
+                f"enumeration exceeded {max_configs} configurations "
+                f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
+                partial=dict(series),
+            )
         if accepted:
             series.append((mults, accepted))
             weights.append(value)
@@ -253,6 +319,13 @@ def _walk(
             if target:
                 pending[nkey] = target
                 heappush(heap, (nvalue, nkey, nmults))
+        if seen & guard_bits:
+            nbytes = width // 8
+            for entries in pending.values():
+                for state, packed in entries.items():
+                    entries[state] = _widen(packed, n_walks, nbytes)
+            width *= 2
+            mask, below_high, high, guard_bits = _slot_masks(n_walks, width, guard)
     return series, loops, weights, loop_bound, configurations, classes
 
 

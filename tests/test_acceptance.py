@@ -127,6 +127,22 @@ def test_triple_run_channel_reproduction():
     )
 
 
+def test_run_length_limited_capacities_match_the_literature():
+    # RLL(d, k) codes: between two 1s at least d and at most k 0s. Their
+    # capacities in bits are tabulated by Immink and by Marcus, Roth and
+    # Siegel: 0.6793 for (1, 7) and 0.5174 for (2, 7).
+    published = {"rll-1-7.json": 0.6793, "rll-2-7.json": 0.5174}
+    details = []
+    ok = True
+    for name, bits in published.items():
+        gf = build_gf(load_channel(name))
+        for report in (smallest_positive_pole(gf), capacity_from_characteristic(gf)):
+            got = report.capacity_nats / math.log(2.0)
+            ok = ok and round(got, 4) == bits
+            details.append(f"{name} {report.method} {got:.6f} bits (want {bits})")
+    _report("run-length-limited capacities", ok, "; ".join(details))
+
+
 def test_enumeration_matches_series_on_corpus():
     specs, cutoffs = corpus_specs()
     start = time.perf_counter()

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -407,6 +408,132 @@ class TestPackedKeys:
         assert oracle._places((1.0, 1.0), 10.0, [(1, 0), (0, 2)], 10**6) == [41, 1]
         assert oracle._places((1.0, 5e-324), 1.0, [(1, 2)], 7) == [29, 1]
         assert oracle._places((1.0, 1.0), 0.0, [(1, 0), (0, 5)], 10**6) == [11, 1]
+
+
+@st.composite
+def pattern_sets(draw):
+    """3-6 binary forbidden patterns of length 3-7, each symbol weighted 1
+    or pi: automata of mostly 6-20 states, whose loop walks each hold one
+    slot of the packed counts."""
+    weights = draw(st.lists(st.sampled_from(["unit", "pi"]), min_size=2, max_size=2))
+    pattern = st.text(alphabet="01", min_size=3, max_size=7)
+    doc = {
+        "atoms": {"unit": 1.0, "pi": math.pi},
+        "symbols": [{"name": n, "weight": {w: 1}} for n, w in zip("01", weights)],
+        "constraint": {
+            "type": "forbidden",
+            "patterns": draw(st.lists(pattern, min_size=3, max_size=6, unique=True)),
+        },
+    }
+    return parse_spec(json.dumps(doc))
+
+
+def _assert_walk_matches_reference(spec, cutoff):
+    """Every field of a loop-walk enumeration against the tuple-keyed
+    reference walk, whose budget also counts its separate series walk."""
+    enum = enumerate_channel(spec, cutoff)
+    former = reference_tuple_enumerate_channel(spec, cutoff)
+    series_walk = reference_tuple_enumerate_channel(spec, cutoff, with_loops=False)
+    assert enum.series.entries == former.series.entries
+    assert _bits(enum.series.values()) == _bits(former.series.values())
+    assert enum.loop_counts == former.loop_counts
+    assert enum.loop_bound == former.loop_bound
+    assert enum.configurations == former.configurations - series_walk.configurations
+    assert (enum.n_states, enum.states_analyzed, enum.classes, enum.finite) == (
+        former.n_states, former.states_analyzed, former.classes, former.finite
+    )
+    return enum
+
+
+def _assert_budget_stop_matches_reference(monkeypatch, spec, cutoff, pick):
+    """Stop both walks at the series class `pick`, whose weight no other
+    class shares: a budget one short of the configurations up to it, the
+    reference's series walk included in its own."""
+    entries = enumerate_channel(spec, cutoff).series.entries
+    wv, _ = entries[pick % len(entries)]
+    upto = wv.value(spec.basis)
+    loops = reference_tuple_enumerate_channel(spec, upto).configurations
+    series = reference_tuple_enumerate_channel(spec, upto, with_loops=False).configurations
+    budget, reference_budget = loops - series - 1, loops - 1
+    monkeypatch.setattr(oracle, "MAX_CONFIGS", budget)
+    with pytest.raises(ResourceLimitError) as info:
+        enumerate_channel(spec, cutoff)
+    monkeypatch.setattr(oracle, "MAX_CONFIGS", reference_budget)
+    with pytest.raises(ResourceLimitError) as former:
+        reference_tuple_enumerate_channel(spec, cutoff)
+    assert str(info.value) == str(former.value).replace(
+        f"exceeded {reference_budget} ", f"exceeded {budget} "
+    )
+    assert f"(reached weight {upto:.6g} of cutoff {cutoff:.6g})" in str(info.value)
+    assert info.value.partial == former.value.partial == dict(entries[: pick % len(entries)])
+
+
+class TestPackedWalks:
+    # Slot width 8 doubles from the first counts over a few units, so
+    # these runs repack slots many times over.
+    @settings(max_examples=60, deadline=None)
+    @given(
+        pattern_sets(),
+        st.sampled_from([0.0, 0.25, 4.0]),
+        st.sampled_from([None, 8]),
+        st.integers(min_value=0),
+    )
+    def test_wide_automata_match_the_tuple_keyed_walk(self, spec, extra, slot_bits, pick):
+        with pytest.MonkeyPatch.context() as mp:
+            if slot_bits is not None:
+                mp.setattr(oracle, "SLOT_BITS", slot_bits)
+            # The shallowest half-unit cutoff past 8 that walks at least 150
+            # configurations, as the benchmark's pattern sets do.
+            cutoff = 8.0
+            while enumerate_channel(spec, cutoff).configurations < 150 and cutoff < 40.0:
+                cutoff += 0.5
+            cutoff += extra
+            _assert_walk_matches_reference(spec, cutoff)
+            _assert_budget_stop_matches_reference(mp, spec, cutoff, pick)
+
+    # Counts of 19 to 177 bits (two-patterns at 90, ex3 at 200), so slots
+    # of both widths grow.
+    DEEP = {"ex3.json": 200.0, "avoid101.json": 80.0, "two-patterns.json": 90.0}
+
+    @pytest.mark.parametrize("slot_bits", [None, 8])
+    @pytest.mark.parametrize("name", sorted(DEEP))
+    def test_deep_walks_match_the_tuple_keyed_walk(self, monkeypatch, name, slot_bits):
+        if slot_bits is not None:
+            monkeypatch.setattr(oracle, "SLOT_BITS", slot_bits)
+        spec = load_channel(name)
+        enum = _assert_walk_matches_reference(spec, self.DEEP[name])
+        assert max(c for _, c in enum.series.entries).bit_length() > oracle.SLOT_BITS
+        _assert_budget_stop_matches_reference(monkeypatch, spec, self.DEEP[name], 21)
+
+    def test_huge_cutoff_budget_sizes_slots_from_the_counts(self, monkeypatch):
+        # ex3's classes carry 3, 5, 7, then 9 configurations each (see
+        # test_budget_stopping_a_loop_walk_keeps_series_counts), so 20 000
+        # configurations run out at weight 2223, the counts then about 1950
+        # bits wide. The reference walk also counts its series walk, 1, 2,
+        # then 3 per class, 12 w - 3 up to weight w >= 2, and its budget
+        # 26 661 runs out at the same class. Slots sized from the cutoff
+        # 1e9 would hold ints of about 10**9 bits.
+        spec = load_channel("ex3.json")
+
+        def stopped(walk, budget):
+            monkeypatch.setattr(oracle, "MAX_CONFIGS", budget)
+            tracemalloc.start()
+            try:
+                with pytest.raises(ResourceLimitError) as info:
+                    walk(spec, 1e9)
+                return info.value, tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        error, peak = stopped(enumerate_channel, 20_000)
+        former, former_peak = stopped(reference_tuple_enumerate_channel, 26_661)
+        assert str(error) == (
+            "enumeration exceeded 20000 configurations (reached weight 2223 of cutoff 1e+09)"
+        )
+        assert str(former) == str(error).replace("20000", "26661")
+        assert error.partial == former.partial
+        assert len(error.partial) == 2223
+        assert peak <= 2 * former_peak
 
 
 def _bits(values):
