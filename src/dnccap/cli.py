@@ -19,6 +19,8 @@ merged in a printed row because their numeric values collide) go to stderr.
 `check-density` proves a spec's answer from its alphabet: below weight n lie
 at most C(floor(n / w) + k, k) distinct weights for k symbols of least weight
 w, as a string has at most floor(n / w) symbols and its counts fix its weight.
+A weight list is finite, so least-squares fits of its counts can suggest
+exponential growth but not prove it; its text and JSON name that heuristic.
 
 The enumeration oracle is imported by the commands that enumerate, when
 they do, so an analytic answer never loads it or its automaton.
@@ -296,8 +298,10 @@ def cmd_check_density(args) -> int:
         _emit(payload, lines, args.json)
         return 0
     report = check_density(weights, cutoff=args.cutoff, margin=args.margin)
-    payload = {"command": "check-density", **report.to_dict()}
+    method = "heuristic least-squares fit of a finite weight list"
+    payload = {"command": "check-density", "method": method, **report.to_dict()}
     lines = [
+        f"method: {method}; it can suggest exponential growth, not prove it",
         f"cutoff: {_fmt(report.cutoff)}",
         f"distinct weights below cutoff: {report.counts_below_n[-1][1]}",
         f"fitted growth exponent: {_fmt(report.fitted_exponent)}",
@@ -307,8 +311,8 @@ def cmd_check_density(args) -> int:
     ]
     if report.exponential_flag:
         lines.append(
-            "weights are too dense for a well defined capacity "
-            "(counts below n grow exponentially in n)"
+            "the fit suggests weights too dense for a well defined capacity "
+            "(counts below n growing exponentially in n)"
         )
     _emit(payload, lines, args.json)
     return 4 if report.exponential_flag else 0

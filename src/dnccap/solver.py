@@ -36,9 +36,10 @@ to be strictly monotone on the bracket. A window end that fails its
 certificate leaves its side to be evaluated as before. The certificates
 rest on the rounding bound documented at SKIP_MARGIN. A report's
 `iterations` counts the doublings and bisection steps on the
-characteristic route, and on the pole route every pass over the terms of
-D, P and N, or of the parts of D that show it monotone, Newton passes
-included, but not the bisection steps the window decided.
+characteristic route, and on the pole route every pass over D's terms
+(one pass gives P, N and the slopes that show D monotone too; they have
+no polynomials of their own), Newton passes included, but not the
+bisection steps the window decided.
 
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
@@ -74,10 +75,10 @@ GRID_STEP = 1e-3
 # 2**-53, each term c * y**e of `evaluate` is then within 4u of exact (pow,
 # converting c to float, the product), and summing n terms adds (n - 1)u, so
 # evaluating D, P or N at y is off by at most (n + 3)u (P(y) + N(y)), and a
-# polynomial of nonnegative terms by (n + 3)u of its value. The slope of
-# `value_and_slope` has one product more per term: (n + 4)u of the sum of
-# its terms' sizes. Values that underflow into subnormals are left out of
-# this account.
+# polynomial of nonnegative terms by (n + 3)u of its value. A slope, of
+# `value_and_slope` or of the pole scan's pass, has one product more per
+# term: (n + 4)u of the sum of its terms' sizes. Values that underflow into
+# subnormals are left out of this account.
 #   - The pole scan skips a grid run [a, b] only when its bound clears zero
 #     by margin * (P(b) + N(b)). In the lower bound P(a) and N(b) are
 #     together off by at most (n + 3)u (P(b) + N(b)), D at a grid point of
@@ -99,8 +100,8 @@ GRID_STEP = 1e-3
 #     the end are each off by at most (n + 3)u (P(hi) + N(hi)).
 #   - D is strictly increasing on [lo, hi] when the least slope of P there
 #     exceeds the greatest slope of N with the margin on both sides (and
-#     decreasing with P and N swapped), each sum of slopes of one sign off
-#     by at most (n + 6)u of itself.
+#     decreasing with P and N swapped), each sum of slopes of one sign,
+#     read off the passes at lo and hi, off by at most (n + 6)u of itself.
 SKIP_MARGIN = 8 * 2.0**-52
 # A Newton search for a window that has not settled (`_settled`) after
 # NEWTON_STEPS passes places no window.
@@ -346,6 +347,22 @@ def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | N
     return growth
 
 
+def _float_or_inf(c: int) -> float:
+    """float(c), the float c * y converts c to, or inf of c's sign beyond floats."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
+def _d_value(bounds: tuple[float, ...], y: float) -> float:
+    """D(y) from the scan's pass at y, raising where `evaluate` would."""
+    d = bounds[8]
+    if not math.isfinite(d):
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
+    return d
+
+
 def _poly_of(basis, terms) -> GeneralizedPolynomial:
     """The polynomial of (weight vector, float exponent, coefficient)
     triples taken from the terms of a polynomial over basis, each with its
@@ -416,8 +433,8 @@ class _PoleScan:
 
     Roots come in increasing order, each a certified enclosure: the
     denominator takes opposite signs (or an exact zero) at its endpoints.
-    `evaluations` counts the `evaluate` and `value_and_slope` calls made so
-    far, on D, P and N and on the parts of D that certify its monotonicity.
+    `evaluations` counts the passes over D's terms made so far: `_bounds`,
+    and D's own `evaluate` and `value_and_slope`.
     """
 
     def __init__(self, den: GeneralizedPolynomial, tol: float):
@@ -426,34 +443,48 @@ class _PoleScan:
         self.tol = tol
         self.evaluations = 0
         self.margin = SKIP_MARGIN * (len(den) + 4)
-        # D splits into P and N; their terms are D's, or negated.
-        terms = list(zip(den._terms, den.float_terms()))
-        self.pos = _poly_of(den.basis, [(wv, e, c) for wv, (e, c) in terms if c > 0])
-        self.neg = _poly_of(den.basis, [(wv, e, -c) for wv, (e, c) in terms if c < 0])
-        self._parts = {}
+        self.terms = [(e, _float_or_inf(c)) for e, c in den.float_terms()]
 
-    def _bounds(self, y: float) -> tuple[float, float, float, float]:
-        """P(y), N(y), y P'(y) and y N'(y). An overflowing P or N makes the
-        skip test fail, not the scan."""
-        self.evaluations += 2
-        try:
-            p_y, dp_y = self.pos.value_and_slope(y)
-        except EvalOverflowError:
-            p_y = dp_y = math.inf
-        try:
-            n_y, dn_y = self.neg.value_and_slope(y)
-        except EvalOverflowError:
-            n_y = dn_y = math.inf
-        return p_y, n_y, dp_y, dn_y
+    def _bounds(self, y: float) -> tuple[float, ...]:
+        """One pass over D's terms at y in [0, 1]: P(y), N(y), y P'(y), y N'(y),
+        the parts of y P'(y) and y N'(y) from terms of weight >= 1 and from
+        the others, and D(y), each summed in term order as `evaluate` and
+        `value_and_slope` sum them. A side that overflows reads inf
+        throughout, which fails a skip test, not the scan; `_d_value`
+        checks D where the walk uses it."""
+        self.evaluations += 1
+        d = p = n = dp = dn = p_convex = n_convex = p_concave = n_concave = 0.0
+        for e, c in self.terms:
+            t = c * y**e
+            d += t
+            s = e * t
+            if c > 0.0:
+                p += t
+                dp += s
+                if e >= 1:
+                    p_convex += s
+                else:
+                    p_concave += s
+            else:
+                n -= t
+                dn -= s
+                if e >= 1:
+                    n_convex -= s
+                else:
+                    n_concave -= s
+        if not p < math.inf:
+            p = dp = p_convex = p_concave = math.inf
+        if not n < math.inf:
+            n = dn = n_convex = n_concave = math.inf
+        return p, n, dp, dn, p_convex, n_convex, p_concave, n_concave, d
 
     def __iter__(self) -> Iterator[RootResult]:
         margin = self.margin
         n_grid = int(math.ceil(Y_MAX / GRID_STEP))
-        # Every call is counted in self.evaluations.
-        d_at, bounds = self.den.evaluate, self._bounds
+        bounds = self._bounds
 
         # The walk stands at grid index j, at prev_y, the last point whose
-        # float sign is known; `here` holds P and N there with their slopes.
+        # float sign is known; `here` holds the pass there (`_bounds`).
         # Each attempt tries to skip the next k grid points, k aimed by
         # `_aim` at the last one the bound still covers. Where the bound
         # fails over more than one point, the end value P - N at the
@@ -464,14 +495,14 @@ class _PoleScan:
         # than one point that this does not prove becomes the nearest
         # failed end, `fail` (its index, y and bounds): later attempts stop
         # short of it and aim with its values too. An attempt over one
-        # point that fails evaluates D there, and so does the walk's
-        # arrival next to the failed end, whose bounds it already has.
+        # point that fails reads D from its pass there, and so does the
+        # walk's arrival next to the failed end.
         # No pass at 0: D(0) = P(0) = d0 > 0 (normalized), N(0) = 0, slopes 0.
         try:
             prev_y, prev_v = 0.0, float(self.den.constant_coefficient)
         except OverflowError as exc:
             raise EvalOverflowError("overflow evaluating polynomial at y=0.0") from exc
-        here = prev_v, 0.0, 0.0, 0.0
+        here = prev_v, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, prev_v
         j = 0
         fail = None
         while j < n_grid:
@@ -501,8 +532,7 @@ class _PoleScan:
                         fail = (j + k, y, ahead)
                     continue
             j += 1
-            self.evaluations += 1
-            v = d_at(y)
+            v = _d_value(ahead, y)
             if v == 0.0:
                 yield RootResult(y, y, y, 0)
                 probe = y + 0.5 * GRID_STEP
@@ -510,9 +540,8 @@ class _PoleScan:
                 # grid point's probe reaches it.
                 if probe >= Y_MAX:
                     return
-                self.evaluations += 1
-                prev_y, prev_v = probe, d_at(probe)
                 here, fail = bounds(probe), None
+                prev_y, prev_v = probe, _d_value(here, probe)
                 continue
             if (v < 0.0) != (prev_v < 0.0):
                 yield self._bisect(prev_y, y, prev_v, v, (here, ahead))
@@ -532,7 +561,7 @@ class _PoleScan:
         point before the model uses up the room, and stops short of the
         failed end.
         """
-        p, n, dp, dn = here
+        p, n, dp, dn = here[:4]
         if prev_v < 0.0:
             room, side, slope, closing = n - p, p, dp, 0
         else:
@@ -659,51 +688,14 @@ class _PoleScan:
         that of its terms with e >= 1 at lo plus that of the others at hi,
         and at most the reverse; likewise for N. D rises when the least
         slope of P clears the greatest of N, and falls when the least slope
-        of N clears the greatest of P. Where a side has terms of one kind
-        only, its slopes in `ends` serve, and no part is evaluated.
+        of N clears the greatest of P. The passes at lo and hi in `ends`
+        split each side's slope by weight, so no pass is made here.
         """
-
-        def extreme(side: int, least: bool) -> float:
-            # The least or greatest slope of P (side 0) or N (side 1).
-            convex, concave = self._slope_parts(side)
-            at_convex, at_concave = (0, 1) if least else (1, 0)
-            if concave is None or convex is None:
-                end = at_convex if concave is None else at_concave
-                return ends[end][2 + side] / (lo, hi)[end]
-            total = 0.0
-            for part, end in ((convex, at_convex), (concave, at_concave)):
-                self.evaluations += 1
-                total += part.value_and_slope((lo, hi)[end])[1] / (lo, hi)[end]
-            return total
-
+        at_lo, at_hi = ends
         up, down = (0, 1) if rising else (1, 0)
-        try:
-            least, most = extreme(up, True), extreme(down, False)
-        except EvalOverflowError:
-            return False
+        least = at_lo[4 + up] / lo + at_hi[6 + up] / hi
+        most = at_hi[4 + down] / hi + at_lo[6 + down] / lo
         return least * (1.0 - self.margin) > most * (1.0 + self.margin)
-
-    def _slope_parts(self, side: int):
-        """The terms of P (side 0) or N (side 1) of weight >= 1 and those of
-        weight in (0, 1), each None when there are none. A side of one kind
-        is its own part; a side of both is split once and cached."""
-        try:
-            return self._parts[side]
-        except KeyError:
-            pass
-        poly = (self.pos, self.neg)[side]
-        terms = [(wv, e, c) for wv, (e, c) in zip(poly._terms, poly.float_terms()) if e]
-        convex = [term for term in terms if term[1] >= 1]
-        if len(convex) == len(terms):
-            parts = (poly if terms else None), None
-        elif not convex:
-            parts = None, poly
-        else:
-            parts = _poly_of(poly.basis, convex), _poly_of(
-                poly.basis, [term for term in terms if term[1] < 1]
-            )
-        self._parts[side] = parts
-        return parts
 
 
 def bracket_denominator_roots(
@@ -711,9 +703,9 @@ def bracket_denominator_roots(
 ) -> tuple[list[RootResult], int]:
     """All denominator roots in (0, Y_MAX] visible at the grid resolution.
 
-    Returns (roots in increasing order, number of passes over the terms of
-    D, P, N or the parts of D), draining the pole scan. Roots closer
-    together than the grid step may be missed; that is the documented
+    Returns (roots in increasing order, number of passes over D's terms),
+    draining the pole scan. Roots closer together than the grid step may
+    be missed; that is the documented
     resolution limit, and skipping grid runs whose sign is proved does not
     change it.
     """
@@ -735,8 +727,8 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     proves (see SKIP_MARGIN), so it brackets exactly the roots a
     scan evaluating every grid point would, and the bisection evaluates
     only the midpoints outside its certified Newton window. `iterations`
-    is the number of passes the scan made over the terms of D, P and N,
-    and of the parts of D that show it monotone, by `evaluate` or
+    is the number of passes the scan made over D's terms, by its own pass,
+    which gives P, N and their slopes too, or by `evaluate` or
     `value_and_slope`: Newton passes count, and the bisection steps the
     window decided do not. A constant denominator
     has no pole to scan for: the language is finite and the capacity 0.

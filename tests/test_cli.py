@@ -444,6 +444,22 @@ class TestCheckDensity:
         assert code == 4
         assert "too dense" in out
 
+    def test_weight_list_verdict_is_a_heuristic(self, capsys):
+        # A fit of a finite list can suggest growth but proves nothing, and
+        # both outputs say so; a spec's answer is a proof and has no label.
+        code, out, _ = run(capsys, "check-density", channel("dense-weights.json"))
+        assert code == 4
+        assert out.splitlines()[0] == (
+            "method: heuristic least-squares fit of a finite weight list; "
+            "it can suggest exponential growth, not prove it"
+        )
+        code, out, _ = run(capsys, "check-density", channel("dense-weights.json"), "--json")
+        assert code == 4
+        assert json.loads(out)["method"] == "heuristic least-squares fit of a finite weight list"
+        code, out, _ = run(capsys, "check-density", channel("ex3.json"), "--json")
+        assert code == 0
+        assert "method" not in json.loads(out)
+
     def test_sparse_channel_passes(self, capsys):
         code, out, _ = run(
             capsys, "check-density", channel("ex3.json"), "--cutoff", "30"

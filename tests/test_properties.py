@@ -942,6 +942,28 @@ def _rough_evaluate(self, y):
     return _rough_value_and_slope(self, y)[0]
 
 
+class _RoughFloat(float):
+    """A point whose powers go through `_rough_pow`, so the pole scan's own
+    pass over D's terms at it takes every y**e that way."""
+
+    def __pow__(self, e):
+        return _rough_pow(float(self), e)
+
+
+@contextlib.contextmanager
+def _rough_passes(rough):
+    """With `rough`, every `evaluate` and `value_and_slope` goes through
+    `_rough_pow`; yields the point type the scan's own pass should get."""
+    with contextlib.ExitStack() as stack:
+        if rough:
+            for name, method in (
+                ("evaluate", _rough_evaluate),
+                ("value_and_slope", _rough_value_and_slope),
+            ):
+                stack.enter_context(mock.patch.object(GeneralizedPolynomial, name, method))
+        yield _RoughFloat if rough else float
+
+
 def _root_outcome(solve):
     """root, low, high as float.hex and the step count, or the error text."""
     try:
@@ -949,6 +971,83 @@ def _root_outcome(solve):
     except DncError as exc:
         return f"{type(exc).__name__}: {exc}"
     return r.root.hex(), r.low.hex(), r.high.hex(), r.iterations
+
+
+# Factors for one side's coefficients: as drawn, large enough that a sum
+# overflows, and beyond floats.
+_SCALES = (1, 1, 10**305, 10**307, 10**400)
+
+
+def _former_side_passes(den, sign, y):
+    """What the former scan's separate passes gave for P (sign 1) or N
+    (sign -1) at y: the side's `value_and_slope`, then the slopes of its
+    terms of weight >= 1 and of weight in (0, 1), each a polynomial of
+    its own; inf throughout where the side overflows."""
+    side = {wv: sign * c for wv, c in den.terms() if sign * c > 0}
+    try:
+        value, slope = GeneralizedPolynomial(den.basis, side).value_and_slope(y)
+    except EvalOverflowError:
+        return [math.inf] * 4
+    parts = [
+        GeneralizedPolynomial(
+            den.basis, {wv: c for wv, c in side.items() if keep(wv.value(den.basis))}
+        ).value_and_slope(y)[1]
+        for keep in (lambda e: e >= 1, lambda e: 0 < e < 1)
+    ]
+    return [value, slope, *parts]
+
+
+class TestScanPass:
+    @given(
+        denominators() | factored_denominators(),
+        st.floats(min_value=0.0, max_value=1.0) | st.sampled_from([0.0, GRID_STEP, 0.5, 1.0]),
+        st.sampled_from(_SCALES),
+        st.sampled_from(_SCALES),
+    )
+    # P = 1 + c y + c y**2 overflows near y = 1, where D itself does not.
+    @example(_unit_poly((0, 1), (1, 9 * 10**307), (3, -9 * 10**307), (2, 9 * 10**307)), 1.0, 1, 1)
+    # A coefficient of N beyond floats; P stays finite.
+    @example(_unit_poly((0, 1), (1, -(10**400)), (2, 3)), 0.5, 1, 1)
+    # P's sum overflows at 1, its terms do not; N stays finite.
+    @example(_unit_poly((0, 10**308), (1, 10**308), (2, -1)), 1.0, 1, 1)
+    # Terms of weight 1/2, 1 and 3/2 on both sides.
+    @example(
+        GeneralizedPolynomial(
+            BASIS,
+            {
+                WeightVector((0, 0)): 1,
+                WeightVector((0, 1)): -3,
+                WeightVector((1, 0)): 2,
+                WeightVector((0, 3)): -1,
+                WeightVector((1, 1)): 1,
+            },
+        ),
+        0.7,
+        1,
+        1,
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_one_pass_equals_the_former_passes(self, den, y, pos_scale, neg_scale):
+        # Bit for bit what the former scan took from separate passes over
+        # P, N and the weight classes of each side, a side that overflows
+        # reading inf on its own, and D as `evaluate` sums it, raising
+        # where the walk uses it with `evaluate`'s error.
+        den = GeneralizedPolynomial(
+            den.basis, {wv: c * (pos_scale if c > 0 else neg_scale) for wv, c in den.terms()}
+        )
+        got = _PoleScan(den, DEFAULT_TOL)._bounds(y)
+        p, n = _former_side_passes(den, 1, y), _former_side_passes(den, -1, y)
+        expected = [entry for pair in zip(p, n) for entry in pair]
+        event(f"P overflows: {p[0] == math.inf}, N overflows: {n[0] == math.inf}")
+        assert [x.hex() for x in got[:8]] == [x.hex() for x in expected]
+        try:
+            d = den.evaluate(y)
+        except EvalOverflowError as exc:
+            with pytest.raises(EvalOverflowError) as raised:
+                solver._d_value(got, y)
+            assert str(raised.value) == str(exc)
+        else:
+            assert got[8].hex() == solver._d_value(got, y).hex() == d.hex()
 
 
 class TestNewtonWindows:
@@ -1045,13 +1144,7 @@ class TestNewtonWindows:
         # rough pow below, off by up to 1.5 ulp and not monotone, is what
         # shows the certificate's margin at work.
         p, target = growth_target
-        with contextlib.ExitStack() as stack:
-            if rough:
-                for name, method in (
-                    ("evaluate", _rough_evaluate),
-                    ("value_and_slope", _rough_value_and_slope),
-                ):
-                    stack.enter_context(mock.patch.object(GeneralizedPolynomial, name, method))
+        with _rough_passes(rough):
             expected = _root_outcome(lambda: reference_bisection_root(p, target, tol=tol))
             assume(not isinstance(expected, str))
             root = float.fromhex(expected[0])
@@ -1065,6 +1158,7 @@ class TestNewtonWindows:
         st.sampled_from(TOLERANCES),
         st.data(),
         st.just(None),
+        st.booleans(),
     )
     # Roots 0.3, 0.6 and 0.8: bisecting [0.1, 0.9] meets D < 0 at 0.5 and
     # heads for 0.3, while D > 0 at 0.7, where the example puts the ends.
@@ -1073,6 +1167,7 @@ class TestNewtonWindows:
         1e-300,
         None,
         ((0.1, 0.9), (0.75, 0)),
+        False,
     )
     # An ill-conditioned root near 0.63: D's sign there flips with rounding
     # over units in the last place, so both ends put 2 units above the
@@ -1094,47 +1189,55 @@ class TestNewtonWindows:
         1e-300,
         None,
         (None, (None, 2)),
+        False,
     )
+    # 3 - 7y**2, whose float value a correctly rounded pow keeps monotone:
+    # only the rough pow makes D at an end 1 unit below the root take the
+    # sign beyond it, which then clears zero but not the rounding bound.
+    @example(_unit_poly((0, 3), (2, -7)), 1e-300, None, (None, (None, -1)), True)
     @settings(max_examples=400, deadline=None)
-    def test_pole_certificates_wherever_the_ends_go(self, den, tol, data, fixed):
+    def test_pole_certificates_wherever_the_ends_go(self, den, tol, data, fixed, rough):
         # As above for pole brackets, each root's grid bracket and a wider
         # one that may hold further roots, three placements each: a window
         # end counts only where D is monotone on the bracket and clears
         # the rounding bound. An explicit example fixes the wider bracket
-        # and the placement of both ends.
+        # and the placement of both ends. With `rough`, D's evaluations and
+        # the scan's own pass at the bracket ends, whose slopes show D
+        # monotone, all take the rough pow.
         gf = RationalGF(GeneralizedPolynomial.one(den.basis), den)
-        expected, _ = reference_bracket_denominator_roots(gf, tol=tol)
-        scan = _PoleScan(den, tol)
-        for cand in expected:
-            j = math.ceil(cand.high / GRID_STEP)
-            brackets = [((j - 1) * GRID_STEP, min(j * GRID_STEP, Y_MAX))]
-            if fixed is not None:
-                brackets.append(fixed[0] or brackets[0])
-            else:
-                brackets.append(
-                    (
-                        data.draw(st.floats(min_value=0.0, max_value=cand.low)),
-                        data.draw(st.floats(min_value=cand.high, max_value=1.0)),
+        with _rough_passes(rough) as point:
+            expected, _ = reference_bracket_denominator_roots(gf, tol=tol)
+            scan = _PoleScan(den, tol)
+            for cand in expected:
+                j = math.ceil(cand.high / GRID_STEP)
+                brackets = [((j - 1) * GRID_STEP, min(j * GRID_STEP, Y_MAX))]
+                if fixed is not None:
+                    brackets.append(fixed[0] or brackets[0])
+                else:
+                    brackets.append(
+                        (
+                            data.draw(st.floats(min_value=0.0, max_value=cand.low)),
+                            data.draw(st.floats(min_value=cand.high, max_value=1.0)),
+                        )
                     )
-                )
-            for lo, hi in brackets:
-                try:
-                    flo, fhi = den.evaluate(lo), den.evaluate(hi)
-                except EvalOverflowError:
-                    continue
-                if flo == 0.0 or fhi == 0.0 or (flo < 0.0) == (fhi < 0.0):
-                    continue
-                ref = reference_bisect_bracket(den, lo, hi, flo, tol)
-                bounds = (scan._bounds(lo), scan._bounds(hi))
-                for _ in range(3):
-                    if fixed is not None:
-                        picks = (fixed[1], fixed[1])
-                    else:
-                        picks = (data.draw(placements()), data.draw(placements()))
-                    ends = tuple(_placed(pick, ref.root, lo, hi) for pick in picks)
-                    with mock.patch.object(_PoleScan, "_newton_ends", lambda *args: ends):
-                        got = _root_outcome(lambda: scan._bisect(lo, hi, flo, fhi, bounds))
-                    assert got == _root_outcome(lambda: ref)
+                for lo, hi in brackets:
+                    try:
+                        flo, fhi = den.evaluate(lo), den.evaluate(hi)
+                    except EvalOverflowError:
+                        continue
+                    if flo == 0.0 or fhi == 0.0 or (flo < 0.0) == (fhi < 0.0):
+                        continue
+                    ref = reference_bisect_bracket(den, lo, hi, flo, tol)
+                    bounds = (scan._bounds(point(lo)), scan._bounds(point(hi)))
+                    for _ in range(3):
+                        if fixed is not None:
+                            picks = (fixed[1], fixed[1])
+                        else:
+                            picks = (data.draw(placements()), data.draw(placements()))
+                        ends = tuple(_placed(pick, ref.root, lo, hi) for pick in picks)
+                        with mock.patch.object(_PoleScan, "_newton_ends", lambda *args: ends):
+                            got = _root_outcome(lambda: scan._bisect(lo, hi, flo, fhi, bounds))
+                        assert got == _root_outcome(lambda: ref)
 
     @pytest.mark.parametrize("tol", TOLERANCES)
     @pytest.mark.parametrize(

@@ -54,18 +54,23 @@ def unit_poly(*coeff_by_power):
 
 
 def count_passes(monkeypatch, skip=None):
-    """The points of every evaluate and value_and_slope call from now on,
-    except those on `skip`."""
+    """The points of every pass over a polynomial's terms from now on:
+    evaluate and value_and_slope, except those on `skip`, and the pole
+    scan's own pass over its denominator's terms."""
     calls = []
-    for name in ("evaluate", "value_and_slope"):
-        original = getattr(GeneralizedPolynomial, name)
+    for owner, name in (
+        (GeneralizedPolynomial, "evaluate"),
+        (GeneralizedPolynomial, "value_and_slope"),
+        (solver._PoleScan, "_bounds"),
+    ):
+        original = getattr(owner, name)
 
         def counting(self, y, original=original):
             if self is not skip:
                 calls.append(y)
             return original(self, y)
 
-        monkeypatch.setattr(GeneralizedPolynomial, name, counting)
+        monkeypatch.setattr(owner, name, counting)
     return calls
 
 
@@ -269,14 +274,13 @@ class TestBracketing:
         assert far.evaluate(outside) >= 2.0 * near.evaluate(outside)
 
     def test_every_evaluation_goes_through_evaluate(self, monkeypatch):
-        # The scan evaluates D, its positive part P and its negated
-        # negative part N, and the parts of D that certify its
-        # monotonicity; every call is counted and made through
-        # GeneralizedPolynomial.evaluate or value_and_slope. The grid runs
-        # whose sign the bound proves go unevaluated, and so do the
-        # bisection midpoints outside the Newton window: fewer passes
-        # than the bracket's 30 bisection steps. The values at y = 0 are
-        # known without a pass.
+        # The scan passes over D's terms only: by its own pass, which also
+        # gives D's positive part P, its negated negative part N and their
+        # slopes, or by D's evaluate and value_and_slope; every pass is
+        # counted. The grid runs whose sign the bound proves go
+        # unevaluated, and so do the bisection midpoints outside the
+        # Newton window: fewer passes than the bracket's 30 bisection
+        # steps. The values at y = 0 are known without a pass.
         calls = count_passes(monkeypatch)
         candidates, evaluations = bracket_denominator_roots(
             build_gf(load_channel("ex3.json"))
@@ -286,11 +290,10 @@ class TestBracketing:
 
     @pytest.mark.parametrize("name", ["ex3.json", "avoid101.json", "binary.json", "unary.json"])
     def test_pole_iterations_are_scan_evaluations(self, monkeypatch, name):
-        # Every pass over D, P, N or a part of D up to the first surviving
-        # pole, and no more: the numerator's removability check is not
-        # counted. A scan that fell back to the full 1001-point grid, or a
-        # bisection that evaluated each of its 30 midpoints, would exceed
-        # 40.
+        # Every pass over D's terms up to the first surviving pole, and no
+        # more: the numerator's removability check is not counted. A scan
+        # that fell back to the full 1001-point grid, or a bisection that
+        # evaluated each of its 30 midpoints, would exceed 40.
         gf = build_gf(load_channel(name))
         calls = count_passes(monkeypatch, skip=gf.numerator)
         report = smallest_positive_pole(gf)
