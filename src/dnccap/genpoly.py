@@ -48,10 +48,13 @@ density fit call it; the two hot loops spell out its expression inline.
 Each weight's float is computed once per stage (the int 0 for the zero
 vector):
   - `GeneralizedPolynomial.float_terms()`, the hot loop of the capacity
-    solvers, is a tuple of (float exponent, coefficient) pairs in term
-    order, built on first use and cached on the (immutable) polynomial. A
-    pole scan of a thousand grid points then computes each weight's value
-    once, not once per point, and every caller sees the very same floats.
+    solvers, is a tuple of (float exponent, float coefficient) pairs in
+    term order, built on first use and cached on the (immutable)
+    polynomial. A pole scan of a thousand grid points then computes each
+    weight's value once, not once per point, and every caller, the scan's
+    own pass included, sees the very same floats. A coefficient past the
+    float range reads inf of its sign, so `evaluate` raises
+    EvalOverflowError wherever it meets one.
   - `expand_series` and the enumeration walk compute the float of every
     class they queue and hand those floats to the CoefficientSeries they
     build. The series checks its entries with them and caches them for
@@ -295,6 +298,14 @@ def term_sum(parts: Iterable[tuple[dict[WeightVector, int], int]]) -> dict:
     return {wv: c for wv, c in out.items() if c} if 0 in out.values() else out
 
 
+def _float_or_inf(c: int) -> float:
+    """float(c), or inf of c's sign beyond the float range."""
+    try:
+        return float(c)
+    except OverflowError:
+        return math.inf if c > 0 else -math.inf
+
+
 class GeneralizedPolynomial:
     """Finite integer-coefficient sum of y**(weight value) terms. Immutable.
 
@@ -324,7 +335,7 @@ class GeneralizedPolynomial:
             clean[wv] = clean.get(wv, 0) + c
         self.basis = basis
         self._terms = {wv: c for wv, c in clean.items() if c}
-        self._float_terms: tuple[tuple[float, int], ...] | None = None
+        self._float_terms: tuple[tuple[float, float], ...] | None = None
 
     @classmethod
     def zero(cls, basis: WeightBasis) -> "GeneralizedPolynomial":
@@ -355,14 +366,18 @@ class GeneralizedPolynomial:
     def terms(self) -> Iterator[tuple[WeightVector, int]]:
         return iter(self._terms.items())
 
-    def float_terms(self) -> tuple[tuple[float, int], ...]:
-        """(float exponent, coefficient) per term, in term order; cached."""
+    def float_terms(self) -> tuple[tuple[float, float], ...]:
+        """(float exponent, float coefficient) per term, in term order;
+        cached. `evaluate`, `value_and_slope` and the pole scan's pass all
+        read these. A coefficient beyond the float range reads inf of its
+        sign, so a pass that meets it sums to inf or nan."""
         if self._float_terms is None:
             # WeightVector.value's expression; every exponent has the
             # basis's length, as the constructor checked.
             values = self.basis.values()
             self._float_terms = tuple(
-                (left_sum(map(mul, wv, values)) or 0, c) for wv, c in self._terms.items()
+                (left_sum(map(mul, wv, values)) or 0, _float_or_inf(c))
+                for wv, c in self._terms.items()
             )
         return self._float_terms
 

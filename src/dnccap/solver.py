@@ -24,22 +24,24 @@ Two analytic routes, both with certified enclosures:
                         bounds it instead, which also proves a run that
                         ends close to a root.
 
-Both bisections keep their midpoint sequence, and with it the enclosure and
-the step count, but evaluate only the midpoints whose float sign is not yet
-known. Before the first midpoint, Newton steps locate the root and two
-evaluations certify a window [a, b] around it: every midpoint at or below a
-would evaluate on the low side of the root and every midpoint at or above b
-on the high side, so neither is evaluated. On the characteristic route
-Newton runs on ln E in t = -ln y, where it is convex and decreasing; in a
-pole bracket it starts from the secant point, and the window also needs D
-to be strictly monotone on the bracket. A window end that fails its
-certificate leaves its side to be evaluated as before. The certificates
-rest on the rounding bound documented at SKIP_MARGIN. A report's
+Both routes end in one bisection, `_bisection`. It keeps the midpoint
+sequence, and with it the enclosure and the step count, of a bisection that
+evaluates every midpoint, but evaluates only the midpoints whose side is not
+yet known. Before the first midpoint, Newton steps locate the root and one
+certificate per end, `_clears`, puts a window [a, b] around it: every
+midpoint at or below a would evaluate on the low side of the root and every
+midpoint at or above b on the high side, so neither is evaluated. On the
+characteristic route Newton runs on ln E in t = -ln y, where it is convex
+and decreasing, and the ends must clear d0; in a pole bracket it starts
+from the secant point, the ends must clear zero, and D must be strictly
+monotone on the bracket. A window end that fails its certificate, or a
+Newton step beyond the float range, leaves its side to be evaluated. The
+certificates rest on the rounding bound documented at SKIP_MARGIN. A
+midpoint where D evaluates to exactly zero closes a pole bracket. A report's
 `iterations` counts the doublings and bisection steps on the
 characteristic route, and on the pole route every pass over D's terms
-(one pass gives P, N and the slopes that show D monotone too; they have
-no polynomials of their own), Newton passes included, but not the
-bisection steps the window decided.
+(the scan's own pass also gives P, N and their slopes), Newton passes
+and certificates included, but not the bisection steps the window decided.
 
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
@@ -90,14 +92,16 @@ GRID_STEP = 1e-3
 #     (`_is_monotone`), skipped when P(b) - N(b) clears zero by the margin
 #     with the run's sign: there D(b) bounds D at every point of the run,
 #     and P(b) takes the place of P(a), or N(b) that of N(a).
-#   - On the characteristic route E is increasing, so E(a) (1 + margin) <
-#     d0 makes every x <= a evaluate below d0, and d0 <= E(b) (1 - margin)
-#     makes every x >= b evaluate at or above it: the evaluations at x and
-#     at the window end are each off by (n + 3)u of the value.
-#   - In a pole bracket [lo, hi] with D strictly monotone, a window end
-#     with |D| above margin * (P(hi) + N(hi)) fixes the sign at every point
-#     beyond it: P and N are nondecreasing, so the evaluations there and at
-#     the end are each off by at most (n + 3)u (P(hi) + N(hi)).
+#   - A Newton window end counts where `_clears` finds p there beyond the
+#     target by the threshold, away from the root; every point beyond the
+#     end then evaluates on that side of the target too. On the
+#     characteristic route p = E is increasing, the target d0 and the
+#     threshold margin * d0: the evaluations at the end and beyond it are
+#     each off by (n + 3)u of their values and the subtraction by u of the
+#     difference, far under the margin. In a pole bracket [lo, hi] with D
+#     strictly monotone the target is 0 and the threshold margin * (P(hi)
+#     + N(hi)); P and N are nondecreasing, so each evaluation is off by at
+#     most (n + 3)u (P(hi) + N(hi)).
 #   - D is strictly increasing on [lo, hi] when the least slope of P there
 #     exceeds the greatest slope of N with the margin on both sides (and
 #     decreasing with P and N swapped), each sum of slopes of one sign,
@@ -224,9 +228,19 @@ def smallest_positive_root(
         iterations += 1
         if iterations > MAX_DOUBLINGS:
             raise SolverError(f"no root found below {hi:.3g}")
-    at = p.evaluate
-    if hi - lo > tol:
-        a, b = _characteristic_window(p, target, hi, v, s)
+    a, b = _characteristic_window(p, target, hi, v, s) if hi - lo > tol else (lo, hi)
+    # A midpoint is on lo's side where p evaluates below target.
+    found = _bisection(lo, hi, tol, a, b, lambda y: _clears(p, y, True, 0.0, target))
+    return RootResult(found.root, found.low, found.high, iterations + found.iterations)
+
+
+def _bisection(lo: float, hi: float, tol: float, a: float, b: float, side) -> RootResult:
+    """Halve [lo, hi] to hi - lo <= tol, or to adjacent floats, counting
+    each halving. `side(mid)` is True on lo's side, False on hi's, and
+    None at an exact zero, which closes the bracket there. It is not
+    called for a midpoint at or below a or at or above b, which the
+    certified window [a, b] (or (lo, hi) for none) already places."""
+    iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
@@ -237,11 +251,11 @@ def smallest_positive_root(
         elif mid >= b:
             hi = mid
         else:
-            try:
-                below = at(mid) < target
-            except EvalOverflowError:
-                below = False
-            if below:
+            low = side(mid)
+            if low is None:
+                lo = hi = mid
+                break
+            if low:
                 lo = mid
             else:
                 hi = mid
@@ -251,8 +265,24 @@ def smallest_positive_root(
 def _settled(step: float, last: float, width: float) -> bool:
     """Has a Newton search come within a quarter of the window's half
     width of the root: this step, or the next one, which quadratic
-    convergence puts at about step**3 / last**2, the last step before?"""
-    return abs(step) <= 0.25 * width or abs(step) ** 3 <= 0.25 * width * last * last
+    convergence puts at about step**3 / last**2, the last step before? A
+    step whose cube passes the float range has not."""
+    try:
+        return abs(step) <= 0.25 * width or abs(step) ** 3 <= 0.25 * width * last * last
+    except OverflowError:
+        return False
+
+
+def _clears(
+    p: GeneralizedPolynomial, y: float, negative: bool, threshold: float, target: float = 0.0
+) -> bool:
+    """Does p evaluate at y beyond target by more than the threshold,
+    below it when negative and above it otherwise? An overflow does not."""
+    try:
+        v = p.evaluate(y) - target
+    except EvalOverflowError:
+        return False
+    return (v < -threshold) if negative else (v > threshold)
 
 
 def _characteristic_window(
@@ -268,15 +298,10 @@ def _characteristic_window(
     if placed is None:
         return 0.0, math.inf
     a, b = placed
-    try:
-        if not p.evaluate(a) * (1.0 + margin) < target:
-            a = 0.0
-    except EvalOverflowError:
+    threshold = margin * target
+    if not _clears(p, a, True, threshold, target):
         a = 0.0
-    try:
-        if not target <= p.evaluate(b) * (1.0 - margin):
-            b = math.inf
-    except EvalOverflowError:
+    if not _clears(p, b, False, threshold, target):
         b = math.inf
     return a, b
 
@@ -289,30 +314,40 @@ def _characteristic_ends(
     Newton starts from y, where p(y) = v >= target and y p'(y) = s. In t =
     -ln y, ln p is a log-sum-exp of affine functions of t, so it is convex
     and decreasing, and the steps approach the root from above. The ends
-    sit where the last tangent puts ln p at ln target -+ 2 * margin.
+    sit where the last tangent puts ln p at ln target -+ 2 * margin. A
+    step or an end beyond the float range places no window.
     """
     last = 0.0
-    for _ in range(NEWTON_STEPS):
-        if not (0.0 < v < math.inf and 0.0 < s < math.inf):
-            return None
-        # The Newton step in t, t growing as y shrinks.
-        step = math.log(v / target) * v / s
-        width = 2.0 * margin * v / s
-        if _settled(step, last, width):
-            return y * math.exp(-step - width), y * math.exp(-step + width)
-        last = step
-        y *= math.exp(-step)
-        try:
+    try:
+        for _ in range(NEWTON_STEPS):
+            if not (0.0 < v < math.inf and 0.0 < s < math.inf):
+                return None
+            # The Newton step in t, t growing as y shrinks.
+            step = math.log(v / target) * v / s
+            width = 2.0 * margin * v / s
+            if _settled(step, last, width):
+                return y * math.exp(-step - width), y * math.exp(-step + width)
+            last = step
+            y *= math.exp(-step)
             v, s = p.value_and_slope(y)
-        except EvalOverflowError:
-            return None
+    except (OverflowError, EvalOverflowError):
+        return None
     return None
 
 
-def _log_enclosure_width(low: float, high: float) -> float:
-    if low <= 0.0:
-        return math.inf
-    return math.log(high / low)
+def _capacity_report(
+    method: str, found: RootResult, iterations: int, note: str | None = None
+) -> CapacityReport:
+    """The capacity -ln y of the singularity y located in `found`, with
+    the log-width of its enclosure as the error bound (inf from 0)."""
+    return CapacityReport(
+        method=method,
+        radius_or_pole=found.root,
+        capacity_nats=-math.log(found.root),
+        error_bound=math.log(found.high / found.low) if found.low > 0.0 else math.inf,
+        iterations=iterations,
+        note=note,
+    )
 
 
 def _finite_language_report(method: str) -> CapacityReport:
@@ -340,19 +375,13 @@ def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | N
         pass
     growth = None
     if all(c < 0 for wv, c in den.terms() if any(wv)):
-        # The zero vector alone has the exponent 0.
-        terms = zip(den._terms, den.float_terms())
-        growth = _poly_of(den.basis, [(wv, e, -c) for wv, (e, c) in terms if e])
+        # The zero vector alone has the exponent 0. E takes the other
+        # terms negated, float exponents and coefficients included.
+        terms = [(wv, c, e, f) for (wv, c), (e, f) in zip(den.terms(), den.float_terms()) if e]
+        growth = GeneralizedPolynomial._from_terms(den.basis, {wv: -c for wv, c, _, _ in terms})
+        growth._float_terms = tuple((e, -f) for _, _, e, f in terms)
     den._characteristic = growth
     return growth
-
-
-def _float_or_inf(c: int) -> float:
-    """float(c), the float c * y converts c to, or inf of c's sign beyond floats."""
-    try:
-        return float(c)
-    except OverflowError:
-        return math.inf if c > 0 else -math.inf
 
 
 def _d_value(bounds: tuple[float, ...], y: float) -> float:
@@ -361,16 +390,6 @@ def _d_value(bounds: tuple[float, ...], y: float) -> float:
     if not math.isfinite(d):
         raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
     return d
-
-
-def _poly_of(basis, terms) -> GeneralizedPolynomial:
-    """The polynomial of (weight vector, float exponent, coefficient)
-    triples taken from the terms of a polynomial over basis, each with its
-    coefficient or the negated one. The exponents are carried over, not
-    computed again."""
-    poly = GeneralizedPolynomial._from_terms(basis, {wv: c for wv, _, c in terms})
-    poly._float_terms = tuple((e, c) for _, e, c in terms)
-    return poly
 
 
 def capacity_from_characteristic(
@@ -400,13 +419,7 @@ def capacity_from_characteristic(
             f"numerator vanishes at the characteristic root y = {result.root:.12g}; "
             "the singularity is removable there, use the pole scan instead"
         )
-    return CapacityReport(
-        method="characteristic-root",
-        radius_or_pole=result.root,
-        capacity_nats=-math.log(result.root),
-        error_bound=_log_enclosure_width(result.low, result.high),
-        iterations=result.iterations,
-    )
+    return _capacity_report("characteristic-root", result, result.iterations)
 
 
 def _is_removable(gf: RationalGF, y0: float) -> bool:
@@ -443,7 +456,6 @@ class _PoleScan:
         self.tol = tol
         self.evaluations = 0
         self.margin = SKIP_MARGIN * (len(den) + 4)
-        self.terms = [(e, _float_or_inf(c)) for e, c in den.float_terms()]
 
     def _bounds(self, y: float) -> tuple[float, ...]:
         """One pass over D's terms at y in [0, 1]: P(y), N(y), y P'(y), y N'(y),
@@ -454,7 +466,7 @@ class _PoleScan:
         checks D where the walk uses it."""
         self.evaluations += 1
         d = p = n = dp = dn = p_convex = n_convex = p_concave = n_concave = 0.0
-        for e, c in self.terms:
+        for e, c in self.den.float_terms():
             t = c * y**e
             d += t
             s = e * t
@@ -595,31 +607,15 @@ class _PoleScan:
         """Bisect [lo, hi], where D evaluated to flo and fhi of opposite
         signs, down to the tolerance; `ends` holds the bounds at lo and hi.
         Only the midpoints inside the window of `_window` are evaluated."""
-        at = self.den.evaluate
-        iterations = 0
-        if hi - lo > self.tol:
-            a, b = self._window(lo, hi, flo < 0.0, fhi, ends)
-        while hi - lo > self.tol:
-            mid = (lo + hi) / 2.0
-            if mid == lo or mid == hi:
-                break
-            iterations += 1
-            if mid <= a:
-                lo = mid
-                continue
-            if mid >= b:
-                hi = mid
-                continue
+        negative = flo < 0.0
+        a, b = self._window(lo, hi, negative, fhi, ends) if hi - lo > self.tol else (lo, hi)
+
+        def side(mid: float) -> bool | None:
             self.evaluations += 1
-            fmid = at(mid)
-            if fmid == 0.0:
-                lo = hi = mid
-                break
-            if (fmid < 0.0) == (flo < 0.0):
-                lo, flo = mid, fmid
-            else:
-                hi = mid
-        return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+            v = self.den.evaluate(mid)
+            return None if v == 0.0 else (v < 0.0) == negative
+
+        return _bisection(lo, hi, self.tol, a, b, side)
 
     def _window(self, lo: float, hi: float, rising: bool, fhi: float, ends):
         """Window ends (a, b) in [lo, hi]: D evaluates to a nonzero float of
@@ -637,10 +633,12 @@ class _PoleScan:
         if placed is None:
             return lo, hi
         a, b = placed
-        # The certified side of a has D's sign at lo: negative when rising.
-        if not (lo < a and self._clears(a, rising, threshold)):
+        # One pass per certificate. The certified side of a has D's sign
+        # at lo: negative when rising.
+        self.evaluations += (lo < a) + (b < hi)
+        if not (lo < a and _clears(self.den, a, rising, threshold)):
             a = lo
-        if not (b < hi and self._clears(b, fhi < 0.0, threshold)):
+        if not (b < hi and _clears(self.den, b, fhi < 0.0, threshold)):
             b = hi
         return a, b
 
@@ -669,15 +667,6 @@ class _PoleScan:
             if not lo < y < hi:
                 return None
         return None
-
-    def _clears(self, y: float, negative: bool, threshold: float) -> bool:
-        """Does D evaluate at y beyond the threshold, on the given side?"""
-        self.evaluations += 1
-        try:
-            v = self.den.evaluate(y)
-        except EvalOverflowError:
-            return False
-        return (v < -threshold) if negative else (v > threshold)
 
     def _is_monotone(self, lo: float, hi: float, rising: bool, ends) -> bool:
         """Is D strictly increasing (rising) or decreasing on [lo, hi]?
@@ -747,14 +736,7 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
         note = None
         if skipped:
             note = f"skipped {skipped} removable denominator root(s) below the pole"
-        return CapacityReport(
-            method="smallest-pole",
-            radius_or_pole=cand.root,
-            capacity_nats=-math.log(cand.root),
-            error_bound=_log_enclosure_width(cand.low, cand.high),
-            iterations=scan.evaluations,
-            note=note,
-        )
+        return _capacity_report("smallest-pole", cand, scan.evaluations, note)
     detail = f" apart from {skipped} removable root(s)" if skipped else ""
     raise SolverError(
         f"no sign change of the denominator in (0, {Y_MAX:g}]{detail}; "

@@ -9,7 +9,9 @@ exhaustive generation of every alphabet string under the weight cutoff.
 denominator's growth part at a time, kept as an independent reference for
 the weight-ordered recurrence in `expand_series`, and `reference_evaluate`
 is the former float evaluation, which recomputed every weight's value on
-each call, kept as the reference for the cached exponents.
+each call and multiplied each int coefficient into its term, kept as the
+reference for the cached exponents and float coefficients;
+`reference_value_and_slope` takes the slope beside it.
 `reference_check_density` is the former density check, a numpy
 least-squares fit over counts taken by a scan of every weight, kept as the
 reference for the closed-form fit in `check_density`.
@@ -55,9 +57,10 @@ apart from their names and the bracket's evaluation counter: each evaluates
 every midpoint. They are kept as the reference for the bisections that skip
 the midpoints a Newton window decides.
 `reference_is_removable` is the former removability check, which summed
-the numerator's term sizes and then evaluated it, two passes; it is kept as
-the reference for the check that takes both sums in one, and the reference
-solvers below call it.
+the numerator's term sizes and then evaluated it, two passes, each over the
+int coefficients; it is kept as the reference for the check that takes both
+sums in one over the float coefficients, and the reference solvers below
+call it.
 `reference_parse_regex` is the former regex parser, verbatim apart from its
 names: it builds a token list of (kind, text, offset) tuples first and then
 walks it through peek and advance calls. It is kept as the reference for
@@ -143,7 +146,6 @@ from dnccap.solver import (
     RootResult,
     _check_tol,
     _finite_language_report,
-    _log_enclosure_width,
 )
 
 CHANNELS_DIR = Path(__file__).resolve().parent.parent / "channels"
@@ -388,6 +390,25 @@ def reference_evaluate(p: GeneralizedPolynomial, y: float) -> float:
     return total
 
 
+def reference_value_and_slope(p: GeneralizedPolynomial, y: float) -> tuple[float, float]:
+    """(p(y), y * p'(y)) as `reference_evaluate` takes p(y), the slope
+    adding each term's weight times the term."""
+    if y < 0:
+        raise ValueError("evaluation point must be nonnegative")
+    total = slope = 0.0
+    for wv, c in p.terms():
+        e = wv.value(p.basis)
+        try:
+            t = c * (y ** e)
+        except OverflowError as exc:
+            raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}") from exc
+        total += t
+        slope += e * t
+    if math.isinf(total) or math.isnan(total):
+        raise EvalOverflowError(f"overflow evaluating polynomial at y={y!r}")
+    return total, slope
+
+
 # --- reference density fit ------------------------------------------------------
 
 
@@ -578,8 +599,8 @@ def reference_bracket_denominator_roots(
 def reference_is_removable(gf: RationalGF, y0: float) -> bool:
     """Does the numerator vanish at y0, relative to its term magnitudes?"""
     num = gf.numerator
-    scale = reference_sum(abs(c) * y0 ** e for e, c in num.float_terms())
-    return abs(num.evaluate(y0)) <= REMOVABLE_RTOL * scale
+    scale = reference_sum(abs(c) * y0 ** wv.value(num.basis) for wv, c in num.terms())
+    return abs(reference_evaluate(num, y0)) <= REMOVABLE_RTOL * scale
 
 
 def reference_bisection_root(
@@ -1484,6 +1505,12 @@ def reference_build_gf(spec: ChannelSpec) -> RationalGF:
                 "for a float"
             )
     return gf
+
+
+def _log_enclosure_width(low: float, high: float) -> float:
+    if low <= 0.0:
+        return math.inf
+    return math.log(high / low)
 
 
 def _reference_evaluate_or_inf(p: GeneralizedPolynomial, y: float) -> float:

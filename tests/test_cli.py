@@ -324,6 +324,39 @@ class TestCapacity:
         assert err.startswith("error: no sign change")
         assert "at most" not in out + err
 
+    @pytest.mark.parametrize(
+        "constraint, extra",
+        [
+            ({"type": "free"}, []),
+            ({"type": "regex", "expr": "(ε|1)(0|01)*", "unambiguous": True}, []),
+            ({"type": "forbidden", "patterns": ["11"]}, ["--method", "characteristic"]),
+        ],
+    )
+    def test_tiny_weights_answer_without_a_traceback(self, tmp_path, constraint, extra):
+        # Two symbols of weight u: the radius 2**(-1/u), or near it, is 0
+        # in floats. At u = 1e-150 the first Newton step's cube passes the
+        # float range; that places no window, and the bisection answers as
+        # it does at u = 1e-100, where the cube still fits.
+        outputs = []
+        for u in (1e-100, 1e-150):
+            path = tmp_path / f"tiny-{u}.json"
+            path.write_text(json.dumps({
+                "atoms": {"u": u},
+                "symbols": [{"name": n, "weight": {"u": 1}} for n in "01"],
+                "constraint": constraint,
+            }))
+            proc = subprocess.run(
+                [sys.executable, "-m", "dnccap", "capacity", str(path), "--json", *extra],
+                capture_output=True, text=True, env=cli_env(), timeout=60,
+            )
+            assert proc.returncode == 0, proc.stderr
+            assert "Traceback" not in proc.stderr
+            outputs.append(proc.stdout)
+        assert outputs[1] == outputs[0]
+        report = strict_json(outputs[1])
+        assert (report["radius_or_pole"], report["iterations"]) == (4.547473508864641e-13, 40)
+        assert report["error_bound"] is None
+
     def test_verify_agreement(self, capsys):
         code, out, _ = run(
             capsys,

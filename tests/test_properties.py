@@ -72,6 +72,7 @@ from corpus import (
     reference_parse_regex,
     reference_parse_spec,
     reference_tuple_expand_series,
+    reference_value_and_slope,
 )
 
 
@@ -1279,6 +1280,62 @@ class TestRemovability:
         assert solver._is_removable(gf, y0) == expected
 
 
+class TestFloatCoefficients:
+    @given(points_and_polynomials(), st.sampled_from([1, 1, 10**305, 10**307, 10**400]))
+    # Coefficients beyond floats at y = 0, where their terms are inf * 0.
+    @example((0.0, _unit_poly((0, 1), (1, 10**400))), 1)
+    @example((0.0, _unit_poly((0, 1), (1, -(10**400)), (2, 10**400))), 1)
+    @settings(max_examples=300, deadline=None)
+    def test_float_view_is_the_int_coefficient_passes(self, case, scale):
+        # Each float coefficient is float(c), or inf of c's sign beyond
+        # floats; evaluate, value_and_slope and the removability check
+        # give the floats of the passes that multiply the int coefficient,
+        # bit for bit, or the same EvalOverflowError text.
+        y, p = case
+        p = GeneralizedPolynomial(p.basis, {wv: c * scale for wv, c in p.terms()})
+        for (_, f), (_, c) in zip(p.float_terms(), p.terms()):
+            # From 2**1024 - 2**970 on, an int rounds past the largest float.
+            beyond = abs(c) >= 2**1024 - 2**970
+            expected = (math.inf if c > 0 else -math.inf) if beyond else float(c)
+            assert type(f) is float and f.hex() == expected.hex()
+        gf = RationalGF(p, GeneralizedPolynomial.one(p.basis))
+        for got, expected in (
+            (GeneralizedPolynomial.evaluate, reference_evaluate),
+            (GeneralizedPolynomial.value_and_slope, reference_value_and_slope),
+            (lambda p, y: solver._is_removable(gf, y), lambda p, y: reference_is_removable(gf, y)),
+        ):
+            assert _bitwise(got, p, y) == _bitwise(expected, p, y)
+
+    @pytest.mark.parametrize("y", [0.0, 0.5, 1.0])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_coefficient_beyond_floats_raises_as_before(self, y, sign):
+        # The former passes raised converting the int; the float view
+        # reads inf and raises the same EvalOverflowError after the sum.
+        p = _unit_poly((0, 1), (1, sign * 10**400))
+        gf = RationalGF(p, GeneralizedPolynomial.one(UNIT))
+        with pytest.raises(EvalOverflowError) as expected:
+            reference_evaluate(p, y)
+        for call in (p.evaluate, p.value_and_slope, lambda y: solver._is_removable(gf, y)):
+            with pytest.raises(EvalOverflowError) as got:
+                call(y)
+            assert str(got.value) == str(expected.value)
+
+
+def _bitwise(evaluate, p, y):
+    """What evaluate(p, y) gives, floats as float.hex, or the error text. A
+    bare OverflowError, which the two-pass removability check lets out of
+    its first sum, reads as the error its one pass raised over the ints."""
+    try:
+        got = evaluate(p, y)
+    except EvalOverflowError as exc:
+        return str(exc)
+    except OverflowError:
+        return f"overflow evaluating polynomial at y={y!r}"
+    if isinstance(got, bool):
+        return got
+    return [x.hex() for x in got] if isinstance(got, tuple) else got.hex()
+
+
 # --- the warm capacity path against its former code ------------------------------
 
 SPEC_ATOMS = (
@@ -1497,3 +1554,66 @@ class TestWarmCapacityPath:
         assert _capacity_outcome(lambda: _analytic_report(spec, gf, None, DEFAULT_TOL)) == (
             _capacity_outcome(lambda: reference_auto_capacity(spec, expected))
         )
+
+
+# --- one atom from 1e-300 to 1e300 ------------------------------------------------
+
+
+@st.composite
+def single_atom_documents(draw):
+    """A document of `valid_documents` moved onto one atom of value 1e-300
+    to 1e300, each symbol weighing its multiplicities' sum of that atom."""
+    doc = draw(valid_documents())
+    u = draw(
+        st.sampled_from([1e-300, 1e-150, 1e-100, 1e-20, 1e300])
+        | st.floats(min_value=-300.0, max_value=300.0).map(lambda k: 10.0**k)
+    )
+    doc["atoms"] = {"u": u}
+    for symbol in doc["symbols"]:
+        symbol["weight"] = {"u": sum(symbol["weight"].values())}
+    return doc
+
+
+class TestExtremeAtoms:
+    @given(single_atom_documents())
+    # Two symbols of weight 1e-150: the first Newton step's cube passes
+    # the float range.
+    @example({
+        "atoms": {"u": 1e-150},
+        "symbols": [{"name": n, "weight": {"u": 1}} for n in "01"],
+        "constraint": {"type": "free"},
+    })
+    # One symbol of weight 1e-20: E(1) = 1 = d0 at once, and the window's
+    # upper end, e**(2 margin / 1e-20), passes the float range.
+    @example({
+        "atoms": {"u": 1e-20},
+        "symbols": [{"name": "0", "weight": {"u": 1}}],
+        "constraint": {"type": "free"},
+    })
+    @settings(max_examples=200, deadline=None)
+    def test_every_route_answers_or_refuses(self, tmp_path_factory, doc):
+        # The characteristic route, the pole scan and `dnc capacity` by
+        # each analytic method end in a report or a DncError, never in
+        # another exception: a Newton step or a window end beyond the
+        # float range places no window.
+        path = tmp_path_factory.getbasetemp() / "single-atom.json"
+        path.write_text(json.dumps(doc, ensure_ascii=False))
+        try:
+            gf = build_gf(parse_spec(path.read_text()))
+        except DncError as exc:
+            event(f"build: {type(exc).__name__}")
+        else:
+            for solve in (solver.capacity_from_characteristic, solver.smallest_positive_pole):
+                try:
+                    outcome = type(solve(gf)).__name__
+                except DncError as exc:
+                    outcome = type(exc).__name__
+                event(f"{solve.__name__}: {outcome}")
+        for extra in ([], ["--method", "characteristic"], ["--method", "pole"]):
+            stdout, stderr = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+                code = main(["capacity", str(path), "--json", *extra])
+            if code == 0:
+                json.loads(stdout.getvalue())
+            else:
+                assert code in (1, 2) and stderr.getvalue().startswith("error: ")

@@ -109,6 +109,14 @@ class TestSmallestPositiveRoot:
         assert abs(result.root - 3.0) <= 1e-9
         assert_certified(result, p, 3.0)
 
+    def test_exact_target_does_not_close_the_bracket(self):
+        # 4y = 3 exactly at the second midpoint, 0.75: a float at the
+        # target is not below it, so 0.75 becomes the upper end and the
+        # bisection goes on to the tolerance.
+        result = smallest_positive_root(unit_poly((1, 4)), 3.0)
+        assert result.high == 0.75 > result.low
+        assert result.iterations == 40
+
     def test_negative_coefficient_rejected(self):
         with pytest.raises(SolverError, match="negative"):
             smallest_positive_root(unit_poly((0, 1), (1, -1)))
@@ -199,6 +207,13 @@ class TestSmallestPositivePole:
         report = smallest_positive_pole(build_gf(load_channel("binary.json")))
         assert report.radius_or_pole == 0.5
         assert report.error_bound == 0.0
+
+    def test_exact_zero_midpoint_closes_the_bracket(self):
+        # D = 3 - 4y is exactly 0 at 0.75, the first midpoint of [0.5, 1],
+        # which the Newton window holds: the bracket closes there.
+        scan = solver._PoleScan(unit_poly((0, 3), (1, -4)), 1e-12)
+        ends = (scan._bounds(0.5), scan._bounds(1.0))
+        assert scan._bisect(0.5, 1.0, 1.0, -1.0, ends) == solver.RootResult(0.75, 0.75, 0.75, 1)
 
     def test_no_sign_change_is_an_error(self):
         # den = 2 - y has its only root at 2; a scan of (0, 1] that sees no
@@ -317,6 +332,14 @@ class TestBracketing:
         result = smallest_positive_root(unit_poly((1, 1), (2, 1), (3, 1)), 1.0, tol=tol)
         assert result.iterations == {1e-300: 53, 1e-12: 40, 1e-3: 10, 10.0: 0}[tol]
         assert len(calls) <= (2 if tol == 10.0 else 20)
+
+
+def test_step_beyond_floats_has_not_settled():
+    # The first Newton step of E = 2 y**1e-150 is ln 2 * 1e150 in t, whose
+    # cube passes the float range: not settled, on either route, and no
+    # OverflowError.
+    assert solver._settled(math.log(2.0) * 1e150, 0.0, 1e136) is False
+    assert solver._settled(1e150, 1e150, 1e-16) is False
 
 
 def _pow_samples():
