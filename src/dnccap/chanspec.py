@@ -18,9 +18,17 @@ the author's claim that the expression denotes each string exactly once;
 it is trusted, and only `capacity --verify` checks it by enumeration.
 
 Regex grammar: union over '|', concatenation by juxtaposition (or spaces),
-postfix '*', parentheses, and 'ε' for the empty string. When every symbol
-name is a single character, symbols concatenate without separators ("01");
-otherwise tokens are whitespace-separated exact names.
+postfix '*', parentheses, and 'ε' for the empty string. Symbol names may not
+contain whitespace, '()|*' or 'ε'. How text splits into names:
+
+- When every symbol name is a single character, each character is one name,
+  so symbols concatenate without separators ("01"). Whitespace is skipped,
+  and in a regex '()|*' and 'ε' are operators.
+- Otherwise a name in a regex is a run of characters with no whitespace,
+  '()|*' or 'ε' ("(dot|dash)* lspace"), and a name in a pattern is a
+  whitespace-separated word ("lspace wspace").
+
+Every name must be declared.
 
 Parse errors carry a source position: line/column for JSON syntax, a JSON
 path for semantic problems, a character offset for regex problems.
@@ -157,45 +165,35 @@ class ChannelSpec(Record):
 
 # --- regex parsing ------------------------------------------------------------
 
-_SPECIALS = "()|*"
 _EPSILON = "ε"
 
-
-def _word_end(expr: str, i: int, n: int) -> int:
-    """End of the multi-character symbol name starting at offset i."""
-    while i < n and not expr[i].isspace() and expr[i] not in _SPECIALS and expr[i] != _EPSILON:
-        i += 1
-    return i
+# What a symbol name may not contain: a character for which str.isspace()
+# is true (re's \s matches exactly those), a regex special character or
+# the empty-string sign. A regex name token is one character outside this
+# class when every name is one character, else a run of them.
+_NOT_NAME = r"\s()|*" + _EPSILON
+_SYMBOL_FORBIDDEN = re.compile(f"[{_NOT_NAME}]")
+_REGEX_NAME = {True: re.compile(f"[^{_NOT_NAME}]"), False: re.compile(f"[^{_NOT_NAME}]+")}
 
 
 def _check_symbols(expr: str, i: int, names: frozenset[str], single: bool) -> None:
     """Raise the first undeclared symbol from offset i on, a token start."""
-    n = len(expr)
-    while i < n:
-        ch = expr[i]
-        if ch.isspace() or ch in _SPECIALS or ch == _EPSILON:
-            i += 1
-        elif single:
-            if ch not in names:
-                raise SpecError(f"regex offset {i}: undeclared symbol {ch!r}")
-            i += 1
-        else:
-            j = _word_end(expr, i, n)
-            if expr[i:j] not in names:
-                raise SpecError(f"regex offset {i}: undeclared symbol {expr[i:j]!r}")
-            i = j
+    for m in _REGEX_NAME[single].finditer(expr, i):
+        if m[0] not in names:
+            raise SpecError(f"regex offset {m.start()}: undeclared symbol {m[0]!r}")
 
 
 class _RegexParser:
     """Recursive descent over the expression string, at offset `i`.
 
-    Symbols, ε and stars are read in place in `concat`, with no token list,
-    and each symbol's node is built once and shared (records are
-    immutable). A parenthesized group still descends union -> concat ->
-    postfix -> atom -> union, four calls a level, so an expression nests
-    as deep before the recursion limit stops it. An undeclared symbol anywhere in
-    the expression takes precedence over a syntax error, as it does when
-    the whole expression is checked for symbols before it is parsed.
+    Symbols, ε, parenthesized groups and stars are read in place in
+    `concat`, with no token list, and each symbol's node is built once and
+    shared (records are immutable). A group costs two calls a level, union
+    and concat, so at Python's default recursion limit of 1000 groups nest
+    496 deep; past the limit, parse_regex raises a SpecError. An undeclared
+    symbol anywhere in the expression takes precedence over a syntax
+    error, as it does when the whole expression is checked for symbols
+    before it is parsed.
     """
 
     __slots__ = ("expr", "n", "names", "single", "i", "symbols")
@@ -238,17 +236,18 @@ class _RegexParser:
                 break
             ch = expr[i]
             if ch == "(":
-                self.i = i
-                parts.append(self.postfix())
-                i = self.i
-                continue
-            if ch in "|)*":
+                self.i = i + 1
+                node = self.union()
+                if self.i == n:
+                    self.fail(i, "unbalanced '('")
+                i = self.i + 1
+            elif ch in "|)*":
                 break
-            if ch == _EPSILON:
+            elif ch == _EPSILON:
                 node = _EPSILON_NODE
                 i += 1
             else:
-                j = i + 1 if self.single else _word_end(expr, i, n)
+                j = i + 1 if self.single else _REGEX_NAME[False].match(expr, i).end()
                 name = expr[i:j]
                 node = self.symbols.get(name)
                 if node is None:
@@ -269,30 +268,6 @@ class _RegexParser:
             found = repr(expr[i]) if i < n else "end of expression"
             self.fail(i, f"expected a term, found {found}")
         return concat_of(parts)
-
-    def postfix(self) -> RegexNode:
-        node = self.atom()
-        expr, n = self.expr, self.n
-        i = self.i
-        while True:
-            while i < n and expr[i].isspace():
-                i += 1
-            if i == n or expr[i] != "*":
-                break
-            node = _star(node)
-            i += 1
-        self.i = i
-        return node
-
-    def atom(self) -> RegexNode:
-        # Called at a '('.
-        off = self.i
-        self.i += 1
-        node = self.union()
-        if self.i == self.n:
-            self.fail(off, "unbalanced '('")
-        self.i += 1
-        return node
 
 
 def parse_regex(expr: str, symbol_names) -> RegexNode:
@@ -333,6 +308,11 @@ def render_regex(node: RegexNode, *, single_char_names: bool = True) -> str:
 # --- pattern tokenization -----------------------------------------------------
 
 
+# A pattern name token: one character when every name is one character,
+# else a whitespace-separated word.
+_PATTERN_NAME = {True: re.compile(r"\S"), False: re.compile(r"\S+")}
+
+
 def tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
     """Split a pattern string into declared symbol names."""
     names = frozenset(symbol_names)
@@ -341,37 +321,16 @@ def tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
         # Every character is a name, and no name is whitespace.
         return tuple(text)
     out = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if single:
-            if ch not in names:
-                raise SpecError(f"{where}: undeclared symbol {ch!r} at offset {i}")
-            out.append(ch)
-            i += 1
-            continue
-        j = i
-        while j < n and not text[j].isspace():
-            j += 1
-        word = text[i:j]
-        if word not in names:
-            raise SpecError(f"{where}: undeclared symbol {word!r} at offset {i}")
-        out.append(word)
-        i = j
+    for m in _PATTERN_NAME[single].finditer(text):
+        if m[0] not in names:
+            raise SpecError(f"{where}: undeclared symbol {m[0]!r} at offset {m.start()}")
+        out.append(m[0])
     if not out:
         raise SpecError(f"{where}: pattern is empty")
     return tuple(out)
 
 
 # --- JSON document parsing ----------------------------------------------------
-
-# What a symbol name may not contain: a character for which str.isspace()
-# is true, a regex special character or the empty-string sign.
-_SYMBOL_FORBIDDEN = re.compile(r"[\s()|*" + _EPSILON + "]")
 
 _SYMBOL_KEYS = {"name", "weight"}
 

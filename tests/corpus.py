@@ -66,6 +66,11 @@ names: it builds a token list of (kind, text, offset) tuples first and then
 walks it through peek and advance calls. It is kept as the reference for
 the one-pass descent over the expression string, and the reference spec
 parser below reads regexes through it.
+`reference_tokenize_pattern` is the former pattern tokenizer, verbatim apart
+from its name and docstring: a character loop that scans each
+whitespace-separated word by hand. It is kept as the reference for the
+tokenizer that reads names with one compiled token pattern, and the
+reference spec parser below splits patterns through it.
 `reference_parse_spec`, `reference_build_gf` (with `reference_mul`) and
 `reference_auto_capacity` are the former warm capacity path: a parser
 that checked every value again in the public constructors, builders that
@@ -112,7 +117,6 @@ from dnccap.chanspec import (
     Union,
     _require_object,
     concat_of,
-    tokenize_pattern,
     union_of,
 )
 from dnccap.errors import (
@@ -1319,6 +1323,39 @@ def reference_parse_regex(expr: str, symbol_names) -> RegexNode:
         raise SpecError("regex offset 0: expression nests too deeply") from None
 
 
+def reference_tokenize_pattern(text: str, symbol_names, where: str) -> tuple[str, ...]:
+    """The former tokenize_pattern: a character loop over the pattern."""
+    names = frozenset(symbol_names)
+    single = all(len(n) == 1 for n in names)
+    if single and text and names.issuperset(text):
+        # Every character is a name, and no name is whitespace.
+        return tuple(text)
+    out = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if single:
+            if ch not in names:
+                raise SpecError(f"{where}: undeclared symbol {ch!r} at offset {i}")
+            out.append(ch)
+            i += 1
+            continue
+        j = i
+        while j < n and not text[j].isspace():
+            j += 1
+        word = text[i:j]
+        if word not in names:
+            raise SpecError(f"{where}: undeclared symbol {word!r} at offset {i}")
+        out.append(word)
+        i = j
+    if not out:
+        raise SpecError(f"{where}: pattern is empty")
+    return tuple(out)
+
 
 def _reference_parse_constraint(doc, names, where: str):
     if not isinstance(doc, dict):
@@ -1337,7 +1374,7 @@ def _reference_parse_constraint(doc, names, where: str):
             here = f"{where}.patterns[{i}]"
             if not isinstance(pat, str):
                 raise SpecError(f"{here}: patterns must be strings")
-            patterns.append(tokenize_pattern(pat, names, here))
+            patterns.append(reference_tokenize_pattern(pat, names, here))
         return ForbiddenPatterns(tuple(patterns))
     if kind == "regex":
         _require_object(doc, where, ("type", "expr", "unambiguous"))

@@ -31,7 +31,9 @@ from dnccap import (
     render_spec,
     smallest_positive_root,
 )
+from dnccap.cli import _analytic_report
 from dnccap.solver import (
+    DEFAULT_TOL,
     bracket_denominator_roots,
     capacity_from_characteristic,
     characteristic_part,
@@ -141,6 +143,36 @@ def test_run_length_limited_capacities_match_the_literature():
             ok = ok and round(got, 4) == bits
             details.append(f"{name} {report.method} {got:.6f} bits (want {bits})")
     _report("run-length-limited capacities", ok, "; ".join(details))
+
+
+def test_shannons_telegraph_matches_the_literature():
+    # Shannon (1948, section 1): dot 2 units, dash 4, letter space 3, word
+    # space 6, and a space is followed by a dot or a dash. He gives 0.539
+    # bits per unit. Forbidding two spaces in a row (word patterns over
+    # multi-character names) differs only by a trailing space, so it has
+    # the same capacity.
+    regex_form = load_channel("telegraph.json")
+    doc = json.loads((CHANNELS_DIR / "telegraph.json").read_text())
+    doc["constraint"] = {
+        "type": "forbidden",
+        "patterns": ["lspace lspace", "lspace wspace", "wspace lspace", "wspace wspace"],
+    }
+    forbidden_form = parse_spec(json.dumps(doc))
+    assert forbidden_form.constraint.patterns[1] == ("lspace", "wspace")
+    regex_gf, forbidden_gf = build_gf(regex_form), build_gf(forbidden_form)
+    reports = {
+        "auto": _analytic_report(regex_form, regex_gf, None, DEFAULT_TOL),
+        "pole": smallest_positive_pole(regex_gf),
+    }
+    forbidden = _analytic_report(forbidden_form, forbidden_gf, None, DEFAULT_TOL)
+    ok = True
+    details = []
+    for route, report in reports.items():
+        bits = report.capacity_nats / math.log(2.0)
+        gap = abs(report.capacity_nats - forbidden.capacity_nats)
+        ok = ok and round(bits, 3) == 0.539 and gap <= report.error_bound + forbidden.error_bound
+        details.append(f"{route} {bits:.6f} bits (want 0.539), forbidden form {gap:.1e} off")
+    _report("Shannon's telegraph", ok, "; ".join(details))
 
 
 def test_enumeration_matches_series_on_corpus():

@@ -234,6 +234,27 @@ class TestArithmetic:
         expected = [(WeightVector((2,)), 3 * c), (WeightVector((1,)), -c)]
         assert list((p * constant).terms()) == expected
 
+    def test_one_term_factor_shifts_and_scales_on_each_side(self):
+        # term_product's one-term branch, with a factor that is not the
+        # constant 1: -3 y^(1 unit + 1 pi) against signed terms, on each
+        # side, equal term for term and in order to the nested product.
+        single = {WeightVector((1, 1)): -3}
+        other = {
+            WeightVector((2, 0)): 5,
+            WeightVector((0, 0)): -1,
+            WeightVector((0, 3)): -7,
+            WeightVector((1, 2)): 2,
+        }
+        for a, b in ((single, other), (other, single)):
+            expected = [
+                (WeightVector((wa[0] + wb[0], wa[1] + wb[1])), ca * cb)
+                for wa, ca in a.items()
+                for wb, cb in b.items()
+            ]
+            assert list(genpoly.term_product(a, b).items()) == expected
+            product = GeneralizedPolynomial(MIXED, a) * GeneralizedPolynomial(MIXED, b)
+            assert list(product.terms()) == expected
+
     @pytest.mark.parametrize("other", [
         GeneralizedPolynomial.one(MIXED),
         poly(MIXED, {(1, 0): 1}),

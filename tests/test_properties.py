@@ -7,6 +7,7 @@ import io
 import itertools
 import json
 import math
+import sys
 from unittest import mock
 
 import pytest
@@ -71,6 +72,7 @@ from corpus import (
     reference_mul,
     reference_parse_regex,
     reference_parse_spec,
+    reference_tokenize_pattern,
     reference_tuple_expand_series,
     reference_value_and_slope,
 )
@@ -356,21 +358,41 @@ def _parsed(parse, expr, names):
         return str(exc)
 
 
-class TestOnePassRegexParser:
-    @given(
-        st.sampled_from([("0", "1"), ("a",), ("go", "stop", "x1"), ("ab", "a", "b")]).flatmap(
-            lambda names: st.tuples(
-                st.lists(
-                    st.sampled_from(
-                        ["(", ")", "|", "*", "ε", " ", "\t", "q", "op", "x"] + list(names)
-                    ),
-                    max_size=16,
-                ).map("".join),
-                st.just(names),
-            )
+NAME_SETS = [("0", "1"), ("a",), ("go", "stop", "x1"), ("ab", "a", "b")]
+
+
+def _texts_over_names(pieces, separators=("",)):
+    """(text, names): a name set, and a text joined from its names and the
+    given pieces with one of the separators."""
+    return st.sampled_from(NAME_SETS).flatmap(
+        lambda names: st.tuples(
+            st.builds(
+                lambda parts, sep: sep.join(parts),
+                st.lists(st.sampled_from(pieces + list(names)), max_size=16),
+                st.sampled_from(separators),
+            ),
+            st.just(names),
         )
     )
-    @example(("(" * 400 + "0" + ")" * 400, ("0", "1")))
+
+
+def _with_free_frames(frames, parse, expr, names):
+    """_parsed with the recursion limit set `frames` above this call's own
+    depth, so the outcome does not depend on how deep the test runner
+    calls the test."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        return _parsed(parse, expr, names)
+    finally:
+        sys.setrecursionlimit(limit)
+
+
+class TestOnePassRegexParser:
+    @given(_texts_over_names(["(", ")", "|", "*", "ε", " ", "\t", "q", "op", "x"]))
     @example(("(" * 400 + "q", ("0", "1")))
     @settings(max_examples=500)
     def test_same_tree_or_error_as_the_former_parser(self, expr_names):
@@ -379,6 +401,55 @@ class TestOnePassRegexParser:
         # symbol anywhere outranks a syntax error.
         expr, names = expr_names
         assert _parsed(parse_regex, expr, names) == _parsed(reference_parse_regex, expr, names)
+
+    @pytest.mark.parametrize("body", ["0", "0*", "(0|1) 1*", "q"])
+    def test_400_nested_groups_give_the_former_tree(self, body):
+        # A group costs the parser two calls a level, so 400 levels fit in
+        # the 1000 frames of Python's default limit. The former parser, at
+        # four calls a level, gets the frames it needs: both give one tree,
+        # or one undeclared-symbol error.
+        expr = "(" * 400 + body + ")" * 400
+        names = ("0", "1")
+        tree = _with_free_frames(1000, parse_regex, expr, names)
+        assert tree == _with_free_frames(2000, reference_parse_regex, expr, names)
+        assert isinstance(tree, str) == (body == "q")
+
+    @pytest.mark.parametrize(
+        "closing, message",
+        [
+            ("0", "regex offset 0: expression nests too deeply"),
+            ("0" + ")" * 5000, "regex offset 0: expression nests too deeply"),
+            ("q", "regex offset 5000: undeclared symbol 'q'"),
+        ],
+        ids=["unclosed", "closed", "undeclared"],
+    )
+    def test_nesting_past_the_limit_is_a_spec_error(self, closing, message):
+        # 5 000 levels: the RecursionError surfaces as a SpecError, after
+        # an undeclared symbol anywhere in the expression.
+        with pytest.raises(SpecError) as info:
+            parse_regex("(" * 5000 + closing, ("0", "1"))
+        assert str(info.value) == message
+
+
+class TestPatternTokenizer:
+    @given(
+        _texts_over_names(
+            ["(", ")", "|", "*", "ε", " ", "\t", "q", "op"], separators=("", " ", "\t", "  ")
+        )
+    )
+    @example(("", ("0", "1")))
+    @example((" \t ", ("go", "stop", "x1")))
+    @example(("ab a b", ("ab", "a", "b")))
+    @settings(max_examples=500)
+    def test_same_tokens_or_error_as_the_former_tokenizer(self, text_names):
+        # The names, or the SpecError text with its offset, of the former
+        # character loop.
+        text, names = text_names
+
+        def outcome(tokenize):
+            return _parsed(lambda text, names: tokenize(text, names, "pattern"), text, names)
+
+        assert outcome(chanspec.tokenize_pattern) == outcome(reference_tokenize_pattern)
 
 
 def growth_polynomials():
