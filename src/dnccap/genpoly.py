@@ -36,15 +36,19 @@ successor's key is `key + step_key` and `pending` hashes ints. Each radix
 exceeds twice the largest digit a queued class or a step can carry, a
 bound taken from the cutoff and from TERM_LIMIT (see `_places`), so the
 addition never carries: distinct vectors get distinct keys, and on a tie
-in weight int order is tuple order. The pass builds a class's
-WeightVector and float once, when it queues the class.
+in weight int order is tuple order. A queued class is only its heap entry
+(float, key) and its `pending` sum. Its float comes from the key's
+digits, found by divmod by each place, most significant first; the
+WeightVectors of the recorded classes are decoded from their keys once,
+column by column, when the series is built (`_vectors`).
 
 A weight's float is one left-to-right sum of its products m_i * v_i,
 `left_sum`, which gives the same bits on every Python version (the builtin
 `sum()` adds floats with compensation since Python 3.12, which would move
 the printed digits of a weight of three or more atoms with the version).
 `WeightVector.value`, the series constructor, the spec parser and the
-density fit call it; the two hot loops spell out its expression inline.
+density fit call it; the two hot loops spell out its expression inline,
+adding digit * value per atom to 0.0 in atom order.
 Each weight's float is computed once per stage (the int 0 for the zero
 vector):
   - `GeneralizedPolynomial.float_terms()`, the hot loop of the capacity
@@ -56,11 +60,11 @@ vector):
     float range reads inf of its sign, so `evaluate` raises
     EvalOverflowError wherever it meets one.
   - `expand_series` and the enumeration walk compute the float of every
-    class they queue and hand those floats to the CoefficientSeries they
-    build. The series checks its entries with them and caches them for
-    `values`, `pairs`, `evaluate` and every later reader. A series built
-    through its public constructor computes its floats by `left_sum` and
-    runs the same check on them.
+    class they queue from its key's digits and hand those floats to the
+    CoefficientSeries they build. The series checks its entries with
+    them and caches them for `values`, `pairs`, `evaluate` and every
+    later reader. A series built through its public constructor computes
+    its floats by `left_sum` and runs the same check on them.
 """
 
 from __future__ import annotations
@@ -69,7 +73,8 @@ import heapq
 import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import reduce
-from operator import add, itemgetter, lt, mul
+from itertools import repeat
+from operator import add, floordiv, itemgetter, lt, mod, mul
 
 from ._record import Record, set_slot as _set
 from .errors import (
@@ -617,11 +622,35 @@ class CoefficientSeries(Record):
         return sum(c for _, c in self.entries)
 
     def evaluate(self, y: float) -> float:
-        """Partial sum of the series at y; monotone in the cutoff for y > 0."""
+        """Partial sum of the series at y; monotone in the cutoff for y > 0.
+
+        A term is c * y**v while its factors are floats. A count past the
+        float range, or a power past it, enters as exp(log(c) + v*log(y)),
+        0 at y = 0 when v > 0, so a finite sum of huge counts stays
+        finite. EvalOverflowError when the sum is not finite.
+        """
         total = 0.0
         for v, (_, c) in zip(self._values, self.entries):
-            total += c * (y ** v)
+            try:
+                total += c * (y ** v)
+            except OverflowError:
+                total += _huge_term(c, v, y)
+        if not math.isfinite(total):
+            raise EvalOverflowError(f"overflow evaluating series at y={y!r}")
         return total
+
+
+def _huge_term(c: int, v: float, y: float) -> float:
+    """c * y**v for a count c >= 0 or a power y**v past the float range:
+    inf when that product is."""
+    if not c or (not y and v):
+        return 0.0
+    if not v:
+        return math.inf
+    try:
+        return math.exp(math.log(c) + v * math.log(y))
+    except OverflowError:
+        return math.inf
 
 
 def _places(values, cutoff: float, start, steps, budget: int) -> list[int]:
@@ -661,6 +690,22 @@ def _places(values, cutoff: float, start, steps, budget: int) -> list[int]:
     return places
 
 
+def _vectors(keys: list[int], places: list[int]) -> list[WeightVector]:
+    """The WeightVector of each packed key, decoded column by column: a
+    digit is the quotient by its atom's place of what the more significant
+    digits leave, and the last digit is the remainder."""
+    if not places:
+        return [WeightVector._unchecked(())] * len(keys)
+    columns = []
+    low = keys
+    for place in places[:-1]:
+        columns.append(list(map(floordiv, low, repeat(place))))
+        low = list(map(mod, low, repeat(place)))
+    columns.append(low)
+    # Digits of a key within _places' bounds are valid multiplicities.
+    return list(map(tuple.__new__, repeat(WeightVector), zip(*columns)))
+
+
 def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     """Exact coefficient extraction from a quotient, up to a weight cutoff.
 
@@ -679,6 +724,11 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     negative means the quotient does not enumerate a language (e.g. an
     ambiguous construction) and raises ExpansionError. TERM_LIMIT caps
     the number of weight classes generated.
+
+    A class is its packed key (see `_places`): the heap holds (float,
+    key) pairs, the float computed from the key's digits when the class
+    is queued. The keys of the classes with a nonzero count become
+    WeightVectors once, at the end.
     """
     cutoff = float(cutoff)
     if not cutoff >= 0 or math.isinf(cutoff):
@@ -700,24 +750,28 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
     places = _places(
         values, cutoff, [m for _, m, _ in start], [step for step, _ in growth], term_limit
     )
-    steps = [(sum(map(mul, step, places)), step, e) for step, e in growth]
+    steps = [(sum(map(mul, step, places)), e) for step, e in growth]
+    # A key's digits, most significant first: the quotient by each leading
+    # place, and the remainder last.
+    lead = list(zip(places, values))[:-1]
+    last = values[-1] if values else 0.0
     pending: dict[int, int] = {}
-    heap: list[tuple[float, int, WeightVector]] = []
+    heap: list[tuple[float, int]] = []
     for value, mults, c in start:
         key = sum(map(mul, mults, places))
         pending[key] = c
-        heap.append((value, key, mults))
+        heap.append((value, key))
     heapq.heapify(heap)
     generated = len(heap)
-    entries: list[tuple[WeightVector, int]] = []
+    keys: list[int] = []
+    counts: list[int] = []
     weights: list[float] = []
-    new = tuple.__new__
     while heap:
         if generated > term_limit:
             raise ResourceLimitError(
                 f"series expansion exceeded the term limit of {term_limit}"
             )
-        value, key, mults = heapq.heappop(heap)
+        value, key = heapq.heappop(heap)
         total = pending.pop(key)
         count, rest = divmod(total, d0)
         if rest:
@@ -734,19 +788,24 @@ def expand_series(gf: RationalGF, cutoff: float) -> CoefficientSeries:
             )
         if not count:
             continue
-        entries.append((mults, count))
+        keys.append(key)
+        counts.append(count)
         weights.append(value)
-        for step_key, step, e in steps:
+        for step_key, e in steps:
             nkey = key + step_key
             if nkey in pending:
                 pending[nkey] += e * count
                 continue
-            # A sum of valid vectors is valid; its float is left_sum's,
-            # spelt out to save the call.
-            nmults = new(WeightVector, map(add, mults, step))
-            nvalue = reduce(add, map(mul, nmults, values), 0.0)
+            # left_sum's float of the key's digits, spelt out inline.
+            nvalue = 0.0
+            low = nkey
+            for place, v in lead:
+                digit, low = divmod(low, place)
+                nvalue += digit * v
+            nvalue += low * last
             if nvalue <= cutoff:
                 pending[nkey] = e * count
-                heapq.heappush(heap, (nvalue, nkey, nmults))
+                heapq.heappush(heap, (nvalue, nkey))
                 generated += 1
+    entries = list(zip(_vectors(keys, places), counts))
     return CoefficientSeries._from_values(basis, entries, weights, cutoff)

@@ -10,9 +10,12 @@ one-to-one to automaton paths, so aggregating counts per configuration
 enumerates strings without storing them.
 
 Each class is keyed by one int that packs its multiplicities in mixed
-radix (see `_places`). The series expansion packs its keys the same way,
-but this module keeps its own code for it: the oracle shares no code with
-the analytic routes it checks.
+radix (see `_places`). A queued class is only its heap entry (float, key)
+and its `pending` counts: the float comes from the key's digits, and the
+WeightVectors of the recorded classes are decoded from their keys once,
+at the end (`_vectors`). The series expansion packs and decodes its keys
+the same way, but this module keeps its own code for it: the oracle
+shares no code with the analytic routes it checks.
 
 `estimate_capacity` turns the same walk into a certified lower bound on
 capacity. The walk runs one loop walk per automaton state q (up to
@@ -50,9 +53,8 @@ from __future__ import annotations
 import heapq
 import math
 from collections.abc import Mapping
-from functools import reduce
-from itertools import accumulate, islice
-from operator import add, itemgetter, mul
+from itertools import accumulate, islice, repeat
+from operator import floordiv, itemgetter, mod, mul
 
 from . import automaton as automaton_mod
 from ._record import Record
@@ -162,6 +164,20 @@ def _widen(packed: int, n_slots: int, nbytes: int) -> int:
     )
 
 
+def _vectors(keys: list[int], places: list[int]) -> list[WeightVector]:
+    """The WeightVector of each packed key, decoded column by column: a
+    digit is the quotient by its atom's place of what the more significant
+    digits leave, and the last digit is the remainder."""
+    columns = []
+    low = keys
+    for place in places[:-1]:
+        columns.append(list(map(floordiv, low, repeat(place))))
+        low = list(map(mod, low, repeat(place)))
+    columns.append(low)
+    # Every class is a sum of symbol weights, so its digits are valid.
+    return list(map(tuple.__new__, repeat(WeightVector), zip(*columns)))
+
+
 def _walk(
     spec: ChannelSpec, machine: ConstraintAutomaton, cutoff: float, n_loops: int
 ) -> tuple[list, list, list, float, int, int]:
@@ -178,10 +194,12 @@ def _walk(
     multiplicity order. Every contribution to a class comes from a
     strictly lighter one, so a popped class is final. Per popped class the
     walk computes one successor key per distinct symbol weight; a new
-    successor's WeightVector and numeric weight are built once, and it is
-    queued only within the cutoff and only if some arc reaches it. The pop
-    order is the order of weight_sort_key, so each walk's records come out
-    in series order. Every recorded count is at least 1.
+    successor's numeric weight is computed once, from the key's digits,
+    and it is queued as (weight, key) only within the cutoff and only if
+    some arc reaches it. The pop order is the order of weight_sort_key, so
+    each walk's records come out in series order. Every recorded count is
+    at least 1. Records hold keys until the walk ends, when each recorded
+    class's key is decoded into one WeightVector.
 
     The walks travel together. `pending` maps each queued class to one int
     per automaton state, whose slot w, `width` bits wide, holds walk w's
@@ -207,7 +225,8 @@ def _walk(
     slot: a popped slot is below 2**(width - 1), so its high bit is then
     set exactly when it is not 0. The budget is checked once the class's
     arcs are followed; past MAX_CONFIGS the ResourceLimitError's `partial`
-    holds the series' weight classes completed before that class.
+    holds the series' weight classes completed before that class, their
+    keys decoded there.
 
     Returns (series pairs, per-walk return pairs, series weights, loop
     bound, configurations, classes). The pairs are (WeightVector, count),
@@ -227,7 +246,12 @@ def _walk(
         for sym in spec.symbols
     }
     places = _places(values, cutoff, list(step_index), max_configs)
-    steps = [(sum(map(mul, step, places)), step) for step in step_index]
+    step_keys = [sum(map(mul, step, places)) for step in step_index]
+    # A key's digits, most significant first: the quotient by each leading
+    # place, and the remainder last. A channel's symbols have positive
+    # weight, so its basis has an atom.
+    lead = list(zip(places, values))[:-1]
+    last = values[-1]
     # One arc list per state: (step index, next state).
     arcs = [
         tuple((step_of[name], nxt) for name, nxt in row.items()) for row in machine.transitions
@@ -254,35 +278,38 @@ def _walk(
     else:
         width = guard_bits = 0
     pending: dict[int, dict[int, int]] = {0: {q: 1 << q * width for q in range(n_walks)}}
-    # Every class is a sum of symbol weights, so a valid vector.
-    new = tuple.__new__
     # Weight zero is the int 0, as WeightVector.value gives it to the
     # series; the zero vector's key is 0 too.
-    heap = [(0, 0, new(WeightVector, (0,) * len(values)))]
-    series: list[tuple[WeightVector, int]] = []
+    heap: list[tuple[float, int]] = [(0, 0)]
+    # (key, count) records; the keys become WeightVectors at the end.
+    series: list[tuple[int, int]] = []
     weights: list[float] = []
-    loops: list[list[tuple[WeightVector, int]]] = [[] for _ in range(n_loops)]
+    loops: list[list[tuple[int, int]]] = [[] for _ in range(n_loops)]
     loop_bound = 0.0
     log = math.log
     configurations = classes = 0
     while heap:
-        value, key, mults = heappop(heap)
+        value, key = heappop(heap)
         configs = pending.pop(key)
         classes += 1
         if not many:
             configurations += len(configs)
         targets = []
         fresh = []
-        for step_key, step in steps:
+        for step_key in step_keys:
             nkey = key + step_key
             target = pending.get(nkey)
             if target is None:
-                # The float is WeightVector.value's left-to-right sum.
-                nmults = new(WeightVector, map(add, mults, step))
-                nvalue = reduce(add, map(mul, nmults, values), 0.0)
+                # WeightVector.value's left-to-right sum of the key's digits.
+                nvalue = 0.0
+                low = nkey
+                for place, v in lead:
+                    digit, low = divmod(low, place)
+                    nvalue += digit * v
+                nvalue += low * last
                 if nvalue <= cutoff:
                     target = {}
-                    fresh.append((nvalue, nkey, nmults, target))
+                    fresh.append((nvalue, nkey, target))
             targets.append(target)
         accepted = seen = 0
         for state, packed in configs.items():
@@ -296,7 +323,7 @@ def _walk(
                 if kind & 2:
                     count = packed >> state * width & mask if many else packed
                     if count:
-                        loops[state].append((mults, count))
+                        loops[state].append((key, count))
                         # A count of 1 bounds nothing, and every return at weight 0 is 1.
                         if count > 1:
                             bound = log(count) / value
@@ -307,18 +334,19 @@ def _walk(
                 if target is not None:
                     target[nxt] = target.get(nxt, 0) + packed
         if configurations > max_configs:
+            done = _vectors([k for k, _ in series], places)
             raise ResourceLimitError(
                 f"enumeration exceeded {max_configs} configurations "
                 f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
-                partial=dict(series),
+                partial=dict(zip(done, map(itemgetter(1), series))),
             )
         if accepted:
-            series.append((mults, accepted))
+            series.append((key, accepted))
             weights.append(value)
-        for nvalue, nkey, nmults, target in fresh:
+        for nvalue, nkey, target in fresh:
             if target:
                 pending[nkey] = target
-                heappush(heap, (nvalue, nkey, nmults))
+                heappush(heap, (nvalue, nkey))
         if seen & guard_bits:
             nbytes = width // 8
             for entries in pending.values():
@@ -326,6 +354,11 @@ def _walk(
                     entries[state] = _widen(packed, n_walks, nbytes)
             width *= 2
             mask, below_high, high, guard_bits = _slot_masks(n_walks, width, guard)
+    # One vector per recorded class, shared by the series and the returns.
+    recorded = list({k for records in (series, *loops) for k, _ in records})
+    vector = dict(zip(recorded, _vectors(recorded, places)))
+    series = [(vector[k], c) for k, c in series]
+    loops = [[(vector[k], c) for k, c in returns] for returns in loops]
     return series, loops, weights, loop_bound, configurations, classes
 
 

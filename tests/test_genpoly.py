@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import math
+import operator
 import pickle
 from collections import Counter
+from fractions import Fraction
 from types import MappingProxyType
 
 import pytest
@@ -25,7 +27,7 @@ from dnccap import (
     enumerate_channel,
     expand_series,
 )
-from dnccap import genpoly
+from dnccap import genpoly, oracle
 
 from corpus import (
     SHIPPED_CUTOFFS,
@@ -496,6 +498,88 @@ class TestPackedKeys:
         assert genpoly._places((1.0, 5e-324), 1.0, [(0, 3)], [(1, 2)], 7) == [35, 1]
 
 
+# Every class and successor key within _places' bounds, for a start at
+# weight zero: a digit of atom i up to D_i + S_i, where D_i is the budget
+# bound budget * S_i cut by the cutoff bound int(2 * cutoff / v_i) when
+# that is finite, and S_i the largest step digit. With a zero start both
+# modules' places are the same ints.
+def _zero_start_places(module, values, cutoff, steps, budget):
+    if module is genpoly:
+        return genpoly._places(values, cutoff, [(0,) * len(values)], steps, budget)
+    return oracle._places(values, cutoff, steps, budget)
+
+
+def _digit_bounds(values, cutoff, steps, budget):
+    bounds = []
+    for i, v in enumerate(values):
+        step_digit = max(step[i] for step in steps)
+        digit = budget * step_digit
+        quotient = 2.0 * cutoff / v
+        if not math.isinf(quotient):
+            digit = min(digit, int(quotient))
+        bounds.append(digit + step_digit)
+    return bounds
+
+
+def _digit_float(key, places, values):
+    """The hot loops' float of a packed key: its digits, most significant
+    first, times their atoms' values, added one by one from 0.0."""
+    total = 0.0
+    for place, v in zip(places, values):
+        digit, key = divmod(key, place)
+        total += digit * v
+    return total
+
+
+@st.composite
+def decode_cases(draw):
+    """(atom values, steps, cutoff, budget): 1-4 atoms of ATOM_VALUES, or a
+    RADIX_CASES extreme with its term limit or the default one."""
+    if draw(st.booleans()):
+        values, steps, cutoff, limit = RADIX_CASES[draw(st.sampled_from(sorted(RADIX_CASES)))]
+        return values, steps, cutoff, limit or genpoly.TERM_LIMIT
+    n = draw(st.integers(1, 4))
+    values = tuple(draw(st.lists(st.sampled_from(ATOM_VALUES), min_size=n, max_size=n)))
+    digits = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    steps = draw(st.lists(digits, min_size=1, max_size=3))
+    cutoff = draw(st.sampled_from([0.0, 1.0, 6.5, 20.0]))
+    return values, steps, cutoff, draw(st.sampled_from([3, genpoly.TERM_LIMIT]))
+
+
+class TestKeyDecode:
+    @settings(max_examples=300, deadline=None)
+    @given(decode_cases(), st.sampled_from([genpoly, oracle]), st.data())
+    def test_keys_decode_to_their_vectors_and_floats(self, case, module, data):
+        values, steps, cutoff, budget = case
+        places = _zero_start_places(module, values, cutoff, steps, budget)
+        bounds = _digit_bounds(values, cutoff, steps, budget)
+        # No digit within its bound reaches its atom's radix.
+        radixes = [hi // lo for hi, lo in zip(places, places[1:])]
+        assert all(b < r for b, r in zip(bounds[1:], radixes))
+        digits = st.tuples(*[st.integers(0, b) for b in bounds])
+        vectors = data.draw(st.lists(digits, max_size=8)) + [tuple(bounds)]
+        vectors = [WeightVector(v) for v in vectors]
+        keys = [sum(map(operator.mul, v, places)) for v in vectors]
+        decoded = module._vectors(keys, places)
+        assert decoded == vectors
+        assert all(type(v) is WeightVector for v in decoded)
+        basis = WeightBasis.from_mapping({f"a{i}": v for i, v in enumerate(values)})
+        # A successor has positive weight; the zero vector's weight is the int 0.
+        nonzero = [(wv, key) for wv, key in zip(vectors, keys) if any(wv)]
+        assert _bits([_digit_float(key, places, values) for _, key in nonzero]) == _bits(
+            [wv.value(basis) for wv, _ in nonzero]
+        )
+
+    def test_empty_basis_decodes_to_the_empty_vector(self):
+        # A quotient over no atoms expands to constants at weight zero.
+        assert genpoly._vectors([0, 0], []) == [WeightVector(()), WeightVector(())]
+        basis = WeightBasis(())
+        gf = RationalGF(
+            GeneralizedPolynomial.constant(basis, 3), GeneralizedPolynomial.constant(basis, 1)
+        )
+        assert expand_series(gf, 2.0).entries == ((WeightVector(()), 3),)
+
+
 class TestCoefficientSeries:
     @pytest.mark.parametrize(
         "entries, values, message",
@@ -629,6 +713,33 @@ class TestCoefficientSeries:
         )
         assert series.evaluate(0.5) == pytest.approx(1 + 2 * 0.5)
         assert series.total_count() == 3
+
+    def test_partial_sums_of_counts_past_the_float_range(self):
+        # ex3 to weight 1300: counts of up to 1144 bits, partial sums of
+        # exactly 1 at y = 0 and about (1 + y + y^2) / (1 - y - y^2 - y^3)
+        # = 14 at y = 0.5; at y = 1 the sum itself is past the float range.
+        series = expand_series(build_gf(load_channel("ex3.json")), 1300.0)
+        assert max(series.counts()).bit_length() == 1144
+        total = series.evaluate(0.0)
+        assert (type(total), total) == (float, 1.0)
+        exact = sum(Fraction(c, 2 ** round(v)) for v, c in series.pairs())
+        assert series.evaluate(0.5) == pytest.approx(float(exact), rel=1e-12)
+        with pytest.raises(EvalOverflowError):
+            series.evaluate(1.0)
+
+    def test_huge_counts_and_powers(self):
+        series = CoefficientSeries(
+            UNIT, ((WeightVector((0,)), 3), (WeightVector((1000,)), 2**1100)), 1000.0
+        )
+        # 2**1100 * 0.5**1000 = 2**100, plus the 3 at weight 0.
+        assert series.evaluate(0.5) == pytest.approx(2.0**100 + 3, rel=1e-12)
+        assert series.evaluate(0.0) == 3.0
+        # Counts that fit a float keep the term c * y**v; a power past the
+        # float range makes the sum infinite.
+        small = CoefficientSeries(UNIT, ((WeightVector((2000,)), 1),), 2000.0)
+        assert small.evaluate(0.5) == 0.5**2000.0
+        with pytest.raises(EvalOverflowError):
+            small.evaluate(2.0)
 
 
 def _bits(values):

@@ -505,6 +505,32 @@ class TestPackedWalks:
         assert max(c for _, c in enum.series.entries).bit_length() > oracle.SLOT_BITS
         _assert_budget_stop_matches_reference(monkeypatch, spec, self.DEEP[name], 21)
 
+    # (atom values, symbol weights, cutoff, series class to stop at): free
+    # specs over the extreme bases of TestPackedKeys. Atom a1 = 5e-324 has
+    # an infinite cutoff bound 2 * 12 / 5e-324, so the budget bounds its
+    # digit; its symbol weighs 2.0 as a float, and only the classes of
+    # weight 2 to 5 are alone at their float. 1e308 at cutoff 1e308, and
+    # a symbol of one 10**300 digit of 1e-300.
+    EXTREMES = {
+        "tiny-atom-inf-bound": ((1.0, 5e-324), [{"a0": 2, "a1": 1}, {"a0": 3}], 12.0, 3),
+        "huge-atom": ((1e308,), [{"a0": 1}, {"a0": 1}], 1e308, 1),
+        "large-digit": ((1.0, 1e-300), [{"a0": 1}, {"a1": 10**300}], 12.0, 9),
+    }
+
+    @pytest.mark.parametrize("case", sorted(EXTREMES))
+    def test_extreme_bases_match_the_tuple_keyed_walk(self, monkeypatch, case):
+        values, weights, cutoff, pick = self.EXTREMES[case]
+        doc = {
+            "atoms": {f"a{i}": v for i, v in enumerate(values)},
+            "symbols": [{"name": str(i), "weight": w} for i, w in enumerate(weights)],
+            "constraint": {"type": "free"},
+        }
+        spec = parse_spec(json.dumps(doc))
+        enum = _assert_walk_matches_reference(spec, cutoff)
+        values = enum.series.values()
+        assert values.count(values[pick]) == 1
+        _assert_budget_stop_matches_reference(monkeypatch, spec, cutoff, pick)
+
     def test_huge_cutoff_budget_sizes_slots_from_the_counts(self, monkeypatch):
         # ex3's classes carry 3, 5, 7, then 9 configurations each (see
         # test_budget_stopping_a_loop_walk_keeps_series_counts), so 20 000
