@@ -20,9 +20,9 @@ Either way each slot is written once, by the constructor; assigning or
 deleting an attribute afterwards raises AttributeError. A parser that has
 checked every value itself, with the value's position for its error
 message, builds its records past their checks: `ChannelSpec`, the
-constraint and the regex nodes through `_unchecked`, `WeightBasis` through
-`WeightBasis._distinct`, and each `WeightAtom` and `SymbolDef` of its
-loops by writing the two slots itself, as `_unchecked` does.
+constraint and the regex nodes through `_unchecked`, and each `WeightAtom`
+and `SymbolDef` of its loops by writing the two slots itself, as
+`_unchecked` does. It builds the `WeightBasis` through its constructor.
 """
 
 from __future__ import annotations

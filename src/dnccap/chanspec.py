@@ -356,7 +356,6 @@ def _parse_atoms(doc, where: str) -> WeightBasis:
     new = object.__new__
     inf = math.inf
     atoms = []
-    index = {}
     for name, raw in doc.items():
         # An ASCII Python identifier is exactly [A-Za-z_][A-Za-z0-9_]*.
         if not (name.isascii() and name.isidentifier()):
@@ -373,15 +372,13 @@ def _parse_atoms(doc, where: str) -> WeightBasis:
             raise SpecError(f"{where}.{name}: atom value must be a number")
         if not value > 0.0 or value == inf:
             raise SpecError(f"{where}.{name}: atom value must be positive and finite")
-        # The name and value are checked above, and the keys of one
-        # object are distinct names: the record is built past its
-        # constructor, as WeightAtom._unchecked would, without the call.
+        # The name and value are checked above: the record is built past
+        # its constructor by writing its two slots.
         atom = new(WeightAtom)
         _set(atom, "name", name)
         _set(atom, "value", value)
-        index[name] = len(atoms)
         atoms.append(atom)
-    return WeightBasis._distinct(tuple(atoms), index)
+    return WeightBasis(atoms)
 
 
 def _parse_symbols(doc, basis: WeightBasis, where: str) -> tuple[SymbolDef, ...]:

@@ -128,18 +128,6 @@ class WeightBasis(Record):
         index = {a.name: i for i, a in enumerate(atoms)}
         if len(index) != len(atoms):
             raise ValueError("duplicate atom names in basis")
-        self._fill(atoms, index)
-
-    @classmethod
-    def _distinct(cls, atoms: tuple[WeightAtom, ...], index: dict[str, int]) -> "WeightBasis":
-        """The basis of atoms with distinct names, such as the keys of one
-        JSON object, and `index`, each name's position in `atoms`; built
-        past the constructor's duplicate-name check."""
-        basis = object.__new__(cls)
-        basis._fill(atoms, index)
-        return basis
-
-    def _fill(self, atoms: tuple[WeightAtom, ...], index: dict[str, int]) -> None:
         _set(self, "atoms", atoms)
         _set(self, "_values", tuple(a.value for a in atoms))
         _set(self, "_index", index)

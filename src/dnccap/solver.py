@@ -43,6 +43,11 @@ characteristic route, and on the pole route every pass over D's terms
 (the scan's own pass also gives P, N and their slopes), Newton passes
 and certificates included, but not the bisection steps the window decided.
 
+A bisection narrows its bracket to a width of `tol`, or to adjacent floats.
+One that stops with its low end still at 0 has a root below `tol`: it goes
+on to a width of `tol` times the high end. If the low end is 0 even then,
+the root lies below the float range, and the first stop is the answer.
+
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
 
@@ -193,13 +198,15 @@ def smallest_positive_root(
     p must be strictly increasing where it matters: all coefficients
     nonnegative, at least one term of positive weight, and p(0) < target.
     Doubling from 1 brackets the root, then bisection narrows the bracket
-    to high - low <= tol, or to adjacent floats. Every doubling and
-    bisection step counts as one iteration. The float evaluation of p is
-    below target at low (or low is 0) and at or above target at high (or
-    overflows there); the exact values may differ by rounding, so the
-    exact root is not certified to lie in [low, high]. A bisection step
-    whose midpoint the Newton window of `_characteristic_window` already
-    decides is taken without evaluating p.
+    to high - low <= tol, or to adjacent floats. A root below tol is
+    narrowed on to high - low <= tol * high, unless it lies below the
+    float range, which leaves low at 0. Every doubling and bisection step
+    counts as one iteration. The float evaluation of p is below target at
+    low (or low is 0) and at or above target at high (or overflows there);
+    the exact values may differ by rounding, so the exact root is not
+    certified to lie in [low, high]. A bisection step whose midpoint the
+    Newton window of `_characteristic_window` already decides is taken
+    without evaluating p.
     """
     _check_tol(tol)
     for wv, c in p.terms():
@@ -239,8 +246,30 @@ def _bisection(lo: float, hi: float, tol: float, a: float, b: float, side) -> Ro
     each halving. `side(mid)` is True on lo's side, False on hi's, and
     None at an exact zero, which closes the bracket there. It is not
     called for a midpoint at or below a or at or above b, which the
-    certified window [a, b] (or (lo, hi) for none) already places."""
-    iterations = 0
+    certified window [a, b] (or (lo, hi) for none) already places.
+
+    A stop that leaves lo at 0 brackets a root below tol: halving goes on
+    while hi - lo exceeds tol * hi. Each further round stops at tol times
+    the hi it starts from, which only shrinks, so the rounds end at the
+    first bracket that narrow, or at a round that takes no step. A lo
+    still at 0 then puts the root below the float range, and the first
+    stop stands."""
+    lo, hi, iterations = _halve(lo, hi, tol, 0, a, b, side)
+    if lo == 0.0:
+        fine_lo, fine_hi, steps = lo, hi, iterations
+        while fine_hi - fine_lo > tol * fine_hi:
+            fine_lo, fine_hi, more = _halve(fine_lo, fine_hi, tol * fine_hi, steps, a, b, side)
+            if more == steps:
+                break
+            steps = more
+        if fine_lo > 0.0:
+            lo, hi, iterations = fine_lo, fine_hi, steps
+    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+
+
+def _halve(lo: float, hi: float, tol: float, iterations: int, a: float, b: float, side):
+    """The halvings of `_bisection` down to hi - lo <= tol: (lo, hi,
+    iterations) at the stop."""
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
@@ -253,13 +282,12 @@ def _bisection(lo: float, hi: float, tol: float, a: float, b: float, side) -> Ro
         else:
             low = side(mid)
             if low is None:
-                lo = hi = mid
-                break
+                return mid, mid, iterations
             if low:
                 lo = mid
             else:
                 hi = mid
-    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+    return lo, hi, iterations
 
 
 def _settled(step: float, last: float, width: float) -> bool:
@@ -460,35 +488,37 @@ class _PoleScan:
     def _bounds(self, y: float) -> tuple[float, ...]:
         """One pass over D's terms at y in [0, 1]: P(y), N(y), y P'(y), y N'(y),
         the parts of y P'(y) and y N'(y) from terms of weight >= 1 and from
-        the others, and D(y), each summed in term order as `evaluate` and
-        `value_and_slope` sum them. A side that overflows reads inf
-        throughout, which fails a skip test, not the scan; `_d_value`
-        checks D where the walk uses it."""
+        the others, and D(y). P, N and the parts are summed in term order
+        as `evaluate` sums D, and each of y P'(y) and y N'(y) is its two
+        parts added. A side that overflows reads inf throughout, which
+        fails a skip test, not the scan; `_d_value` checks D where the walk
+        uses it."""
         self.evaluations += 1
-        d = p = n = dp = dn = p_convex = n_convex = p_concave = n_concave = 0.0
+        d = p = n = p_convex = n_convex = p_concave = n_concave = 0.0
         for e, c in self.den.float_terms():
             t = c * y**e
             d += t
             s = e * t
             if c > 0.0:
                 p += t
-                dp += s
                 if e >= 1:
                     p_convex += s
                 else:
                     p_concave += s
             else:
                 n -= t
-                dn -= s
                 if e >= 1:
                     n_convex -= s
                 else:
                     n_concave -= s
         if not p < math.inf:
-            p = dp = p_convex = p_concave = math.inf
+            p = p_convex = p_concave = math.inf
         if not n < math.inf:
-            n = dn = n_convex = n_concave = math.inf
-        return p, n, dp, dn, p_convex, n_convex, p_concave, n_concave, d
+            n = n_convex = n_concave = math.inf
+        return (
+            p, n, p_convex + p_concave, n_convex + n_concave,
+            p_convex, n_convex, p_concave, n_concave, d,
+        )
 
     def __iter__(self) -> Iterator[RootResult]:
         margin = self.margin

@@ -52,10 +52,12 @@ the initial state beside that state's loop walk. They are kept as the
 reference for the packed int keys and for the series walk that is the
 initial state's loop walk.
 `reference_bisection_root` and `reference_bisect_bracket` are the former
-bisection loops of `smallest_positive_root` and of a pole bracket, verbatim
-apart from their names and the bracket's evaluation counter: each evaluates
-every midpoint. They are kept as the reference for the bisections that skip
-the midpoints a Newton window decides.
+bisection loops of `smallest_positive_root` and of a pole bracket: each
+evaluates every midpoint. They are kept as the reference for the bisections
+that skip the midpoints a Newton window decides. Both halve through
+`reference_halvings`, which writes out step by step the stop rule for a
+root below tol that `solver._bisection` takes in rounds, and the reference
+pole scan bisects its brackets through `reference_bisect_bracket`.
 `reference_is_removable` is the former removability check, which summed
 the numerator's term sizes and then evaluated it, two passes, each over the
 int coefficients; it is kept as the reference for the check that takes both
@@ -575,24 +577,9 @@ def reference_bracket_denominator_roots(
             evaluations += 1
             continue
         if prev_v is not None and (v < 0.0) != (prev_v < 0.0):
-            lo, hi = prev_y, y
-            flo = prev_v
-            iterations = 0
-            while hi - lo > tol:
-                mid = (lo + hi) / 2.0
-                if mid == lo or mid == hi:
-                    break
-                iterations += 1
-                fmid = evaluate(mid)
-                if fmid == 0.0:
-                    lo = hi = mid
-                    break
-                if (fmid < 0.0) == (flo < 0.0):
-                    lo, flo = mid, fmid
-                else:
-                    hi = mid
-            evaluations += iterations
-            found.append(RootResult((lo + hi) / 2.0, lo, hi, iterations))
+            root = reference_bisect_bracket(gf.denominator, prev_y, y, prev_v, tol)
+            evaluations += root.iterations
+            found.append(root)
         prev_y, prev_v = y, v
     return found, evaluations
 
@@ -647,40 +634,56 @@ def reference_bisection_root(
         iterations += 1
         if iterations > MAX_DOUBLINGS:
             raise SolverError(f"no root found below {hi:.3g}")
-    while hi - lo > tol:
-        mid = (lo + hi) / 2.0
-        if mid == lo or mid == hi:
-            break
-        iterations += 1
+
+    def below(mid: float) -> bool:
         try:
-            below = at(mid) < target
+            return at(mid) < target
         except EvalOverflowError:
-            below = False
-        if below:
-            lo = mid
-        else:
-            hi = mid
-    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
+            return False
+
+    found = reference_halvings(lo, hi, tol, below)
+    return RootResult(found.root, found.low, found.high, iterations + found.iterations)
 
 
 def reference_bisect_bracket(
     den: GeneralizedPolynomial, lo: float, hi: float, flo: float, tol: float
 ) -> RootResult:
-    at = den.evaluate
+    def on_lo_side(mid: float) -> bool | None:
+        fmid = den.evaluate(mid)
+        return None if fmid == 0.0 else (fmid < 0.0) == (flo < 0.0)
+
+    return reference_halvings(lo, hi, tol, on_lo_side)
+
+
+def reference_halvings(lo: float, hi: float, tol: float, on_lo_side) -> RootResult:
+    """Halve [lo, hi] while hi - lo > tol, evaluating every midpoint, or to
+    adjacent floats. `on_lo_side(mid)` is True, False, or None for an exact
+    zero, which closes the bracket. A stop that leaves lo at 0 is noted,
+    and halving goes on while hi - lo > tol * hi; if lo is still 0 at the
+    end, the noted stop is the answer."""
     iterations = 0
-    while hi - lo > tol:
+    first = None
+    while True:
+        if first is None and not hi - lo > tol:
+            if lo > 0.0:
+                break
+            first = lo, hi, iterations
+        if first is not None and not hi - lo > tol * hi:
+            break
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
         iterations += 1
-        fmid = at(mid)
-        if fmid == 0.0:
+        low = on_lo_side(mid)
+        if low is None:
             lo = hi = mid
             break
-        if (fmid < 0.0) == (flo < 0.0):
-            lo, flo = mid, fmid
+        if low:
+            lo = mid
         else:
             hi = mid
+    if first is not None and lo == 0.0:
+        lo, hi, iterations = first
     return RootResult((lo + hi) / 2.0, lo, hi, iterations)
 
 

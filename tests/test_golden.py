@@ -14,6 +14,11 @@ A faster or simpler program must give the very same answers, so any
 difference here is a change in behaviour. Regenerate a record only when
 its output is meant to change, by running its command and saving what it
 prints and returns.
+
+CI runs this module twice: with the tier-1 suite against src/, and against
+the installed package from outside the checkout, where `-c /dev/null`
+drops pyproject's `pythonpath` so that `import dnccap` finds the install.
+A new record is therefore checked there too, with no workflow edit.
 """
 
 from __future__ import annotations

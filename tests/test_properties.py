@@ -1052,12 +1052,13 @@ _SCALES = (1, 1, 10**305, 10**307, 10**400)
 
 def _former_side_passes(den, sign, y):
     """What the former scan's separate passes gave for P (sign 1) or N
-    (sign -1) at y: the side's `value_and_slope`, then the slopes of its
-    terms of weight >= 1 and of weight in (0, 1), each a polynomial of
-    its own; inf throughout where the side overflows."""
+    (sign -1) at y: the side's value by `value_and_slope`, the slopes of
+    its terms of weight >= 1 and of weight in (0, 1), each a polynomial
+    of its own, first added and then one by one; inf throughout where the
+    side overflows."""
     side = {wv: sign * c for wv, c in den.terms() if sign * c > 0}
     try:
-        value, slope = GeneralizedPolynomial(den.basis, side).value_and_slope(y)
+        value, _ = GeneralizedPolynomial(den.basis, side).value_and_slope(y)
     except EvalOverflowError:
         return [math.inf] * 4
     parts = [
@@ -1066,7 +1067,7 @@ def _former_side_passes(den, sign, y):
         ).value_and_slope(y)[1]
         for keep in (lambda e: e >= 1, lambda e: 0 < e < 1)
     ]
-    return [value, slope, *parts]
+    return [value, parts[0] + parts[1], *parts]
 
 
 class TestScanPass:

@@ -323,6 +323,20 @@ class TestBracketing:
             smallest_positive_pole(gf)
         assert str(got.value) == str(expected.value)
 
+    @pytest.mark.parametrize("solve", [capacity_from_characteristic, smallest_positive_pole])
+    @pytest.mark.parametrize("w", [0.01, 0.02])
+    def test_radius_below_tol_is_resolved(self, solve, w):
+        # Two free symbols of weight w: the radius 2**(-1/w), 7.9e-31 or
+        # 8.9e-16, lies below the default tol, and the capacity is ln 2 / w.
+        basis = WeightBasis.from_mapping({"u": w})
+        gf = RationalGF(
+            GeneralizedPolynomial.one(basis),
+            GeneralizedPolynomial(basis, {WeightVector((0,)): 1, WeightVector((1,)): -2}),
+        )
+        report = solve(gf)
+        assert report.error_bound < 1e-11
+        assert abs(report.capacity_nats - math.log(2.0) / w) <= report.error_bound
+
     @pytest.mark.parametrize("tol", [1e-300, 1e-12, 1e-3, 10.0])
     def test_characteristic_passes(self, monkeypatch, tol):
         # The value at 0, one doubling pass, a few Newton passes and the
