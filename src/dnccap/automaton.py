@@ -8,9 +8,8 @@ the estimator's soundness depends on trimness.
 
 Construction routes:
   free        one state, loops on every symbol
-  forbidden   one state per proper prefix of the patterns; a move goes to the
-              longest suffix that is still such a prefix, and a move that
-              completes a pattern is cut; every state accepts
+  forbidden   Aho-Corasick trie of the patterns with failure links; a move
+              that completes a pattern is cut; every state accepts
   regex       Glushkov position automaton, subset construction (state count
               capped), trimming, then Moore minimization
 """
@@ -103,28 +102,50 @@ def for_spec(spec: ChannelSpec) -> ConstraintAutomaton:
 
 
 def _pattern_automaton(names, patterns) -> ConstraintAutomaton:
-    """Pattern-avoiding DFA whose states are the proper prefixes of the
-    patterns, the empty prefix first.
+    """Pattern-avoiding DFA on the trie of the patterns, with failure links
+    (Aho & Corasick, CACM 1975).
 
-    Reading a symbol moves to the longest suffix of the new string that is
-    still a proper prefix. A move whose new string ends in a whole pattern
-    is cut. Every state accepts, because the language is prefix-closed;
-    prefixes that themselves end in a pattern are never entered and are
+    A trie node is a prefix of a pattern, the root the empty one. Its link
+    is the node of its longest proper suffix; a move on a symbol goes to
+    the child, or, without one, where the link moves: to the longest
+    suffix of the new string that is a node. A node whose string ends in a
+    whole pattern, its own or its link's, is dead, and every move into a
+    dead node is cut. Breadth-first order builds a node's link and moves
+    from those of a shorter node, already built, so the automaton takes
+    O(nodes * symbols) steps. Every live node accepts, because the
+    language is prefix-closed; the dead ones are never entered and are
     trimmed away.
     """
-    forbidden = set(patterns)
-    prefixes = sorted({p[:k] for p in patterns for k in range(len(p))})
-    ids = {prefix: i for i, prefix in enumerate(prefixes)}
-    rows = []
-    for prefix in prefixes:
+    children: list[dict] = [{}]
+    dead = [False]
+    for pattern in patterns:
+        node = 0
+        for name in pattern:
+            node = children[node].setdefault(name, len(children))
+            if node == len(children):
+                children.append({})
+                dead.append(False)
+        dead[node] = True
+    link = [0] * len(children)
+    rows: list[dict] = [{}] * len(children)
+    order = [0]
+    for node in order:
+        # The root links to itself, and its row is empty while it is built:
+        # its missing moves and its children's links go to the root.
+        back = rows[link[node]]
+        dead[node] = dead[node] or dead[link[node]]
         row = {}
         for name in names:
-            string = prefix + (name,)
-            suffixes = [string[k:] for k in range(len(string) + 1)]
-            if forbidden.isdisjoint(suffixes):
-                row[name] = next(ids[u] for u in suffixes if u in ids)
-        rows.append(row)
-    return _tidy(rows, 0, set(range(len(rows))), names)
+            child = children[node].get(name)
+            if child is None:
+                row[name] = back.get(name, 0)
+            else:
+                link[child] = back.get(name, 0)
+                order.append(child)
+                row[name] = child
+        rows[node] = row
+    rows = [{name: t for name, t in row.items() if not dead[t]} for row in rows]
+    return _tidy(rows, 0, {s for s, d in enumerate(dead) if not d}, names)
 
 
 # --- Glushkov position construction for regexes -------------------------------

@@ -74,7 +74,7 @@ import math
 from collections.abc import Iterable, Iterator, Mapping
 from functools import reduce
 from itertools import repeat
-from operator import add, floordiv, itemgetter, lt, mod, mul
+from operator import add, floordiv, itemgetter, le, lt, mod, mul, or_
 
 from ._record import Record, set_slot as _set
 from .errors import (
@@ -563,13 +563,23 @@ class CoefficientSeries(Record):
         loop of `_check_each` runs, for its error message."""
         vectors = list(map(itemgetter(0), entries))
         counts = list(map(itemgetter(1), entries))
-        keys = list(zip(values, vectors))
+        # (value, vector) strictly increasing, without building the pairs:
+        # the values do, or they never decrease and where one is not below
+        # the next, the vectors increase. A NaN is neither below nor above
+        # a value, so it fails both.
+        later = values[1:]
         if not (
             len(values) == len(entries)
             and set(map(type, counts)) <= {int}
             and min(counts, default=0) >= 0
             and set(map(len, vectors)) <= {basis.size}
-            and all(map(lt, keys, keys[1:]))
+            and (
+                all(map(lt, values, later))
+                or (
+                    all(map(le, values, later))
+                    and all(map(or_, map(lt, values, later), map(lt, vectors, vectors[1:])))
+                )
+            )
         ):
             self._check_each(basis, entries, values)
         _set(self, "basis", basis)

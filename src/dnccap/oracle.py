@@ -17,6 +17,13 @@ at the end (`_vectors`). The series expansion packs and decodes its keys
 the same way, but this module keeps its own code for it: the oracle
 shares no code with the analytic routes it checks.
 
+An automaton of one state, the free channel's and that of any constraint
+whose trim DFA has one state, walks in a loop of its own: a queued class
+carries one int, and symbols of equal weight are one step with their
+number as multiplicity. Two or more states walk in the packed loop below,
+which keeps a dict of counts per class. The choice reads only the
+automaton's state count, and both loops give the same results to the bit.
+
 `estimate_capacity` turns the same walk into a certified lower bound on
 capacity. The walk runs one loop walk per automaton state q (up to
 STATE_CAP), all in the same heap, counting the strings whose run starts
@@ -52,9 +59,10 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import Counter
 from collections.abc import Mapping
-from itertools import accumulate, islice, repeat
-from operator import floordiv, itemgetter, mod, mul
+from itertools import accumulate, chain, islice, repeat
+from operator import floordiv, itemgetter, mod, mul, truediv
 
 from . import automaton as automaton_mod
 from ._record import Record
@@ -198,13 +206,19 @@ def _walk(
     and it is queued as (weight, key) only within the cutoff and only if
     some arc reaches it. The pop order is the order of weight_sort_key, so
     each walk's records come out in series order. Every recorded count is
-    at least 1. Records hold keys until the walk ends, when each recorded
-    class's key is decoded into one WeightVector.
+    at least 1. Records are flat lists of keys and counts until the walk
+    ends, when `_decode` turns each recorded key into one WeightVector.
 
-    The walks travel together. `pending` maps each queued class to one int
-    per automaton state, whose slot w, `width` bits wide, holds walk w's
-    path count, so following an arc is one int addition for every walk at
-    once. The series is slot 0 summed over the accepting states; the
+    An automaton of one state, which every free channel has, walks in
+    `_single_walk`, which needs none of what follows: a class carries one
+    int, its path count, and the symbols of one weight are one step whose
+    multiplicity is their number. Both loops pop the same classes in the
+    same order, count the same configurations and compute the same floats.
+
+    With two or more states the walks travel together. `pending` maps each
+    queued class to one int per automaton state, whose slot w, `width` bits
+    wide, holds walk w's path count, so following an arc is one int
+    addition for every walk at once. The series is slot 0 summed over the accepting states; the
     return to state q is slot q at state q.
 
     No slot ever carries into the next. With the largest in-degree below
@@ -223,10 +237,10 @@ def _walk(
     positive count. For a single walk these are the class's entries; with
     several, the nonzero slots, found by adding 2**(width - 1) - 1 to every
     slot: a popped slot is below 2**(width - 1), so its high bit is then
-    set exactly when it is not 0. The budget is checked once the class's
-    arcs are followed; past MAX_CONFIGS the ResourceLimitError's `partial`
-    holds the series' weight classes completed before that class, their
-    keys decoded there.
+    set exactly when it is not 0. The budget is checked once per popped
+    class, here once its arcs are followed; past MAX_CONFIGS the
+    ResourceLimitError's `partial` holds the series' weight classes
+    completed before that class, their keys decoded there.
 
     Returns (series pairs, per-walk return pairs, series weights, loop
     bound, configurations, classes). The pairs are (WeightVector, count),
@@ -236,22 +250,25 @@ def _walk(
     best ln(count) / weight over the returns at positive weight, 0.0 if
     none exceeds it.
     """
-    max_configs = MAX_CONFIGS
-    heappop, heappush = heapq.heappop, heapq.heappush
-    n = machine.n_states
     values = spec.basis.values()
     step_index: dict[tuple[int, ...], int] = {}
     step_of = {
         sym.name: step_index.setdefault(sym.weight.mults, len(step_index))
         for sym in spec.symbols
     }
-    places = _places(values, cutoff, list(step_index), max_configs)
+    places = _places(values, cutoff, list(step_index), MAX_CONFIGS)
     step_keys = [sum(map(mul, step, places)) for step in step_index]
     # A key's digits, most significant first: the quotient by each leading
     # place, and the remainder last. A channel's symbols have positive
     # weight, so its basis has an atom.
     lead = list(zip(places, values))[:-1]
     last = values[-1]
+    if machine.n_states == 1:
+        steps = Counter(step_keys[step_of[name]] for name in machine.transitions[0])
+        return _single_walk(list(steps.items()), lead, last, places, cutoff, n_loops)
+    max_configs = MAX_CONFIGS
+    heappop, heappush = heapq.heappop, heapq.heappush
+    n = machine.n_states
     # One arc list per state: (step index, next state).
     arcs = [
         tuple((step_of[name], nxt) for name, nxt in row.items()) for row in machine.transitions
@@ -281,10 +298,11 @@ def _walk(
     # Weight zero is the int 0, as WeightVector.value gives it to the
     # series; the zero vector's key is 0 too.
     heap: list[tuple[float, int]] = [(0, 0)]
-    # (key, count) records; the keys become WeightVectors at the end.
-    series: list[tuple[int, int]] = []
+    series_keys: list[int] = []
+    series_counts: list[int] = []
     weights: list[float] = []
-    loops: list[list[tuple[int, int]]] = [[] for _ in range(n_loops)]
+    loop_keys: list[list[int]] = [[] for _ in range(n_loops)]
+    loop_counts: list[list[int]] = [[] for _ in range(n_loops)]
     loop_bound = 0.0
     log = math.log
     configurations = classes = 0
@@ -323,7 +341,8 @@ def _walk(
                 if kind & 2:
                     count = packed >> state * width & mask if many else packed
                     if count:
-                        loops[state].append((key, count))
+                        loop_keys[state].append(key)
+                        loop_counts[state].append(count)
                         # A count of 1 bounds nothing, and every return at weight 0 is 1.
                         if count > 1:
                             bound = log(count) / value
@@ -334,14 +353,10 @@ def _walk(
                 if target is not None:
                     target[nxt] = target.get(nxt, 0) + packed
         if configurations > max_configs:
-            done = _vectors([k for k, _ in series], places)
-            raise ResourceLimitError(
-                f"enumeration exceeded {max_configs} configurations "
-                f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
-                partial=dict(zip(done, map(itemgetter(1), series))),
-            )
+            raise _budget_error(series_keys, series_counts, places, value, cutoff)
         if accepted:
-            series.append((key, accepted))
+            series_keys.append(key)
+            series_counts.append(accepted)
             weights.append(value)
         for nvalue, nkey, target in fresh:
             if target:
@@ -354,12 +369,86 @@ def _walk(
                     entries[state] = _widen(packed, n_walks, nbytes)
             width *= 2
             mask, below_high, high, guard_bits = _slot_masks(n_walks, width, guard)
-    # One vector per recorded class, shared by the series and the returns.
-    recorded = list({k for records in (series, *loops) for k, _ in records})
-    vector = dict(zip(recorded, _vectors(recorded, places)))
-    series = [(vector[k], c) for k, c in series]
-    loops = [[(vector[k], c) for k, c in returns] for returns in loops]
+    series, *loops = _decode(places, [(series_keys, series_counts), *zip(loop_keys, loop_counts)])
     return series, loops, weights, loop_bound, configurations, classes
+
+
+def _single_walk(
+    steps: list[tuple[int, int]],
+    lead: list,
+    last: float,
+    places: list[int],
+    cutoff: float,
+    n_loops: int,
+) -> tuple[list, list, list, float, int, int]:
+    """`_walk` on an automaton of one state, its arcs given as `steps`, the
+    (step key, multiplicity) pairs. `pending` maps a queued class's key to
+    its path count, and following a step adds the count times the
+    multiplicity to the successor. Every popped class is one configuration
+    and one series record. The state is initial and, the automaton being
+    trim, accepting, so walk 0, the only loop walk, returns to it at every
+    series class: the returns are the series list itself.
+    """
+    max_configs = MAX_CONFIGS
+    heappop, heappush = heapq.heappop, heapq.heappush
+    pending = {0: 1}
+    heap: list[tuple[float, int]] = [(0, 0)]
+    keys: list[int] = []
+    counts: list[int] = []
+    weights: list[float] = []
+    while heap:
+        value, key = heappop(heap)
+        count = pending.pop(key)
+        if len(keys) >= max_configs:
+            raise _budget_error(keys, counts, places, value, cutoff)
+        keys.append(key)
+        counts.append(count)
+        weights.append(value)
+        for step_key, mult in steps:
+            nkey = key + step_key
+            if nkey in pending:
+                pending[nkey] += count * mult
+            else:
+                # WeightVector.value's left-to-right sum of the key's digits.
+                nvalue = 0.0
+                low = nkey
+                for place, v in lead:
+                    digit, low = divmod(low, place)
+                    nvalue += digit * v
+                nvalue += low * last
+                if nvalue <= cutoff:
+                    pending[nkey] = count * mult
+                    heappush(heap, (nvalue, nkey))
+    (series,) = _decode(places, [(keys, counts)])
+    loop_bound = 0.0
+    if n_loops:
+        # The first return is the zero class, of count 1; ln(1) / w is 0.0.
+        loop_bound = max(map(truediv, map(math.log, counts[1:]), weights[1:]), default=0.0)
+    return series, [series] * n_loops, weights, loop_bound, len(keys), len(keys)
+
+
+def _decode(places: list[int], records: list[tuple[list, list]]) -> list[list]:
+    """The (WeightVector, count) pairs of each (keys, counts) record list.
+    Every recorded key is decoded once, and all lists that record it share
+    its WeightVector. A class is popped once, so one list has no key twice."""
+    if len(records) == 1:
+        ((keys, counts),) = records
+        return [list(zip(_vectors(keys, places), counts))]
+    recorded = list(dict.fromkeys(chain.from_iterable(keys for keys, _ in records)))
+    vector = dict(zip(recorded, _vectors(recorded, places))).__getitem__
+    return [list(zip(map(vector, keys), counts)) for keys, counts in records]
+
+
+def _budget_error(
+    keys: list[int], counts: list[int], places: list[int], value: float, cutoff: float
+) -> ResourceLimitError:
+    """The error of a walk past MAX_CONFIGS at the class of weight `value`,
+    whose `partial` holds the series records before it."""
+    return ResourceLimitError(
+        f"enumeration exceeded {MAX_CONFIGS} configurations "
+        f"(reached weight {value:.6g} of cutoff {cutoff:.6g})",
+        partial=dict(zip(_vectors(keys, places), counts)),
+    )
 
 
 def enumerate_channel(
@@ -446,7 +535,7 @@ def estimate_capacity(enum: EnumerationResult) -> CapacityReport:
     start = first + (len(values) - first) // 2
     if len(values) > first:
         running = islice(accumulate(map(itemgetter(1), series.entries)), start, None)
-        proxy = min(math.log(c) / w for w, c in zip(values[start:], running))
+        proxy = min(map(truediv, map(math.log, running), values[start:]))
     else:
         proxy = 0.0
     gap = max(0.0, proxy - estimate)

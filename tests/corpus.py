@@ -15,9 +15,10 @@ reference for the cached exponents and float coefficients;
 `reference_check_density` is the former density check, a numpy
 least-squares fit over counts taken by a scan of every weight, kept as the
 reference for the closed-form fit in `check_density`.
-`reference_pattern_automaton` is the former forbidden-pattern automaton,
-an Aho-Corasick trie with failure links, kept as the reference for the
-construction on pattern prefixes.
+`reference_pattern_automaton` is an earlier forbidden-pattern automaton,
+an Aho-Corasick trie whose every node copies its failure link's moves,
+kept as the reference for the one-pass trie construction of
+`_pattern_automaton`.
 `reference_bracket_denominator_roots` is the former pole scan, which
 evaluated the denominator at every grid point, kept as the reference for
 the scan that skips the grid runs whose sign a bound proves.

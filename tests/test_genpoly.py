@@ -667,6 +667,22 @@ class TestCoefficientSeries:
             ):
                 CoefficientSeries(UNIT, entries, 2.0)
 
+    @pytest.mark.parametrize(
+        "entries, values",
+        [
+            # Equal weights, the vectors decreasing.
+            (((WeightVector((1, 0)), 1), (WeightVector((0, 1)), 1)), [1.0, 1.0]),
+            # A NaN weight is neither below nor above its neighbour.
+            (((WeightVector((0, 0)), 1), (WeightVector((1, 0)), 1)), [0, math.nan]),
+            (((WeightVector((1, 0)), 1), (WeightVector((0, 1)), 1)), [math.nan, 1.0]),
+        ],
+    )
+    def test_order_check_refuses_vector_order_ties_and_nan(self, entries, values):
+        basis = WeightBasis.from_mapping({"a": 1.0, "b": 1.0})
+        with pytest.raises(ValueError) as info:
+            CoefficientSeries._from_values(basis, list(entries), values, 2.0)
+        assert str(info.value) == "series entries must be strictly increasing by weight"
+
     @pytest.mark.parametrize("count", [-1, True, False, 1.0, None])
     def test_rejects_bad_counts_with_todays_message(self, count):
         message = f"counts must be nonnegative integers, got {count!r}"

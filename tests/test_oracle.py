@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import math
 import tracemalloc
+from collections import Counter
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -21,7 +22,7 @@ from dnccap import (
     expand_series,
     parse_spec,
 )
-from dnccap import oracle
+from dnccap import automaton, oracle
 from dnccap.genpoly import weight_sort_key
 
 from corpus import (
@@ -428,39 +429,43 @@ def pattern_sets(draw):
     return parse_spec(json.dumps(doc))
 
 
-def _assert_walk_matches_reference(spec, cutoff):
-    """Every field of a loop-walk enumeration against the tuple-keyed
-    reference walk, whose budget also counts its separate series walk."""
-    enum = enumerate_channel(spec, cutoff)
-    former = reference_tuple_enumerate_channel(spec, cutoff)
+def _assert_walk_matches_reference(spec, cutoff, with_loops=True):
+    """Every field of an enumeration against the tuple-keyed reference
+    walk, whose budget with loop walks also counts its separate series
+    walk."""
+    enum = enumerate_channel(spec, cutoff, with_loops=with_loops)
+    former = reference_tuple_enumerate_channel(spec, cutoff, with_loops=with_loops)
     series_walk = reference_tuple_enumerate_channel(spec, cutoff, with_loops=False)
     assert enum.series.entries == former.series.entries
     assert _bits(enum.series.values()) == _bits(former.series.values())
     assert enum.loop_counts == former.loop_counts
     assert enum.loop_bound == former.loop_bound
-    assert enum.configurations == former.configurations - series_walk.configurations
+    separate = series_walk.configurations if with_loops else 0
+    assert enum.configurations == former.configurations - separate
     assert (enum.n_states, enum.states_analyzed, enum.classes, enum.finite) == (
         former.n_states, former.states_analyzed, former.classes, former.finite
     )
     return enum
 
 
-def _assert_budget_stop_matches_reference(monkeypatch, spec, cutoff, pick):
+def _assert_budget_stop_matches_reference(monkeypatch, spec, cutoff, pick, with_loops=True):
     """Stop both walks at the series class `pick`, whose weight no other
-    class shares: a budget one short of the configurations up to it, the
-    reference's series walk included in its own."""
+    class shares: a budget one short of the configurations up to it, with
+    loop walks the reference's series walk included in its own."""
     entries = enumerate_channel(spec, cutoff).series.entries
     wv, _ = entries[pick % len(entries)]
     upto = wv.value(spec.basis)
-    loops = reference_tuple_enumerate_channel(spec, upto).configurations
     series = reference_tuple_enumerate_channel(spec, upto, with_loops=False).configurations
-    budget, reference_budget = loops - series - 1, loops - 1
+    budget = reference_budget = series - 1
+    if with_loops:
+        loops = reference_tuple_enumerate_channel(spec, upto).configurations
+        budget, reference_budget = loops - series - 1, loops - 1
     monkeypatch.setattr(oracle, "MAX_CONFIGS", budget)
     with pytest.raises(ResourceLimitError) as info:
-        enumerate_channel(spec, cutoff)
+        enumerate_channel(spec, cutoff, with_loops=with_loops)
     monkeypatch.setattr(oracle, "MAX_CONFIGS", reference_budget)
     with pytest.raises(ResourceLimitError) as former:
-        reference_tuple_enumerate_channel(spec, cutoff)
+        reference_tuple_enumerate_channel(spec, cutoff, with_loops=with_loops)
     assert str(info.value) == str(former.value).replace(
         f"exceeded {reference_budget} ", f"exceeded {budget} "
     )
@@ -560,6 +565,80 @@ class TestPackedWalks:
         assert error.partial == former.partial
         assert len(error.partial) == 2223
         assert peak <= 2 * former_peak
+
+
+def _single_state_spec(atoms, weights, constraint):
+    """Symbols 0, 1, ... weighing `weights` over the named ATOMS."""
+    doc = {
+        "atoms": {name: ATOMS[name] for name in atoms},
+        "symbols": [{"name": str(i), "weight": w} for i, w in enumerate(weights)],
+        "constraint": constraint,
+    }
+    return parse_spec(json.dumps(doc))
+
+
+# Constraints whose trim automaton has one state, each with the fewest
+# symbols that leave one unused: 0* reads only symbol 0 and (0|1)* only 0
+# and 1. None is the free channel, which reads every symbol.
+SINGLE_STATE_REGEXES = {None: 1, "0*": 2, "(0|1)*": 3}
+
+
+def _single_state_constraint(expr):
+    if expr is None:
+        return {"type": "free"}
+    return {"type": "regex", "expr": expr, "unambiguous": True}
+
+
+@st.composite
+def single_state_specs(draw):
+    """Free channels and one-state regexes over 1-4 of the atoms unit, half,
+    pi and sqrt 2, with up to four symbols of one or two atoms each; at
+    times symbols 0 and 1 weigh the same, one step of multiplicity 2."""
+    atoms = draw(st.lists(st.sampled_from(sorted(ATOMS)), min_size=1, max_size=4, unique=True))
+    expr = draw(st.sampled_from(sorted(SINGLE_STATE_REGEXES, key=str)))
+    weight = st.dictionaries(st.sampled_from(atoms), st.integers(1, 2), min_size=1, max_size=2)
+    weights = draw(st.lists(weight, min_size=SINGLE_STATE_REGEXES[expr], max_size=4))
+    if len(weights) > 1 and draw(st.booleans()):
+        weights[1] = weights[0]
+    return _single_state_spec(atoms, weights, _single_state_constraint(expr))
+
+
+class TestSingleStateWalk:
+    # Every free channel, and every constraint whose trim automaton has one
+    # state, walks in the single-state loop.
+    @settings(max_examples=100, deadline=None)
+    @given(single_state_specs(), st.sampled_from([0.0, 2.5, 6.0, 9.0]), st.integers(min_value=0))
+    @example(
+        _single_state_spec(["unit", "pi"], [{"unit": 1}, {"unit": 1}, {"pi": 1}], {"type": "free"}),
+        9.0,
+        17,
+    )
+    @example(
+        _single_state_spec(["unit"], [{"unit": 1}, {"unit": 2}], _single_state_constraint("0*")),
+        9.0,
+        5,
+    )
+    @example(
+        _single_state_spec(
+            ["half", "r2"],
+            [{"half": 1}, {"half": 1}, {"r2": 1}],
+            _single_state_constraint("(0|1)*"),
+        ),
+        6.0,
+        11,
+    )
+    def test_matches_the_tuple_keyed_walk(self, spec, cutoff, pick):
+        assert automaton.for_spec(spec).n_states == 1
+        # A budget stop is checked at a class alone at its weight.
+        values = enumerate_channel(spec, cutoff).series.values()
+        tally = Counter(values)
+        alone = [i for i, v in enumerate(values) if tally[v] == 1]
+        for with_loops in (True, False):
+            _assert_walk_matches_reference(spec, cutoff, with_loops)
+            with pytest.MonkeyPatch.context() as mp:
+                _assert_budget_stop_matches_reference(
+                    mp, spec, cutoff, alone[pick % len(alone)], with_loops
+                )
 
 
 def _bits(values):
