@@ -44,9 +44,8 @@ characteristic route, and on the pole route every pass over D's terms
 and certificates included, but not the bisection steps the window decided.
 
 A bisection narrows its bracket to a width of `tol`, or to adjacent floats.
-One that stops with its low end still at 0 has a root below `tol`: it goes
-on to a width of `tol` times the high end. If the low end is 0 even then,
-the root lies below the float range, and the first stop is the answer.
+Where a capacity bound lets the radius fall below `tol`, both routes solve
+the copy with every weight times 2**k, which divides the capacity by 2**k.
 
 Capacity in nats per unit weight is -ln of the located singularity. The
 reported error bound is the log-width of the final bracket.
@@ -70,7 +69,7 @@ from .errors import (
     ResourceLimitError,
     SolverError,
 )
-from .genpoly import GeneralizedPolynomial, RationalGF, WeightVector, left_sum
+from .genpoly import GeneralizedPolynomial, RationalGF, WeightBasis, left_sum
 
 DEFAULT_TOL = 1e-12
 # The pole scan covers (0, Y_MAX] on a grid of GRID_STEP.
@@ -198,9 +197,8 @@ def smallest_positive_root(
     p must be strictly increasing where it matters: all coefficients
     nonnegative, at least one term of positive weight, and p(0) < target.
     Doubling from 1 brackets the root, then bisection narrows the bracket
-    to high - low <= tol, or to adjacent floats. A root below tol is
-    narrowed on to high - low <= tol * high, unless it lies below the
-    float range, which leaves low at 0. Every doubling and bisection step
+    to high - low <= tol, or to adjacent floats: a root below tol comes
+    back as [0, high] with high <= tol. Every doubling and bisection step
     counts as one iteration. The float evaluation of p is below target at
     low (or low is 0) and at or above target at high (or overflows there);
     the exact values may differ by rounding, so the exact root is not
@@ -246,48 +244,19 @@ def _bisection(lo: float, hi: float, tol: float, a: float, b: float, side) -> Ro
     each halving. `side(mid)` is True on lo's side, False on hi's, and
     None at an exact zero, which closes the bracket there. It is not
     called for a midpoint at or below a or at or above b, which the
-    certified window [a, b] (or (lo, hi) for none) already places.
-
-    A stop that leaves lo at 0 brackets a root below tol: halving goes on
-    while hi - lo exceeds tol * hi. Each further round stops at tol times
-    the hi it starts from, which only shrinks, so the rounds end at the
-    first bracket that narrow, or at a round that takes no step. A lo
-    still at 0 then puts the root below the float range, and the first
-    stop stands."""
-    lo, hi, iterations = _halve(lo, hi, tol, 0, a, b, side)
-    if lo == 0.0:
-        fine_lo, fine_hi, steps = lo, hi, iterations
-        while fine_hi - fine_lo > tol * fine_hi:
-            fine_lo, fine_hi, more = _halve(fine_lo, fine_hi, tol * fine_hi, steps, a, b, side)
-            if more == steps:
-                break
-            steps = more
-        if fine_lo > 0.0:
-            lo, hi, iterations = fine_lo, fine_hi, steps
-    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
-
-
-def _halve(lo: float, hi: float, tol: float, iterations: int, a: float, b: float, side):
-    """The halvings of `_bisection` down to hi - lo <= tol: (lo, hi,
-    iterations) at the stop."""
+    certified window [a, b] (or (lo, hi) for none) already places."""
+    iterations = 0
     while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
         iterations += 1
-        if mid <= a:
-            lo = mid
-        elif mid >= b:
-            hi = mid
-        else:
-            low = side(mid)
-            if low is None:
-                return mid, mid, iterations
-            if low:
-                lo = mid
-            else:
-                hi = mid
-    return lo, hi, iterations
+        low = mid <= a or (mid < b and side(mid))
+        if low is None:
+            lo = hi = mid
+            break
+        lo, hi = (mid, hi) if low else (lo, mid)
+    return RootResult((lo + hi) / 2.0, lo, hi, iterations)
 
 
 def _settled(step: float, last: float, width: float) -> bool:
@@ -391,6 +360,40 @@ def _finite_language_report(method: str) -> CapacityReport:
     )
 
 
+def _rescaled(solve, gf: RationalGF, tol: float) -> CapacityReport | None:
+    """solve's report on gf from the copy with every atom 2**k times as
+    heavy, or None for k = 0. For y <= 1, D(y) >= d0 - S y**w (S the sum of
+    |c|, w the least weight, over D's other terms), so the capacity is at
+    most ln(S / d0) / w; k > 0, that bound's float exponent, only where it
+    lets the radius fall below tol. The copy is solved to tol / 2**k."""
+    d0, s, w = 0.0, 0.0, math.inf
+    for e, c in gf.denominator.float_terms():
+        if e:
+            s, w = s + abs(c), e if e < w else w
+        else:
+            d0 = c
+    # With d0 or S beyond the float range, the solve raises as it would.
+    log_sd = math.log(s / d0) if d0 < s < math.inf else -math.inf
+    k = math.frexp(log_sd / math.frexp(w)[0])[1] - math.frexp(w)[1]  # log_sd / w may overflow
+    if k <= 0 or not log_sd > -math.log(tol) * w:
+        return None
+    top = math.ldexp(1.0, 1023 - k)  # y**(2**1023) is 0 at every float y < 1, as past it
+    values = {a.name: math.ldexp(min(a.value, top), k) for a in gf.basis.atoms}
+    basis = WeightBasis.from_mapping(values)
+    num = GeneralizedPolynomial(basis, gf.numerator.terms())
+    den = GeneralizedPolynomial(basis, gf.denominator.terms())
+    # tol / 2**k may underflow, and the copy's bracket may close on an exact zero.
+    r = solve(RationalGF(num, den), tol=max(math.ldexp(tol, -k), math.ulp(0.0)))
+    ulps = 2.0 * math.ulp(r.radius_or_pole) / r.radius_or_pole
+    try:
+        capacity, bound = math.ldexp(r.capacity_nats, k), math.ldexp(max(r.error_bound, ulps), k)
+    except OverflowError:
+        raise SolverError(f"capacity {r.capacity_nats!r} * 2**{k} overflows a float") from None
+    note = f"every weight times 2**{k} to solve; the radius, exp(-capacity), is 0 past 745 nats"
+    note = f"{r.note}; {note}" if r.note else note
+    return CapacityReport(r.method, math.exp(-capacity), capacity, bound, r.iterations, note)
+
+
 def characteristic_part(den: GeneralizedPolynomial) -> GeneralizedPolynomial | None:
     """E with den = d0 - E and E nonnegative, or None if den lacks star form.
 
@@ -438,10 +441,11 @@ def capacity_from_characteristic(
             "denominator is not in star form (positive constant minus "
             "nonnegative growth terms); use the pole method"
         )
-    d0 = den.constant_coefficient
     if not growth:
         return _finite_language_report("characteristic-root")
-    result = smallest_positive_root(growth, float(d0), tol=tol)
+    if scaled := _rescaled(capacity_from_characteristic, gf, tol):
+        return scaled
+    result = smallest_positive_root(growth, float(den.constant_coefficient), tol=tol)
     if _is_removable(gf, result.root):
         raise SolverError(
             f"numerator vanishes at the characteristic root y = {result.root:.12g}; "
@@ -665,10 +669,10 @@ class _PoleScan:
         a, b = placed
         # One pass per certificate. The certified side of a has D's sign
         # at lo: negative when rising.
-        self.evaluations += (lo < a) + (b < hi)
-        if not (lo < a and _clears(self.den, a, rising, threshold)):
+        self.evaluations += (lo < a < hi) + (lo < b < hi)
+        if not (lo < a < hi and _clears(self.den, a, rising, threshold)):
             a = lo
-        if not (b < hi and _clears(self.den, b, fhi < 0.0, threshold)):
+        if not (lo < b < hi and _clears(self.den, b, fhi < 0.0, threshold)):
             b = hi
         return a, b
 
@@ -723,10 +727,10 @@ def bracket_denominator_roots(
     """All denominator roots in (0, Y_MAX] visible at the grid resolution.
 
     Returns (roots in increasing order, number of passes over D's terms),
-    draining the pole scan. Roots closer together than the grid step may
-    be missed; that is the documented
-    resolution limit, and skipping grid runs whose sign is proved does not
-    change it.
+    draining the pole scan; a root below tol comes back as [0, hi] with hi
+    <= tol. Roots closer together than the grid step may be missed; that is
+    the documented resolution limit, and skipping grid runs whose sign is
+    proved does not change it.
     """
     scan = _PoleScan(gf.denominator, tol)
     found = list(scan)
@@ -741,15 +745,9 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     singularities of the quotient). For counting quotients the positive
     real axis carries a singularity of minimal modulus, so the first
     surviving root is the radius of convergence, and the scan stops there.
-    The grid runs it skips are those whose sign the monotone bound on
-    D = P - N, or D's own monotonicity and its value at the run's end,
-    proves (see SKIP_MARGIN), so it brackets exactly the roots a
-    scan evaluating every grid point would, and the bisection evaluates
-    only the midpoints outside its certified Newton window. `iterations`
-    is the number of passes the scan made over D's terms, by its own pass,
-    which gives P, N and their slopes too, or by `evaluate` or
-    `value_and_slope`: Newton passes count, and the bisection steps the
-    window decided do not. A constant denominator
+    It brackets exactly the roots a scan evaluating every grid point would;
+    the module docstring says which grid runs and midpoints it skips and
+    what `iterations` counts. A constant denominator
     has no pole to scan for: the language is finite and the capacity 0.
     Otherwise raises SolverError when no surviving root is bracketed: a
     root of even multiplicity touches zero without changing sign, so an
@@ -758,6 +756,8 @@ def smallest_positive_pole(gf: RationalGF, *, tol: float = DEFAULT_TOL) -> Capac
     scan = _PoleScan(gf.denominator, tol)
     if all(wv.is_zero() for wv, _ in gf.denominator.terms()):
         return _finite_language_report("smallest-pole")
+    if scaled := _rescaled(smallest_positive_pole, gf, tol):
+        return scaled
     skipped = 0
     for cand in scan:
         if _is_removable(gf, cand.root):

@@ -56,9 +56,8 @@ initial state's loop walk.
 bisection loops of `smallest_positive_root` and of a pole bracket: each
 evaluates every midpoint. They are kept as the reference for the bisections
 that skip the midpoints a Newton window decides. Both halve through
-`reference_halvings`, which writes out step by step the stop rule for a
-root below tol that `solver._bisection` takes in rounds, and the reference
-pole scan bisects its brackets through `reference_bisect_bracket`.
+`reference_halvings`, and the reference pole scan bisects its brackets
+through `reference_bisect_bracket`.
 `reference_is_removable` is the former removability check, which summed
 the numerator's term sizes and then evaluated it, two passes, each over the
 int coefficients; it is kept as the reference for the check that takes both
@@ -659,18 +658,9 @@ def reference_bisect_bracket(
 def reference_halvings(lo: float, hi: float, tol: float, on_lo_side) -> RootResult:
     """Halve [lo, hi] while hi - lo > tol, evaluating every midpoint, or to
     adjacent floats. `on_lo_side(mid)` is True, False, or None for an exact
-    zero, which closes the bracket. A stop that leaves lo at 0 is noted,
-    and halving goes on while hi - lo > tol * hi; if lo is still 0 at the
-    end, the noted stop is the answer."""
+    zero, which closes the bracket."""
     iterations = 0
-    first = None
-    while True:
-        if first is None and not hi - lo > tol:
-            if lo > 0.0:
-                break
-            first = lo, hi, iterations
-        if first is not None and not hi - lo > tol * hi:
-            break
+    while hi - lo > tol:
         mid = (lo + hi) / 2.0
         if mid == lo or mid == hi:
             break
@@ -683,8 +673,6 @@ def reference_halvings(lo: float, hi: float, tol: float, on_lo_side) -> RootResu
             lo = mid
         else:
             hi = mid
-    if first is not None and lo == 0.0:
-        lo, hi, iterations = first
     return RootResult((lo + hi) / 2.0, lo, hi, iterations)
 
 

@@ -12,6 +12,7 @@ import os
 import subprocess
 import sys
 import time
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -325,37 +326,39 @@ class TestCapacity:
         assert "at most" not in out + err
 
     @pytest.mark.parametrize(
-        "constraint, extra",
+        "constraint, extra, growth",
         [
-            ({"type": "free"}, []),
-            ({"type": "regex", "expr": "(ε|1)(0|01)*", "unambiguous": True}, []),
-            ({"type": "forbidden", "patterns": ["11"]}, ["--method", "characteristic"]),
+            ({"type": "free"}, [], "2"),
+            ({"type": "regex", "expr": "(ε|1)(0|01)*", "unambiguous": True}, [], "golden"),
+            ({"type": "forbidden", "patterns": ["11"]}, ["--method", "characteristic"], "golden"),
         ],
     )
-    def test_tiny_weights_answer_without_a_traceback(self, tmp_path, constraint, extra):
-        # Two symbols of weight u: the radius 2**(-1/u), or near it, is 0
-        # in floats. At u = 1e-150 the first Newton step's cube passes the
-        # float range; that places no window, and the bisection answers as
-        # it does at u = 1e-100, where the cube still fits.
-        outputs = []
-        for u in (1e-100, 1e-150):
-            path = tmp_path / f"tiny-{u}.json"
-            path.write_text(json.dumps({
-                "atoms": {"u": u},
-                "symbols": [{"name": n, "weight": {"u": 1}} for n in "01"],
-                "constraint": constraint,
-            }))
-            proc = subprocess.run(
-                [sys.executable, "-m", "dnccap", "capacity", str(path), "--json", *extra],
-                capture_output=True, text=True, env=cli_env(), timeout=60,
-            )
-            assert proc.returncode == 0, proc.stderr
-            assert "Traceback" not in proc.stderr
-            outputs.append(proc.stdout)
-        assert outputs[1] == outputs[0]
-        report = strict_json(outputs[1])
-        assert (report["radius_or_pole"], report["iterations"]) == (4.547473508864641e-13, 40)
-        assert report["error_bound"] is None
+    def test_tiny_weights_answer_without_a_traceback(self, tmp_path, constraint, extra, growth):
+        # Two symbols of weight u: the radius 2**(-1/u), or the golden
+        # mean's power -1/u where "11" is excluded, is 0 in floats. Both
+        # are solved on the copy with every weight times 2**k, and the
+        # capacity ln(2) / u or ln((1 + 5**0.5) / 2) / u must lie within
+        # the finite error bound.
+        with localcontext() as ctx:
+            ctx.prec = 50
+            root = Decimal(2) if growth == "2" else (1 + Decimal(5).sqrt()) / 2
+            for u in (1e-100, 1e-150):
+                path = tmp_path / f"tiny-{u}.json"
+                path.write_text(json.dumps({
+                    "atoms": {"u": u},
+                    "symbols": [{"name": n, "weight": {"u": 1}} for n in "01"],
+                    "constraint": constraint,
+                }))
+                proc = subprocess.run(
+                    [sys.executable, "-m", "dnccap", "capacity", str(path), "--json", *extra],
+                    capture_output=True, text=True, env=cli_env(), timeout=60,
+                )
+                assert proc.returncode == 0, proc.stderr
+                assert "Traceback" not in proc.stderr
+                report = strict_json(proc.stdout)
+                assert report["error_bound"] is not None
+                exact = root.ln() / Decimal(u)
+                assert abs(Decimal(report["capacity_nats"]) - exact) <= Decimal(report["error_bound"])
 
     def test_verify_agreement(self, capsys):
         code, out, _ = run(

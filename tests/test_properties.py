@@ -8,6 +8,8 @@ import itertools
 import json
 import math
 import sys
+from decimal import Decimal, localcontext
+from fractions import Fraction
 from unittest import mock
 
 import pytest
@@ -1268,6 +1270,19 @@ class TestNewtonWindows:
     # only the rough pow makes D at an end 1 unit below the root take the
     # sign beyond it, which then clears zero but not the rounding bound.
     @example(_unit_poly((0, 3), (2, -7)), 1e-300, None, (None, (None, -1)), True)
+    # Roots 0.840896... and 0.845530...: both ends put 33 * 2**40 units
+    # above the first root lie past the second and past the grid bracket
+    # [0.840, 0.841], where D has lo's sign again. An end outside the
+    # bracket is certified by nothing.
+    @example(
+        _unit_poly(
+            (0, 20700), (2, -8625), (4, -81325), (6, 34125), (8, 78725), (10, -33750), (12, 2250)
+        ),
+        1e-300,
+        None,
+        (None, (None, 33 << 40)),
+        False,
+    )
     @settings(max_examples=400, deadline=None)
     def test_pole_certificates_wherever_the_ends_go(self, den, tol, data, fixed, rough):
         # As above for pole brackets, each root's grid bracket and a wider
@@ -1689,3 +1704,100 @@ class TestExtremeAtoms:
                 json.loads(stdout.getvalue())
             else:
                 assert code in (1, 2) and stderr.getvalue().startswith("error: ")
+
+    @given(single_atom_documents(), st.integers(-2100, 2100))
+    # One symbol of weight 1e-300: D = 1 - y**1e-300 evaluates to exactly 0
+    # at the first grid point, which the scan reports as a root.
+    @example(
+        {
+            "atoms": {"u": 1e-300},
+            "symbols": [{"name": "0", "weight": {"u": 1}}],
+            "constraint": {"type": "free"},
+        },
+        1,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_capacity_scales_with_the_atom(self, doc, j):
+        # Every weight times 2**j divides the capacity by 2**j. With the
+        # atom kept a normal float (j clamped to where it is), 2**j
+        # C(atom 2**j) and C(atom) agree within the sum of their bounds,
+        # scaled alike, on both routes, exactly in rationals. A pole
+        # bracket closed where D evaluates to exactly 0 has bound 0
+        # however far the true root lies: such an answer is checked
+        # against that rule alone.
+        u = doc["atoms"]["u"]
+        exponent = math.frexp(u)[1]
+        j = min(max(j, -1021 - exponent), 1024 - exponent)
+        try:
+            gfs = [
+                build_gf(parse_spec(json.dumps({**doc, "atoms": {"u": atom}})))
+                for atom in (u, math.ldexp(u, j))
+            ]
+        except DncError as exc:
+            event(f"build: {type(exc).__name__}")
+            return
+        for solve in (solver.capacity_from_characteristic, solver.smallest_positive_pole):
+            reports = []
+            for gf in gfs:
+                try:
+                    reports.append(solve(gf))
+                except DncError as exc:
+                    event(f"{solve.__name__}: {type(exc).__name__}")
+            if len(reports) < 2:
+                continue
+            zeros = [r.error_bound == 0.0 and r.radius_or_pole < math.inf for r in reports]
+            for zero, report, gf in zip(zeros, reports, gfs):
+                if zero:
+                    event("a float zero of D")
+                    assert gf.denominator.evaluate(report.radius_or_pole) == 0.0
+            if any(zeros) or not all(math.isfinite(r.error_bound) for r in reports):
+                continue
+            at_u, scaled = reports
+            scale = Fraction(2) ** j
+            gap = abs(Fraction(scaled.capacity_nats) * scale - Fraction(at_u.capacity_nats))
+            assert gap <= Fraction(scaled.error_bound) * scale + Fraction(at_u.error_bound)
+
+    @pytest.mark.parametrize("solve", ["capacity_from_characteristic", "smallest_positive_pole"])
+    @pytest.mark.parametrize("u", [1e-100, 1e-300, 1e-308])
+    @pytest.mark.parametrize("idle", [None, 1e300])
+    def test_two_tiny_symbols_answer_ln_2_over_u(self, solve, u, idle):
+        # The radius 2**(-1/u) is 0 in floats; the copy with every weight
+        # times 2**k is solved instead. Its answer, times 2**k, holds the
+        # exact capacity ln(2) / u within a finite bound. An atom that no
+        # symbol uses, however large, does not stop the rescale.
+        report = getattr(solver, solve)(_two_free_symbols(u, idle))
+        assert report.radius_or_pole == 0.0 and "2**" in report.note
+        with localcontext() as ctx:
+            ctx.prec = 50
+            exact = Decimal(2).ln() / Decimal(u)
+            assert abs(Decimal(report.capacity_nats) - exact) <= Decimal(report.error_bound)
+
+    @pytest.mark.parametrize("method", ["characteristic", "pole"])
+    @pytest.mark.parametrize("u", [3.8e-309, 1e-320, 5e-324])
+    def test_capacity_past_the_float_range_is_refused(self, tmp_path, method, u):
+        # Below about 3.9e-309, ln(2) / u passes the largest float: an
+        # error with a message, not a capacity of inf.
+        path = tmp_path / "tiny.json"
+        path.write_text(json.dumps({
+            "atoms": {"u": u},
+            "symbols": [{"name": n, "weight": {"u": 1}} for n in "01"],
+            "constraint": {"type": "free"},
+        }))
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(["capacity", str(path), "--json", "--method", method])
+        assert (code, stdout.getvalue()) == (2, "")
+        assert stderr.getvalue().startswith("error: capacity ")
+        assert stderr.getvalue().rstrip().endswith(" overflows a float")
+
+
+def _two_free_symbols(u, idle=None):
+    """The quotient 1 / (1 - 2 y**u) of two free symbols of weight u, over
+    a basis with a second atom of value `idle` that no term uses, if given."""
+    atoms = {"u": u} if idle is None else {"u": u, "idle": idle}
+    basis = WeightBasis.from_mapping(atoms)
+    zero, one = (0,) * len(atoms), (1,) + (0,) * (len(atoms) - 1)
+    return RationalGF(
+        GeneralizedPolynomial.one(basis),
+        GeneralizedPolynomial(basis, {WeightVector(zero): 1, WeightVector(one): -2}),
+    )
